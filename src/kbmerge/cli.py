@@ -130,12 +130,13 @@ def _format_report(report: MergeReport) -> str:
         return ", ".join(ids) if ids else "(none)"
 
     return (
+        f"solver instance build: {report.build_ms:.1f} ms\n"
         f"phase 1 (decontextualization): {report.checks_phase1} checks, "
-        f"{report.elapsed_phase1_ms:.1f} ms\n"
+        f"{report.nodes_phase1} nodes, {report.elapsed_phase1_ms:.1f} ms\n"
         f"  decontextualized: {listing(report.decontextualized_ids)}\n"
         f"  kept contextualized: {listing(report.kept_contextualized_ids)}\n"
         f"phase 2 (redundancy elimination): {report.checks_phase2} checks, "
-        f"{report.elapsed_phase2_ms:.1f} ms\n"
+        f"{report.nodes_phase2} nodes, {report.elapsed_phase2_ms:.1f} ms\n"
         f"  removed as redundant: {listing(report.removed_redundant_ids)}\n"
     )
 
@@ -150,6 +151,9 @@ def _report_json(report: MergeReport) -> str:
             "checks_phase2": report.checks_phase2,
             "elapsed_phase1_ms": report.elapsed_phase1_ms,
             "elapsed_phase2_ms": report.elapsed_phase2_ms,
+            "nodes_phase1": report.nodes_phase1,
+            "nodes_phase2": report.nodes_phase2,
+            "build_ms": report.build_ms,
         },
         indent=2,
     ) + "\n"
@@ -179,7 +183,13 @@ def cmd_merge(args: argparse.Namespace) -> ExitStatus:
     return ExitStatus.OK
 
 
+def _require_non_negative(flag: str, value: Optional[int]) -> None:
+    if value is not None and value < 0:
+        raise ValidationError(f"{flag} must be non-negative, got {value}")
+
+
 def cmd_count(args: argparse.Namespace) -> ExitStatus:
+    _require_non_negative("--cap", args.cap)
     kb = _load_kb(args.file)
     result, _ = count_solutions(kb.variables, kb.formulas(), cap=args.cap)
     if result.capped:
@@ -203,6 +213,7 @@ def cmd_check(args: argparse.Namespace) -> ExitStatus:
 
 
 def cmd_solve(args: argparse.Namespace) -> ExitStatus:
+    _require_non_negative("--limit", args.limit)
     kb = _load_kb(args.file)
     for solution in enumerate_solutions(kb.variables, kb.formulas(), args.limit):
         print(" ".join(f"{var}={val}" for var, val in solution.items()))

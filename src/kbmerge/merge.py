@@ -34,7 +34,7 @@ from .model import (
     strip_context,
     validate_kb,
 )
-from .solver import count_solutions, is_consistent
+from .solver import _Instance, count_solutions, is_consistent
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,9 @@ class MergeReport:
     input constraint ids (phase 1); ``removed_redundant_ids`` lists what
     phase 2 deleted. ``checks_phase1`` always equals the total input
     constraint count: decontextualization costs one consistency check per
-    constraint.
+    constraint. ``nodes_phase1``/``nodes_phase2`` sum the search nodes of
+    each phase's checks, and ``build_ms`` is the one solver instance build
+    that all checks of the merge share.
     """
 
     decontextualized_ids: tuple[str, ...]
@@ -55,6 +57,9 @@ class MergeReport:
     checks_phase2: int
     elapsed_phase1_ms: float
     elapsed_phase2_ms: float
+    nodes_phase1: int
+    nodes_phase2: int
+    build_ms: float
 
 
 def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBase:
@@ -191,7 +196,8 @@ def ckb_merge(
     information and c joins the output decontextualized, otherwise c' is
     kept guarded. Phase 2 walks the output in insertion order and deletes
     any constraint whose negation is unsatisfiable with the rest; deletions
-    are visible to the remaining checks.
+    are visible to the remaining checks. Every check, including the two
+    input-consistency checks, runs on one solver instance built up front.
 
     Returns the merged KB over the aligned variables (context domain is the
     union of the two context values) and a MergeReport. The merged KB has
@@ -216,54 +222,82 @@ def ckb_merge(
     ctx_var = ctx_var1
     variables = align(kb1c, kb2c, ctx_var)
 
-    for kb in (kb1c, kb2c):
-        ok, _ = is_consistent(kb.variables, kb.formulas())
+    renamed1, renamed2 = _rename_clashes(kb1c, kb2c)
+    ckb_prime = renamed1 + renamed2
+    bares = [strip_context(c, ctx_var) for c in ckb_prime]
+    n = len(ckb_prime)
+
+    # One instance serves every check of the merge. Input constraint i sits
+    # at GUARDED + i (c'_i), BARE + i (c_i), NOT_BARE + i (not c_i) and
+    # NOT_GUARDED + i (not c'_i); PIN + k pins the context value of source
+    # k. Each check activates exactly the pool it tests, in pool order.
+    GUARDED, BARE, NOT_BARE, NOT_GUARDED, PIN = 0, n, 2 * n, 3 * n, 4 * n
+    tb = time.perf_counter()
+    inst = _Instance(
+        variables,
+        [c.formula for c in ckb_prime]
+        + [c.formula for c in bares]
+        + [negate(c.formula) for c in bares]
+        + [negate(c.formula) for c in ckb_prime]
+        + [Atom(ctx_var, AtomOp.EQ, ctx_val1), Atom(ctx_var, AtomOp.EQ, ctx_val2)],
+    )
+    build_ms = (time.perf_counter() - tb) * 1000.0
+
+    # Each source's context domain is its singleton value, which makes its
+    # guards vacuous: the source is consistent iff its bare bodies are, with
+    # the context variable pinned to that value.
+    sources = ((kb1c, range(len(renamed1))), (kb2c, range(len(renamed1), n)))
+    for k, (kb, members) in enumerate(sources):
+        ok, _ = inst.check([BARE + i for i in members] + [PIN + k])
         if not ok:
             raise InconsistentInputError(
                 f"knowledge base '{kb.name}' is inconsistent"
             )
 
-    renamed1, renamed2 = _rename_clashes(kb1c, kb2c)
-    ckb_prime = renamed1 + renamed2
-
     decontextualized: list[str] = []
     kept_contextualized: list[str] = []
     merged: list[Constraint] = []
-    checks1 = 0
+    # instance indices of each merged constraint and of its negation
+    own: list[int] = []
+    negation: list[int] = []
+    checks1 = nodes1 = 0
 
     t0 = time.perf_counter()
     for i, guarded in enumerate(ckb_prime):
-        bare = strip_context(guarded, ctx_var)
         # the current constraint stays in the unprocessed pool for its own check
-        pool = [c.formula for c in ckb_prime[i:]]
-        pool += [c.formula for c in merged]
-        pool.append(negate(bare.formula))
-        ok, _ = is_consistent(variables, pool)
+        pool = list(range(GUARDED + i, GUARDED + n)) + own + [NOT_BARE + i]
+        ok, stats = inst.check(pool)
         checks1 += 1
+        nodes1 += stats.nodes_explored
         if not ok:
-            merged.append(bare)
-            decontextualized.append(bare.id)
+            merged.append(bares[i])
+            own.append(BARE + i)
+            negation.append(NOT_BARE + i)
+            decontextualized.append(guarded.id)
         else:
             merged.append(replace(guarded, contextualized=False))
+            own.append(GUARDED + i)
+            negation.append(NOT_GUARDED + i)
             kept_contextualized.append(guarded.id)
     t1 = time.perf_counter()
 
-    kept = list(merged)
+    kept = list(range(len(merged)))
     removed: list[str] = []
-    checks2 = 0
-    for c in merged:
-        rest = [x.formula for x in kept if x is not c]
-        ok, _ = is_consistent(variables, rest + [negate(c.formula)])
+    checks2 = nodes2 = 0
+    for j, c in enumerate(merged):
+        rest = [own[x] for x in kept if x != j]
+        ok, stats = inst.check(rest + [negation[j]])
         checks2 += 1
+        nodes2 += stats.nodes_explored
         if not ok:
-            kept = [x for x in kept if x is not c]
+            kept.remove(j)
             removed.append(c.id)
     t2 = time.perf_counter()
 
     out = KnowledgeBase(
         name=f"{kb1c.name}+{kb2c.name}",
         variables=variables,
-        constraints=tuple(kept),
+        constraints=tuple(merged[j] for j in kept),
         context=None,
     )
     validate_kb(out)
@@ -275,6 +309,9 @@ def ckb_merge(
         checks_phase2=checks2,
         elapsed_phase1_ms=(t1 - t0) * 1000.0,
         elapsed_phase2_ms=(t2 - t1) * 1000.0,
+        nodes_phase1=nodes1,
+        nodes_phase2=nodes2,
+        build_ms=build_ms,
     )
     return out, report
 

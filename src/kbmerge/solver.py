@@ -19,7 +19,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from math import prod
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import SpaceTooLargeError
 from .model import (
@@ -115,12 +115,24 @@ def partial_eval(f: Formula, assignment: Assignment) -> Tri:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _compile(f: Formula, index: Mapping[str, int]):
+def _compile(
+    f: Formula,
+    index: Mapping[str, int],
+    memo: Optional[dict[int, Callable]] = None,
+) -> Callable:
     """Compile a formula into a closure over a positional assignment list.
 
     The closure returns True/False/None with the same semantics as
-    :func:`partial_eval`; tests assert the two routes agree.
+    :func:`partial_eval`; tests assert the two routes agree. ``memo`` maps
+    ``id(node)`` to its closure, so a subformula shared by several formulas
+    compiles once; the caller keeps every memoised node alive.
     """
+    if memo is None:
+        memo = {}
+    key = id(f)
+    ev = memo.get(key)
+    if ev is not None:
+        return ev
     if isinstance(f, Atom):
         i = index[f.var]
         v = f.value
@@ -132,56 +144,59 @@ def _compile(f: Formula, index: Mapping[str, int]):
             def ev(a, i=i, v=v):
                 x = a[i]
                 return None if x is None else x != v
-        return ev
-    if isinstance(f, Not):
-        child = _compile(f.child, index)
+    elif isinstance(f, Not):
+        child = _compile(f.child, index, memo)
 
         def ev(a, child=child):
             r = child(a)
             return None if r is None else not r
-        return ev
-    left = _compile(f.left, index)
-    right = _compile(f.right, index)
-    if isinstance(f, And):
-        def ev(a, left=left, right=right):
-            x = left(a)
-            if x is False:
-                return False
-            y = right(a)
-            if y is False:
-                return False
-            if x is True and y is True:
-                return True
-            return None
-        return ev
-    if isinstance(f, Or):
-        def ev(a, left=left, right=right):
-            x = left(a)
-            if x is True:
-                return True
-            y = right(a)
-            if y is True:
-                return True
-            if x is False and y is False:
-                return False
-            return None
-        return ev
-
-    def ev(a, left=left, right=right):
-        x = left(a)
-        if x is False:
-            return True
-        y = right(a)
-        if y is True:
-            return True
-        if x is True and y is False:
-            return False
-        return None
+    else:
+        left = _compile(f.left, index, memo)
+        right = _compile(f.right, index, memo)
+        if isinstance(f, And):
+            def ev(a, left=left, right=right):
+                x = left(a)
+                if x is False:
+                    return False
+                y = right(a)
+                if y is False:
+                    return False
+                if x is True and y is True:
+                    return True
+                return None
+        elif isinstance(f, Or):
+            def ev(a, left=left, right=right):
+                x = left(a)
+                if x is True:
+                    return True
+                y = right(a)
+                if y is True:
+                    return True
+                if x is False and y is False:
+                    return False
+                return None
+        else:
+            def ev(a, left=left, right=right):
+                x = left(a)
+                if x is False:
+                    return True
+                y = right(a)
+                if y is True:
+                    return True
+                if x is True and y is False:
+                    return False
+                return None
+    memo[key] = ev
     return ev
 
 
 class _Instance:
-    """Validated, compiled search instance."""
+    """Validated, compiled search instance.
+
+    Built once, an instance can answer many consistency checks, each over
+    a subset of its constraints (see :meth:`check`): the assumption-style
+    incremental interface of MiniSat, without learning.
+    """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
         table = validate_variables(variables)
@@ -190,29 +205,55 @@ class _Instance:
         self.names = [v.name for v in variables]
         self.domains = [v.domain for v in variables]
         index = {name: i for i, name in enumerate(self.names)}
-        self.compiled = [_compile(f, index) for f in constraints]
+        memo: dict[int, Callable] = {}
+        self.compiled = [_compile(f, index, memo) for f in constraints]
         self.scopes = [tuple(sorted(index[name] for name in free_vars(f)))
                        for f in constraints]
-        self.watchers: list[list[int]] = [[] for _ in variables]
-        for ci, scope in enumerate(self.scopes):
-            for depth in scope:
-                self.watchers[depth].append(ci)
+        self.watchers = self.watch(range(len(constraints)))
+
+    def watch(self, order: Iterable[int]) -> list[list[int]]:
+        """Per variable, the constraints of ``order`` over it, in that order."""
+        watchers: list[list[int]] = [[] for _ in self.domains]
+        for ci in order:
+            for depth in self.scopes[ci]:
+                watchers[depth].append(ci)
+        return watchers
 
     def tail_product(self, depth: int) -> int:
         return prod(len(d) for d in self.domains[depth:])
 
+    def check(self, active: Optional[Sequence[int]] = None) -> tuple[bool, SolveStats]:
+        """Consistency of the constraints indexed by ``active`` (all by default)."""
+        start = time.perf_counter()
+        ok, nodes = _search_consistent(self, active)
+        elapsed = (time.perf_counter() - start) * 1000.0
+        return ok, SolveStats(nodes_explored=nodes, consistency_result=ok, elapsed_ms=elapsed)
 
-def _search_consistent(inst: _Instance) -> tuple[bool, int]:
+
+def _search_consistent(
+    inst: _Instance, active: Optional[Sequence[int]] = None
+) -> tuple[bool, int]:
     """First-solution search with conflict-directed backjumping.
 
+    Only the constraints indexed by ``active`` take part (every constraint,
+    in instance order, when omitted); their order is the order in which a
+    variable's watchers are evaluated, so a check over an activated subset
+    explores exactly the nodes of an instance built from that subset.
     Returns the verdict and the node count. On a domain wipeout the search
     jumps to the deepest variable implicated by the violated constraints;
     an empty conflict set proves unsatisfiability outright.
     """
     n = len(inst.domains)
     assignment: list[Optional[str]] = [None] * n
-    undecided = [True] * len(inst.compiled)
-    pending = len(inst.compiled)
+    if active is None:
+        undecided = [True] * len(inst.compiled)
+        watchers_at = inst.watchers
+    else:
+        undecided = [False] * len(inst.compiled)
+        for ci in active:
+            undecided[ci] = True
+        watchers_at = inst.watch(active)
+    pending = undecided.count(True)
     nodes = 0
 
     # Returns None when the subtree contains a solution, otherwise
@@ -223,7 +264,7 @@ def _search_consistent(inst: _Instance) -> tuple[bool, int]:
             return None
         conflict: set[int] = set()
         domain = inst.domains[depth]
-        watchers = inst.watchers[depth]
+        watchers = watchers_at[depth]
         for value in domain:
             nodes += 1
             assignment[depth] = value
@@ -367,11 +408,7 @@ def is_consistent(
     variables: Sequence[Variable], constraints: Sequence[Formula]
 ) -> tuple[bool, SolveStats]:
     """True iff at least one total assignment satisfies all constraints."""
-    inst = _Instance(variables, constraints)
-    start = time.perf_counter()
-    ok, nodes = _search_consistent(inst)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return ok, SolveStats(nodes_explored=nodes, consistency_result=ok, elapsed_ms=elapsed)
+    return _Instance(variables, constraints).check()
 
 
 def count_solutions(

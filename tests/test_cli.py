@@ -41,6 +41,13 @@ def test_count_cap_exceeded(capsys):
     assert out == "cap exceeded: more than 100 solutions\n"
 
 
+def test_count_rejects_negative_cap(capsys):
+    code, out, err = run(capsys, "count", US, "--cap", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--cap must be non-negative" in err
+
+
 def test_check_consistent(capsys):
     code, out, _ = run(capsys, "check", US)
     assert code == 0
@@ -78,6 +85,13 @@ def test_solve_prints_assignments(capsys):
     for line in lines:
         pairs = dict(tok.split("=", 1) for tok in line.split())
         assert sorted(pairs) == sorted(names)
+
+
+def test_solve_rejects_negative_limit(capsys):
+    code, out, err = run(capsys, "solve", US, "--limit", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--limit must be non-negative" in err
 
 
 def test_intersect(capsys):
@@ -127,6 +141,11 @@ def test_merge_reports(tmp_path, capsys):
     assert data["checks_phase2"] == 6
     assert set(data["decontextualized_ids"]) == {"c2us", "c2ger"}
     assert len(data["removed_redundant_ids"]) == 1
+    assert data["nodes_phase1"] > 0
+    assert data["nodes_phase2"] > 0
+    assert data["build_ms"] >= 0
+    assert "solver instance build:" in text
+    assert f"6 checks, {data['nodes_phase1']} nodes" in text
 
 
 def test_merge_to_stdout_by_default(capsys):

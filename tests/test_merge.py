@@ -22,12 +22,18 @@ from kbmerge import (
     contextualize,
     count_solutions,
     intersection_count,
+    is_consistent,
     is_redundant,
+    negate,
     parse_kb,
+    serialize_kb,
     strip_context,
     synthesize_pair,
 )
-from kbmerge.synth import SynthConfig
+from kbmerge import solver
+from kbmerge.bench import _shuffled
+from kbmerge.merge import _rename_clashes
+from kbmerge.synth import CTX_VALUES, CTX_VAR, SynthConfig
 
 ELECTRO_BODY = Implies(
     Atom("fuel", AtomOp.EQ, "electro"), Atom("couplingdev", AtomOp.EQ, "no")
@@ -276,6 +282,29 @@ def test_merge_rejects_inconsistent_contextualized_input():
         ckb_merge(bad, aligned_ger)
 
 
+def test_merge_checks_input_consistency_under_the_source_context():
+    # the body is satisfiable over the merged context domain {US, GER}, but
+    # not within the source, where the context is pinned to US
+    us = Atom("country", AtomOp.EQ, "US")
+    body = Atom("country", AtomOp.NEQ, "US")
+    bad = KnowledgeBase(
+        "bad",
+        (Variable("country", ("US",)), Variable("x", ("a", "b"))),
+        (Constraint("c1", Implies(us, body), "bad", True),),
+        ("country", "US"),
+    )
+    other = KnowledgeBase(
+        "other",
+        (Variable("country", ("GER",)), Variable("x", ("a", "b"))),
+        (),
+        ("country", "GER"),
+    )
+    with pytest.raises(InconsistentInputError, match="bad"):
+        ckb_merge(bad, other)
+    with pytest.raises(InconsistentInputError, match="bad"):
+        ckb_merge(other, bad)
+
+
 # --- redundancy ---------------------------------------------------------------
 
 
@@ -362,7 +391,8 @@ def test_intersection_matches_brute_force_on_random_pairs():
 # --- semantics preservation on random pairs ------------------------------------
 
 
-def test_merge_preserves_union_semantics_on_random_pairs():
+def random_desk_pairs():
+    """40 seeded contextualized pairs of 2-10 constraints."""
     rng = random.Random(4242)
     done = 0
     while done < 40:
@@ -379,8 +409,12 @@ def test_merge_preserves_union_semantics_on_random_pairs():
             )
         except GenerationError:
             continue
-        kb1c = contextualize(kb1, "ctx", "ctxA")
-        kb2c = contextualize(kb2, "ctx", "ctxB")
+        yield contextualize(kb1, "ctx", "ctxA"), contextualize(kb2, "ctx", "ctxB")
+        done += 1
+
+
+def test_merge_preserves_union_semantics_on_random_pairs():
+    for kb1c, kb2c in random_desk_pairs():
         merged, report = ckb_merge(kb1c, kb2c)
         assert report.checks_phase1 == len(kb1c.constraints) + len(kb2c.constraints)
         ids = [c.id for c in merged.constraints]
@@ -391,4 +425,98 @@ def test_merge_preserves_union_semantics_on_random_pairs():
         assert brute_force_solutions(merged.variables, merged.formulas()) == union
         for c in merged.constraints:
             assert not is_redundant(merged, c)
-        done += 1
+
+
+# --- one solver instance per merge ---------------------------------------------
+
+
+def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
+    """The two-phase merge with a fresh solver instance per check.
+
+    Every check calls ``is_consistent`` on its explicit constraint pool, as
+    the pseudocode reads; returns the merged KB, the three report id tuples
+    and the search nodes of each phase.
+    """
+    ctx_var = kb1c.context[0]
+    variables = align(kb1c, kb2c, ctx_var)
+    renamed1, renamed2 = _rename_clashes(kb1c, kb2c)
+    ckb_prime = renamed1 + renamed2
+    decontextualized, kept_contextualized, merged = [], [], []
+    nodes = [0, 0]
+    for i, guarded in enumerate(ckb_prime):
+        bare = strip_context(guarded, ctx_var)
+        pool = [c.formula for c in ckb_prime[i:]] + [c.formula for c in merged]
+        ok, stats = is_consistent(variables, pool + [negate(bare.formula)])
+        nodes[0] += stats.nodes_explored
+        if not ok:
+            merged.append(bare)
+            decontextualized.append(bare.id)
+        else:
+            merged.append(replace(guarded, contextualized=False))
+            kept_contextualized.append(guarded.id)
+    kept = list(merged)
+    removed = []
+    for c in merged:
+        rest = [x.formula for x in kept if x is not c]
+        ok, stats = is_consistent(variables, rest + [negate(c.formula)])
+        nodes[1] += stats.nodes_explored
+        if not ok:
+            kept = [x for x in kept if x is not c]
+            removed.append(c.id)
+    out = KnowledgeBase(
+        f"{kb1c.name}+{kb2c.name}", variables, tuple(kept), context=None
+    )
+    ids = (tuple(decontextualized), tuple(kept_contextualized), tuple(removed))
+    return out, ids, tuple(nodes)
+
+
+def synthesized_pairs():
+    """Contextualized synthesized pairs at n = 30 and 60, two orders each."""
+    for n in (30, 60):
+        kb1, kb2 = synthesize_pair(SynthConfig(n_constraints=n, context_share=0.3, seed=n))
+        for order in range(2):
+            rng = random.Random(order)
+            yield (
+                contextualize(_shuffled(kb1, rng), CTX_VAR, CTX_VALUES[0]),
+                contextualize(_shuffled(kb2, rng), CTX_VAR, CTX_VALUES[1]),
+            )
+
+
+def test_merge_matches_pool_per_check_reference(car_pair):
+    pairs = [car_pair, *random_desk_pairs(), *synthesized_pairs()]
+    for kb1c, kb2c in pairs:
+        merged, report = ckb_merge(kb1c, kb2c)
+        want, want_ids, want_nodes = reference_merge(kb1c, kb2c)
+        assert merged == want
+        assert serialize_kb(merged) == serialize_kb(want)
+        assert (
+            report.decontextualized_ids,
+            report.kept_contextualized_ids,
+            report.removed_redundant_ids,
+        ) == want_ids
+        # each check activates its pool in pool order, so it searches the
+        # same tree as an instance built from that pool alone
+        assert (report.nodes_phase1, report.nodes_phase2) == want_nodes
+
+
+def test_each_merge_builds_one_solver_instance(car_pair, monkeypatch):
+    built = []
+    original = solver._Instance.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Instance, "__init__", counting_init)
+    for kb1c, kb2c in [car_pair, *synthesized_pairs()]:
+        built.clear()
+        ckb_merge(kb1c, kb2c)
+        assert len(built) == 1
+
+
+def test_merge_report_solver_work_is_deterministic(car_pair):
+    _, first = ckb_merge(*car_pair)
+    _, second = ckb_merge(*car_pair)
+    assert first.nodes_phase1 == second.nodes_phase1 > 0
+    assert first.nodes_phase2 == second.nodes_phase2 > 0
+    assert first.build_ms >= 0
