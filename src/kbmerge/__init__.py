@@ -51,12 +51,10 @@ from .model import (
 from .solver import (
     CountResult,
     SolveStats,
-    Tri,
     brute_force_solutions,
     count_solutions,
     enumerate_solutions,
     is_consistent,
-    partial_eval,
 )
 from .synth import SynthConfig, synthesize_pair
 from .textio import format_formula, parse_formula, parse_kb, serialize_kb, write_bench_csv
@@ -88,7 +86,6 @@ __all__ = [
     "SolveStats",
     "SpaceTooLargeError",
     "SynthConfig",
-    "Tri",
     "UnassignedVariableError",
     "ValidationError",
     "Variable",
@@ -108,7 +105,6 @@ __all__ = [
     "negate",
     "parse_formula",
     "parse_kb",
-    "partial_eval",
     "run_benchmark",
     "serialize_kb",
     "strip_context",

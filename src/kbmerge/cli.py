@@ -2,27 +2,19 @@
 
 Subcommands: merge, count, check, solve, intersect, synth, bench.
 Exit codes: 0 success, 1 validation or alignment error, 2 inconsistent
-input (including failed generation), 3 I/O or parse error, 4 cap or
-guard exceeded.
+input (including failed generation and bench runs), 3 I/O or parse
+error, 4 cap or guard exceeded. Each ``KbError`` subclass carries its
+code as ``exit_code``.
 """
 from __future__ import annotations
 
 import argparse
-import enum
 import json
 import sys
 from typing import Optional
 
 from .bench import run_benchmark
-from .errors import (
-    BenchError,
-    GenerationError,
-    InconsistentInputError,
-    KbError,
-    ParseError,
-    SpaceTooLargeError,
-    ValidationError,
-)
+from .errors import ExitStatus, KbError, ValidationError
 from .merge import MergeReport, ckb_merge, contextualize, intersection_count
 from .model import KnowledgeBase
 from .solver import count_solutions, enumerate_solutions, is_consistent
@@ -31,14 +23,6 @@ from .textio import parse_kb, serialize_kb, write_bench_csv
 
 DEFAULT_GRID_SIZES = tuple(range(10, 101, 10))
 DEFAULT_GRID_SHARES = (0.1, 0.2, 0.3, 0.4, 0.5)
-
-
-class ExitStatus(enum.IntEnum):
-    OK = 0
-    VALIDATION_ERROR = 1
-    INCONSISTENT_INPUT = 2
-    IO_ERROR = 3
-    LIMIT_EXCEEDED = 4
 
 
 def _warn(message: str) -> None:
@@ -344,27 +328,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return int(args.func(args))
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return ExitStatus.IO_ERROR
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return ExitStatus.IO_ERROR
-    except SpaceTooLargeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return ExitStatus.LIMIT_EXCEEDED
-    except InconsistentInputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return ExitStatus.INCONSISTENT_INPUT
-    except (GenerationError, BenchError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return ExitStatus.INCONSISTENT_INPUT
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return ExitStatus.VALIDATION_ERROR
     except KbError as err:
         print(f"error: {err}", file=sys.stderr)
-        return ExitStatus.VALIDATION_ERROR
+        return err.exit_code
 
 
 if __name__ == "__main__":

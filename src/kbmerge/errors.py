@@ -1,12 +1,31 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and their exit statuses."""
+
+import enum
+
+
+class ExitStatus(enum.IntEnum):
+    """Command-line exit statuses."""
+
+    OK = 0
+    VALIDATION_ERROR = 1
+    INCONSISTENT_INPUT = 2
+    IO_ERROR = 3
+    LIMIT_EXCEEDED = 4
 
 
 class KbError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``exit_code`` is the command-line exit status the error maps to.
+    """
+
+    exit_code = ExitStatus.VALIDATION_ERROR
 
 
 class ParseError(KbError):
     """Malformed KB document text."""
+
+    exit_code = ExitStatus.IO_ERROR
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
@@ -45,14 +64,22 @@ class UnassignedVariableError(KbError):
 class InconsistentInputError(KbError):
     """An input knowledge base admits no solution."""
 
+    exit_code = ExitStatus.INCONSISTENT_INPUT
+
 
 class SpaceTooLargeError(KbError):
     """Assignment space exceeds the brute-force guard."""
+
+    exit_code = ExitStatus.LIMIT_EXCEEDED
 
 
 class GenerationError(KbError):
     """Random KB generation exhausted its retry budget."""
 
+    exit_code = ExitStatus.INCONSISTENT_INPUT
+
 
 class BenchError(KbError):
     """Benchmark run failed; message carries the grid coordinates."""
+
+    exit_code = ExitStatus.INCONSISTENT_INPUT

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from .errors import (
     AlignmentError,
@@ -119,6 +120,23 @@ def align(
         raise AlignmentError(
             ctx_var, f"context variable not declared in '{missing}'"
         )
+    _check_shared_variables(kb1, kb2, ctx_var)
+
+    dom1 = table1[ctx_var].domain
+    dom2 = table2[ctx_var].domain
+    union = dom1 + tuple(x for x in dom2 if x not in dom1)
+    return tuple(
+        Variable(ctx_var, union) if v.name == ctx_var else v for v in kb1.variables
+    )
+
+
+def _check_shared_variables(
+    kb1: KnowledgeBase, kb2: KnowledgeBase, ctx_var: Optional[str]
+) -> None:
+    """Every variable but ``ctx_var`` is declared in both KBs, with the same
+    domain as a set; raises AlignmentError naming the first that is not."""
+    table1 = kb1.variables_by_name()
+    table2 = kb2.variables_by_name()
     for v in kb1.variables:
         if v.name == ctx_var:
             continue
@@ -134,13 +152,6 @@ def align(
     for v in kb2.variables:
         if v.name != ctx_var and v.name not in table1:
             raise AlignmentError(v.name, f"not declared in '{kb1.name}'")
-
-    dom1 = table1[ctx_var].domain
-    dom2 = table2[ctx_var].domain
-    union = dom1 + tuple(x for x in dom2 if x not in dom1)
-    return tuple(
-        Variable(ctx_var, union) if v.name == ctx_var else v for v in kb1.variables
-    )
 
 
 _IDENT_SAFE = re.compile(r"[^A-Za-z0-9_.]")
@@ -364,29 +375,9 @@ def intersection_count(kb1: KnowledgeBase, kb2: KnowledgeBase) -> int:
             ctx1, f"context variables differ: '{ctx1}' vs '{ctx2}'"
         )
     ctx_var = ctx1 or ctx2
-
-    if ctx_var is not None:
-        # tolerate the context variable missing from the uncontextualized side
-        if all(ctx_var in kb.variables_by_name() for kb in (kb1, kb2)):
-            align(kb1, kb2, ctx_var)
-        shared = [v for v in kb1.variables if v.name != ctx_var]
-    else:
-        shared = list(kb1.variables)
-    table1 = kb1.variables_by_name()
-    table2 = kb2.variables_by_name()
-    for v in shared:
-        other = table2.get(v.name)
-        if other is None:
-            raise AlignmentError(v.name, f"not declared in '{kb2.name}'")
-        if set(other.domain) != set(v.domain):
-            raise AlignmentError(
-                v.name,
-                f"domain mismatch: {{{', '.join(v.domain)}}} vs "
-                f"{{{', '.join(other.domain)}}}",
-            )
-    for v in kb2.variables:
-        if v.name != ctx_var and v.name not in table1:
-            raise AlignmentError(v.name, f"not declared in '{kb1.name}'")
+    # the context variable may be missing from an uncontextualized side
+    _check_shared_variables(kb1, kb2, ctx_var)
+    shared = [v for v in kb1.variables if v.name != ctx_var]
 
     bodies = _constraint_bodies(kb1) + _constraint_bodies(kb2)
     result, _ = count_solutions(tuple(shared), bodies)

@@ -2,11 +2,13 @@
 
 Search is depth-first with static orders: variables in declaration order,
 values in domain order. Branches are pruned as soon as some constraint
-partial-evaluates to false under the current partial assignment.
-Consistency checking additionally uses conflict-directed backjumping
-(no learning, no restarts); counting and enumeration backtrack
-chronologically so the counting shortcut and lexicographic enumeration
-order stay simple.
+partial-evaluates to false under the current partial assignment. One
+search with conflict-directed backjumping (no learning, no restarts)
+answers all three queries: consistency stops at the first solution,
+counting adds up cubes (once every constraint is decided true, the
+remaining variables are free and their domain sizes multiply), and
+enumeration expands those cubes in domain order, so its output stays
+lexicographic.
 
 ``brute_force_solutions`` is the independent oracle: it iterates the full
 Cartesian product and filters with :func:`kbmerge.model.evaluate`,
@@ -14,11 +16,10 @@ sharing no search code with the engine.
 """
 from __future__ import annotations
 
-import enum
 import itertools
 import time
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import SpaceTooLargeError
@@ -43,12 +44,6 @@ BRUTE_FORCE_GUARD = 10**7
 FrozenAssignment = frozenset[tuple[str, str]]
 
 
-class Tri(enum.Enum):
-    TRUE = "true"
-    FALSE = "false"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class SolveStats:
     """Search bookkeeping for one solver call.
@@ -71,50 +66,6 @@ class CountResult:
     capped: bool = False
 
 
-def partial_eval(f: Formula, assignment: Assignment) -> Tri:
-    """Three-valued Kleene evaluation under a partial assignment.
-
-    Returns TRUE or FALSE only when every completion of ``assignment``
-    forces that value; UNKNOWN otherwise.
-    """
-    if isinstance(f, Atom):
-        value = assignment.get(f.var)
-        if value is None:
-            return Tri.UNKNOWN
-        hit = value == f.value if f.op is AtomOp.EQ else value != f.value
-        return Tri.TRUE if hit else Tri.FALSE
-    if isinstance(f, Not):
-        inner = partial_eval(f.child, assignment)
-        if inner is Tri.UNKNOWN:
-            return Tri.UNKNOWN
-        return Tri.FALSE if inner is Tri.TRUE else Tri.TRUE
-    if isinstance(f, And):
-        left = partial_eval(f.left, assignment)
-        right = partial_eval(f.right, assignment)
-        if left is Tri.FALSE or right is Tri.FALSE:
-            return Tri.FALSE
-        if left is Tri.TRUE and right is Tri.TRUE:
-            return Tri.TRUE
-        return Tri.UNKNOWN
-    if isinstance(f, Or):
-        left = partial_eval(f.left, assignment)
-        right = partial_eval(f.right, assignment)
-        if left is Tri.TRUE or right is Tri.TRUE:
-            return Tri.TRUE
-        if left is Tri.FALSE and right is Tri.FALSE:
-            return Tri.FALSE
-        return Tri.UNKNOWN
-    if isinstance(f, Implies):
-        left = partial_eval(f.left, assignment)
-        right = partial_eval(f.right, assignment)
-        if left is Tri.FALSE or right is Tri.TRUE:
-            return Tri.TRUE
-        if left is Tri.TRUE and right is Tri.FALSE:
-            return Tri.FALSE
-        return Tri.UNKNOWN
-    raise TypeError(f"not a formula node: {f!r}")
-
-
 def _compile(
     f: Formula,
     index: Mapping[str, int],
@@ -122,8 +73,10 @@ def _compile(
 ) -> Callable:
     """Compile a formula into a closure over a positional assignment list.
 
-    The closure returns True/False/None with the same semantics as
-    :func:`partial_eval`; tests assert the two routes agree. ``memo`` maps
+    The closure returns True or False when every completion of the
+    partial assignment (None marks an unassigned slot) forces that value,
+    and None otherwise: three-valued Kleene evaluation, which tests check
+    against a reference evaluator and the brute-force oracle. ``memo`` maps
     ``id(node)`` to its closure, so a subformula shared by several formulas
     compiles once; the caller keeps every memoised node alive.
     """
@@ -209,6 +162,12 @@ class _Instance:
         self.compiled = [_compile(f, index, memo) for f in constraints]
         self.scopes = [tuple(sorted(index[name] for name in free_vars(f)))
                        for f in constraints]
+        # scope of each constraint as a bit set over variable depths
+        self.masks = [sum(1 << depth for depth in scope) for scope in self.scopes]
+        # tails[d]: number of assignments to the variables from depth d on
+        self.tails = [1] * (len(self.domains) + 1)
+        for depth in range(len(self.domains) - 1, -1, -1):
+            self.tails[depth] = self.tails[depth + 1] * len(self.domains[depth])
         self.watchers = self.watch(range(len(constraints)))
 
     def watch(self, order: Iterable[int]) -> list[list[int]]:
@@ -219,53 +178,72 @@ class _Instance:
                 watchers[depth].append(ci)
         return watchers
 
-    def tail_product(self, depth: int) -> int:
-        return prod(len(d) for d in self.domains[depth:])
-
     def check(self, active: Optional[Sequence[int]] = None) -> tuple[bool, SolveStats]:
         """Consistency of the constraints indexed by ``active`` (all by default)."""
         start = time.perf_counter()
-        ok, nodes = _search_consistent(self, active)
+        count, nodes = _search(self, 0, active)
         elapsed = (time.perf_counter() - start) * 1000.0
+        ok = count > 0
         return ok, SolveStats(nodes_explored=nodes, consistency_result=ok, elapsed_ms=elapsed)
 
 
-def _search_consistent(
-    inst: _Instance, active: Optional[Sequence[int]] = None
-) -> tuple[bool, int]:
-    """First-solution search with conflict-directed backjumping.
+def _search(
+    inst: _Instance,
+    cap: Optional[int],
+    active: Optional[Sequence[int]] = None,
+    on_cube: Optional[Callable[[list[Optional[str]], int], None]] = None,
+) -> tuple[int, int]:
+    """Depth-first search with conflict-directed backjumping over all solutions.
 
     Only the constraints indexed by ``active`` take part (every constraint,
     in instance order, when omitted); their order is the order in which a
-    variable's watchers are evaluated, so a check over an activated subset
+    variable's watchers are evaluated, so a search over an activated subset
     explores exactly the nodes of an instance built from that subset.
-    Returns the verdict and the node count. On a domain wipeout the search
-    jumps to the deepest variable implicated by the violated constraints;
-    an empty conflict set proves unsatisfiability outright.
+
+    Once every active constraint is decided true at depth ``d``, the
+    assignment prefix stands for a cube of ``inst.tails[d]`` solutions: the
+    count grows by that much and ``on_cube(assignment, d)`` is called when
+    given. The search stops as soon as the count exceeds ``cap`` (never when
+    ``cap`` is None). Returns the count and the node count.
+
+    A level whose subtree held a solution backtracks chronologically; any
+    other exhausted level jumps to the deepest variable implicated by the
+    violated constraints, which keeps backjumping sound when every solution
+    is wanted (Chen & van Beek, JAIR 2001). An empty conflict set proves
+    that no solution exists.
     """
-    n = len(inst.domains)
-    assignment: list[Optional[str]] = [None] * n
+    domains = inst.domains
+    compiled = inst.compiled
+    masks = inst.masks
+    tails = inst.tails
+    assignment: list[Optional[str]] = [None] * len(domains)
     if active is None:
-        undecided = [True] * len(inst.compiled)
+        undecided = [True] * len(compiled)
         watchers_at = inst.watchers
     else:
-        undecided = [False] * len(inst.compiled)
+        undecided = [False] * len(compiled)
         for ci in active:
             undecided[ci] = True
         watchers_at = inst.watch(active)
     pending = undecided.count(True)
-    nodes = 0
+    bound = inf if cap is None else cap
+    count = nodes = 0
+    carried = 0  # conflict set handed to the level a backjump lands on
 
-    # Returns None when the subtree contains a solution, otherwise
-    # (jump_depth, conflict_depths) with jump_depth < current depth.
-    def search(depth: int):
-        nonlocal nodes, pending
-        if pending == 0 or depth == n:
-            return None
-        conflict: set[int] = set()
-        domain = inst.domains[depth]
+    # Returns the depth at which the search resumes: depth - 1 to go back
+    # chronologically, a lower level to jump, -1 when the search is over.
+    def search(depth: int) -> int:
+        nonlocal count, nodes, pending, carried
+        if pending == 0:
+            count += tails[depth]
+            if on_cube is not None:
+                on_cube(assignment, depth)
+            return -1 if count > bound else depth - 1
+        entry = count
+        below = (1 << depth) - 1
+        conflict = 0
         watchers = watchers_at[depth]
-        for value in domain:
+        for value in domains[depth]:
             nodes += 1
             assignment[depth] = value
             newly: list[int] = []
@@ -273,7 +251,7 @@ def _search_consistent(
             for ci in watchers:
                 if not undecided[ci]:
                     continue
-                r = inst.compiled[ci](assignment)
+                r = compiled[ci](assignment)
                 if r is False:
                     violated = ci
                     break
@@ -281,127 +259,33 @@ def _search_consistent(
                     undecided[ci] = False
                     newly.append(ci)
             if violated >= 0:
-                conflict.update(d for d in inst.scopes[violated] if d < depth)
+                conflict |= masks[violated] & below
                 for ci in newly:
                     undecided[ci] = True
-                assignment[depth] = None
                 continue
             pending -= len(newly)
-            result = search(depth + 1)
+            back = search(depth + 1)
             pending += len(newly)
             for ci in newly:
                 undecided[ci] = True
-            if result is None:
-                return None
-            assignment[depth] = None
-            jump, jump_conflict = result
-            if jump < depth:
-                return result
-            conflict.update(jump_conflict)
+            if back < depth:
+                assignment[depth] = None
+                return back
+            # a jump landed here; after a chronological return ``carried``
+            # is stale, but the count grew and this level goes back
+            # chronologically anyway
+            conflict |= carried
+        assignment[depth] = None
+        if count != entry:
+            return depth - 1
         if not conflict:
-            return (-1, conflict)
-        jump = max(conflict)
-        conflict.discard(jump)
-        return (jump, conflict)
-
-    return search(0) is None, nodes
-
-
-def _search_count(inst: _Instance, cap: Optional[int]) -> tuple[int, bool, int]:
-    """Chronological counting search; returns (count, capped, nodes).
-
-    When every constraint is decided true the remaining variables are free
-    and their domain sizes are multiplied instead of enumerated.
-    """
-    n = len(inst.domains)
-    assignment: list[Optional[str]] = [None] * n
-    undecided = [True] * len(inst.compiled)
-    pending = len(inst.compiled)
-    nodes = 0
-    count = 0
-    capped = False
-
-    def search(depth: int) -> bool:
-        # Returns False when the cap was exceeded and the search must stop.
-        nonlocal nodes, pending, count, capped
-        if pending == 0:
-            count += inst.tail_product(depth)
-            if cap is not None and count > cap:
-                capped = True
-                return False
-            return True
-        for value in inst.domains[depth]:
-            nodes += 1
-            assignment[depth] = value
-            newly: list[int] = []
-            violated = False
-            for ci in inst.watchers[depth]:
-                if not undecided[ci]:
-                    continue
-                r = inst.compiled[ci](assignment)
-                if r is False:
-                    violated = True
-                    break
-                if r is True:
-                    undecided[ci] = False
-                    newly.append(ci)
-            alive = True
-            if not violated:
-                pending -= len(newly)
-                alive = search(depth + 1)
-                pending += len(newly)
-            for ci in newly:
-                undecided[ci] = True
-            assignment[depth] = None
-            if not alive:
-                return False
-        return True
+            return -1
+        jump = conflict.bit_length() - 1
+        carried = conflict ^ (1 << jump)
+        return jump
 
     search(0)
-    return count, capped, nodes
-
-
-def _search_enumerate(inst: _Instance, limit: int) -> tuple[list[dict[str, str]], int]:
-    """Chronological enumeration in declaration/domain order."""
-    n = len(inst.domains)
-    assignment: list[Optional[str]] = [None] * n
-    undecided = [True] * len(inst.compiled)
-    nodes = 0
-    out: list[dict[str, str]] = []
-
-    def search(depth: int) -> None:
-        nonlocal nodes
-        if len(out) >= limit:
-            return
-        if depth == n:
-            out.append(dict(zip(inst.names, assignment)))
-            return
-        for value in inst.domains[depth]:
-            nodes += 1
-            assignment[depth] = value
-            newly: list[int] = []
-            violated = False
-            for ci in inst.watchers[depth]:
-                if not undecided[ci]:
-                    continue
-                r = inst.compiled[ci](assignment)
-                if r is False:
-                    violated = True
-                    break
-                if r is True:
-                    undecided[ci] = False
-                    newly.append(ci)
-            if not violated:
-                search(depth + 1)
-            for ci in newly:
-                undecided[ci] = True
-            assignment[depth] = None
-            if len(out) >= limit:
-                return
-
-    if limit > 0:
-        search(0)
-    return out, nodes
+    return count, nodes
 
 
 def is_consistent(
@@ -424,9 +308,9 @@ def count_solutions(
     """
     inst = _Instance(variables, constraints)
     start = time.perf_counter()
-    count, capped, nodes = _search_count(inst, cap)
+    count, nodes = _search(inst, cap)
     elapsed = (time.perf_counter() - start) * 1000.0
-    result = CountResult(count=count, capped=capped)
+    result = CountResult(count=count, capped=cap is not None and count > cap)
     return result, SolveStats(nodes_explored=nodes, consistency_result=count, elapsed_ms=elapsed)
 
 
@@ -437,7 +321,16 @@ def enumerate_solutions(
 ) -> list[dict[str, str]]:
     """Up to ``limit`` satisfying assignments in lexicographic search order."""
     inst = _Instance(variables, constraints)
-    out, _ = _search_enumerate(inst, limit)
+    out: list[dict[str, str]] = []
+
+    def expand(assignment: list[Optional[str]], depth: int) -> None:
+        prefix = assignment[:depth]
+        completions = itertools.product(*inst.domains[depth:])
+        for tail in itertools.islice(completions, limit - len(out)):
+            out.append(dict(zip(inst.names, prefix + list(tail))))
+
+    if limit > 0:
+        _search(inst, limit - 1, on_cube=expand)
     return out
 
 

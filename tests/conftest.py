@@ -71,13 +71,16 @@ def random_formula(rng: random.Random, variables, depth: int = 3) -> Formula:
     return (And, Or, Implies)[kind - 1](left, right)
 
 
-def random_instance(rng: random.Random):
-    """A small CSP: 2-5 variables, domains of 2-4 values, 0-6 constraints."""
-    n_vars = rng.randint(2, 5)
+def random_instance(rng: random.Random, n_vars=(2, 5), n_constraints=(0, 6)):
+    """A small CSP: 2-5 variables, domains of 2-4 values, 0-6 constraints.
+
+    ``n_vars`` and ``n_constraints`` set other inclusive (low, high) ranges.
+    """
+    count = rng.randint(*n_vars)
     values = tuple(string.ascii_lowercase[: rng.randint(2, 4)])
-    variables = tuple(Variable(f"x{i + 1}", values) for i in range(n_vars))
+    variables = tuple(Variable(f"x{i + 1}", values) for i in range(count))
     formulas = [
-        random_formula(rng, variables) for _ in range(rng.randint(0, 6))
+        random_formula(rng, variables) for _ in range(rng.randint(*n_constraints))
     ]
     return variables, formulas
 

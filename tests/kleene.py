@@ -1,0 +1,59 @@
+"""Reference Kleene evaluator for the solver tests.
+
+A plain recursive three-valued evaluation under a partial assignment,
+kept apart from the compiled closures in ``kbmerge.solver`` so the tests
+can check one against the other.
+"""
+import enum
+
+from kbmerge import And, Assignment, Atom, AtomOp, Formula, Implies, Not, Or
+
+
+class Tri(enum.Enum):
+    TRUE = "true"
+    FALSE = "false"
+    UNKNOWN = "unknown"
+
+
+def partial_eval(f: Formula, assignment: Assignment) -> Tri:
+    """Three-valued Kleene evaluation under a partial assignment.
+
+    Returns TRUE or FALSE only when every completion of ``assignment``
+    forces that value; UNKNOWN otherwise.
+    """
+    if isinstance(f, Atom):
+        value = assignment.get(f.var)
+        if value is None:
+            return Tri.UNKNOWN
+        hit = value == f.value if f.op is AtomOp.EQ else value != f.value
+        return Tri.TRUE if hit else Tri.FALSE
+    if isinstance(f, Not):
+        inner = partial_eval(f.child, assignment)
+        if inner is Tri.UNKNOWN:
+            return Tri.UNKNOWN
+        return Tri.FALSE if inner is Tri.TRUE else Tri.TRUE
+    if isinstance(f, And):
+        left = partial_eval(f.left, assignment)
+        right = partial_eval(f.right, assignment)
+        if left is Tri.FALSE or right is Tri.FALSE:
+            return Tri.FALSE
+        if left is Tri.TRUE and right is Tri.TRUE:
+            return Tri.TRUE
+        return Tri.UNKNOWN
+    if isinstance(f, Or):
+        left = partial_eval(f.left, assignment)
+        right = partial_eval(f.right, assignment)
+        if left is Tri.TRUE or right is Tri.TRUE:
+            return Tri.TRUE
+        if left is Tri.FALSE and right is Tri.FALSE:
+            return Tri.FALSE
+        return Tri.UNKNOWN
+    if isinstance(f, Implies):
+        left = partial_eval(f.left, assignment)
+        right = partial_eval(f.right, assignment)
+        if left is Tri.FALSE or right is Tri.TRUE:
+            return Tri.TRUE
+        if left is Tri.TRUE and right is Tri.FALSE:
+            return Tri.FALSE
+        return Tri.UNKNOWN
+    raise TypeError(f"not a formula node: {f!r}")

@@ -5,7 +5,20 @@ import json
 import pytest
 
 from conftest import FIXTURES
-from kbmerge import parse_kb
+from kbmerge import (
+    AlignmentError,
+    BenchError,
+    ConstraintNotFoundError,
+    GenerationError,
+    InconsistentInputError,
+    KbError,
+    NotContextualizedError,
+    ParseError,
+    SpaceTooLargeError,
+    UnassignedVariableError,
+    ValidationError,
+    parse_kb,
+)
 from kbmerge.cli import main
 from kbmerge.textio import BENCH_CSV_HEADER
 
@@ -228,6 +241,45 @@ def test_merge_without_any_context_declaration(tmp_path, capsys):
     code, _, err = run(capsys, "merge", str(path), str(path))
     assert code == 1
     assert "--ctx-var" in err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# every error class, one instance of it, and the exit status that the
+# kbmerge.cli docstring gives it
+ERROR_EXIT_CODES = {
+    KbError: (KbError("unspecified"), 1),
+    ValidationError: (ValidationError("invalid"), 1),
+    AlignmentError: (AlignmentError("color", "domain mismatch"), 1),
+    NotContextualizedError: (NotContextualizedError("c1 is not guarded"), 1),
+    ConstraintNotFoundError: (ConstraintNotFoundError("no c9"), 1),
+    UnassignedVariableError: (UnassignedVariableError("fuel"), 1),
+    ParseError: (ParseError("unexpected token", 2, 5), 3),
+    InconsistentInputError: (InconsistentInputError("'dead' is inconsistent"), 2),
+    GenerationError: (GenerationError("retry budget exhausted"), 2),
+    BenchError: (BenchError("cell kb_id=1 failed"), 2),
+    SpaceTooLargeError: (SpaceTooLargeError("space too large"), 4),
+}
+
+
+@pytest.mark.parametrize(
+    "cls", [KbError, *_subclasses(KbError)], ids=lambda cls: cls.__name__
+)
+def test_every_error_class_maps_to_its_exit_code(cls, monkeypatch, capsys):
+    error, want = ERROR_EXIT_CODES[cls]
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr("kbmerge.cli.cmd_check", fail)
+    code, out, err = run(capsys, "check", US)
+    assert code == want
+    assert out == ""
+    assert err == f"error: {error}\n"
 
 
 # synthesis and benchmarking

@@ -13,22 +13,27 @@ from conftest import (
 from kbmerge import (
     Atom,
     AtomOp,
+    CountResult,
     Implies,
     Not,
     SpaceTooLargeError,
-    Tri,
+    SynthConfig,
     ValidationError,
     Variable,
     brute_force_solutions,
+    ckb_merge,
+    contextualize,
     count_solutions,
     enumerate_solutions,
     evaluate,
     free_vars,
     is_consistent,
     negate,
-    partial_eval,
+    synthesize_pair,
 )
 from kbmerge.solver import _compile, _Instance
+from kbmerge.synth import CTX_VALUES, CTX_VAR
+from kleene import Tri, partial_eval
 
 ELECTRO_NEEDS_NO_COUPLING = Implies(
     Atom("fuel", AtomOp.EQ, "electro"), Atom("couplingdev", AtomOp.EQ, "no")
@@ -111,6 +116,32 @@ def test_negated_shared_constraint_conflicts_with_union(kb_union):
     formulas = kb_union.formulas() + [negate(ELECTRO_NEEDS_NO_COUPLING)]
     ok, _ = is_consistent(kb_union.variables, formulas)
     assert not ok
+
+
+def test_consistency_node_counts_are_pinned(car_pair):
+    # Merge reports and the benchmark read these counts; a change to the
+    # search core must leave the consistency search tree as it is.
+    _, report = ckb_merge(*car_pair)
+    assert (report.nodes_phase1, report.nodes_phase2) == (142, 69)
+    pinned = {
+        (20, 1): ((12, 12), (601, 355)),
+        (50, 2): ((13, 12), (2155, 1328)),
+        (100, 3): ((12, 15), (3758, 2342)),
+    }
+    for (n, seed), (sources, phases) in pinned.items():
+        kb1, kb2 = synthesize_pair(
+            SynthConfig(n_constraints=n, context_share=0.3, seed=seed)
+        )
+        got = tuple(
+            is_consistent(kb.variables, kb.formulas())[1].nodes_explored
+            for kb in (kb1, kb2)
+        )
+        assert got == sources
+        _, report = ckb_merge(
+            contextualize(kb1, CTX_VAR, CTX_VALUES[0]),
+            contextualize(kb2, CTX_VAR, CTX_VALUES[1]),
+        )
+        assert (report.nodes_phase1, report.nodes_phase2) == phases
 
 
 def test_is_consistent_validates_variables():
@@ -221,11 +252,18 @@ def test_brute_force_guard():
 
 def test_count_matches_brute_force_on_random_instances():
     rng = random.Random(20240817)
-    for _ in range(200):
-        variables, formulas = random_instance(rng)
+    small = [random_instance(rng) for _ in range(200)]
+    # deeper trees, where counting and enumeration backjump over several levels
+    large = [
+        random_instance(rng, n_vars=(3, 8), n_constraints=(2, 14)) for _ in range(100)
+    ]
+    for variables, formulas in small + large:
         result, _ = count_solutions(variables, formulas)
         oracle = brute_force_solutions(variables, formulas)
         assert result.count == len(oracle), (variables, formulas)
+        if result.count:
+            capped, _ = count_solutions(variables, formulas, cap=result.count - 1)
+            assert capped == CountResult(result.count, capped=True)
         ok, _ = is_consistent(variables, formulas)
         assert ok == (result.count > 0)
         found = enumerate_solutions(variables, formulas, result.count + 1)
