@@ -44,6 +44,7 @@ from .model import (
     evaluate,
     free_vars,
     is_context_guarded,
+    is_contextualized,
     negate,
     strip_context,
     validate_kb,
@@ -101,6 +102,7 @@ __all__ = [
     "intersection_count",
     "is_consistent",
     "is_context_guarded",
+    "is_contextualized",
     "is_redundant",
     "negate",
     "parse_formula",

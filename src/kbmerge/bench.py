@@ -148,6 +148,8 @@ def run_benchmark(
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
+    if not sizes or not shares:
+        raise ValidationError("the grid needs at least one size and one share")
     cells = []
     kb_id = 0
     for size in sizes:

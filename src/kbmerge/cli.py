@@ -3,14 +3,16 @@
 Subcommands: merge, count, check, solve, intersect, synth, bench.
 Exit codes: 0 success, 1 validation or alignment error, 2 inconsistent
 input (including failed generation and bench runs), 3 I/O or parse
-error, 4 cap or guard exceeded. Each ``KbError`` subclass carries its
-code as ``exit_code``.
+error, 4 cap or guard exceeded, or input too deep for the recursive
+formula walkers and search. Each ``KbError`` subclass carries its code
+as ``exit_code``.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .bench import run_benchmark
@@ -97,18 +99,6 @@ def _resolve_context(
     return ctx_var, val1, val2
 
 
-def _ensure_contextualized(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBase:
-    # files holding already-guarded constraints need no second wrapping
-    already = (
-        kb.context == (ctx_var, ctx_val)
-        and kb.variables_by_name()[ctx_var].domain == (ctx_val,)
-        and all(c.contextualized for c in kb.constraints)
-    )
-    if already:
-        return kb
-    return contextualize(kb, ctx_var, ctx_val)
-
-
 def _format_report(report: MergeReport) -> str:
     def listing(ids) -> str:
         return ", ".join(ids) if ids else "(none)"
@@ -126,21 +116,8 @@ def _format_report(report: MergeReport) -> str:
 
 
 def _report_json(report: MergeReport) -> str:
-    return json.dumps(
-        {
-            "decontextualized_ids": list(report.decontextualized_ids),
-            "kept_contextualized_ids": list(report.kept_contextualized_ids),
-            "removed_redundant_ids": list(report.removed_redundant_ids),
-            "checks_phase1": report.checks_phase1,
-            "checks_phase2": report.checks_phase2,
-            "elapsed_phase1_ms": report.elapsed_phase1_ms,
-            "elapsed_phase2_ms": report.elapsed_phase2_ms,
-            "nodes_phase1": report.nodes_phase1,
-            "nodes_phase2": report.nodes_phase2,
-            "build_ms": report.build_ms,
-        },
-        indent=2,
-    ) + "\n"
+    # one key per MergeReport field, in field order
+    return json.dumps(asdict(report), indent=2) + "\n"
 
 
 def cmd_merge(args: argparse.Namespace) -> ExitStatus:
@@ -149,8 +126,8 @@ def cmd_merge(args: argparse.Namespace) -> ExitStatus:
     ctx_var, val1, val2 = _resolve_context(
         kb1, kb2, args.ctx_var, args.ctx_val1, args.ctx_val2
     )
-    kb1c = _ensure_contextualized(kb1, ctx_var, val1)
-    kb2c = _ensure_contextualized(kb2, ctx_var, val2)
+    kb1c = contextualize(kb1, ctx_var, val1)
+    kb2c = contextualize(kb2, ctx_var, val2)
     merged, report = ckb_merge(kb1c, kb2c)
     _write_text(args.out, serialize_kb(merged))
     if args.report:
@@ -334,6 +311,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except KbError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    except RecursionError:
+        # formula walkers recurse per nesting level, the search per variable
+        print(
+            "error: input too deep: a formula nests too deeply or the "
+            "knowledge base has too many variables",
+            file=sys.stderr,
+        )
+        return ExitStatus.LIMIT_EXCEEDED
 
 
 if __name__ == "__main__":

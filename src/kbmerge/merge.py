@@ -31,6 +31,7 @@ from .model import (
     Implies,
     KnowledgeBase,
     Variable,
+    is_contextualized,
     negate,
     strip_context,
     validate_kb,
@@ -69,36 +70,35 @@ def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBas
     The context variable must either be declared with the singleton domain
     {ctx_val} or be absent, in which case it is appended with that domain.
     Under a singleton context domain every guard is vacuously true on all
-    in-context assignments, so the solution space is unchanged.
+    in-context assignments, so the solution space is unchanged. The KB
+    must be consistent; one already contextualized on ``(ctx_var, ctx_val)``
+    is returned unchanged, so contextualizing twice is the same as once.
     """
     validate_kb(kb)
-    table = kb.variables_by_name()
-    declared = table.get(ctx_var)
-    if declared is not None:
-        if declared.domain != (ctx_val,):
-            raise ValidationError(
-                f"context variable '{ctx_var}' must have the singleton domain "
-                f"{{{ctx_val}}} in '{kb.name}', found {{{', '.join(declared.domain)}}}"
-            )
-        variables = kb.variables
-    else:
-        variables = kb.variables + (Variable(ctx_var, (ctx_val,)),)
+    declared = kb.variables_by_name().get(ctx_var)
+    if declared is not None and declared.domain != (ctx_val,):
+        raise ValidationError(
+            f"context variable '{ctx_var}' must have the singleton domain "
+            f"{{{ctx_val}}} in '{kb.name}', found {{{', '.join(declared.domain)}}}"
+        )
 
     ok, _ = is_consistent(kb.variables, kb.formulas())
     if not ok:
         raise InconsistentInputError(f"knowledge base '{kb.name}' is inconsistent")
 
+    context = (ctx_var, ctx_val)
+    if kb.context == context and all(
+        is_contextualized(c.formula, context) for c in kb.constraints
+    ):
+        return kb
+    variables = kb.variables
+    if declared is None:
+        variables += (Variable(ctx_var, (ctx_val,)),)
     guard = Atom(ctx_var, AtomOp.EQ, ctx_val)
     constraints = tuple(
-        replace(c, formula=Implies(guard, c.formula), contextualized=True)
-        for c in kb.constraints
+        replace(c, formula=Implies(guard, c.formula)) for c in kb.constraints
     )
-    out = KnowledgeBase(
-        name=kb.name,
-        variables=variables,
-        constraints=constraints,
-        context=(ctx_var, ctx_val),
-    )
+    out = replace(kb, variables=variables, constraints=constraints, context=context)
     validate_kb(out)
     return out
 
@@ -188,7 +188,7 @@ def _require_contextualized(kb: KnowledgeBase) -> tuple[str, str]:
             f"singleton domain {{{ctx_val}}}"
         )
     for c in kb.constraints:
-        if not c.contextualized:
+        if not is_contextualized(c.formula, kb.context):
             raise NotContextualizedError(
                 f"constraint '{c.id}' of '{kb.name}' is not contextualized"
             )
@@ -212,8 +212,8 @@ def ckb_merge(
 
     Returns the merged KB over the aligned variables (context domain is the
     union of the two context values) and a MergeReport. The merged KB has
-    no single context, so its ``context`` is empty and the contextualized
-    flags are cleared; the guards survive inside the formulas.
+    no single context, so its ``context`` is empty: the guards that survive
+    inside the formulas no longer count as contextualized.
     """
     validate_kb(kb1c)
     validate_kb(kb2c)
@@ -235,7 +235,9 @@ def ckb_merge(
 
     renamed1, renamed2 = _rename_clashes(kb1c, kb2c)
     ckb_prime = renamed1 + renamed2
-    bares = [strip_context(c, ctx_var) for c in ckb_prime]
+    bares = [strip_context(c, kb1c.context) for c in renamed1] + [
+        strip_context(c, kb2c.context) for c in renamed2
+    ]
     n = len(ckb_prime)
 
     # One instance serves every check of the merge. Input constraint i sits
@@ -286,7 +288,7 @@ def ckb_merge(
             negation.append(NOT_BARE + i)
             decontextualized.append(guarded.id)
         else:
-            merged.append(replace(guarded, contextualized=False))
+            merged.append(guarded)
             own.append(GUARDED + i)
             negation.append(NOT_GUARDED + i)
             kept_contextualized.append(guarded.id)
@@ -333,28 +335,17 @@ def is_redundant(kb: KnowledgeBase, c: Constraint) -> bool:
         raise ConstraintNotFoundError(
             f"constraint '{c.id}' is not part of '{kb.name}'"
         )
-    removed = False
-    rest: list[Formula] = []
-    for x in kb.constraints:
-        if not removed and x == c:
-            removed = True
-            continue
-        rest.append(x.formula)
-    ok, _ = is_consistent(kb.variables, rest + [negate(c.formula)])
+    rest = list(kb.constraints)
+    rest.remove(c)  # only the first equal constraint
+    ok, _ = is_consistent(kb.variables, [x.formula for x in rest] + [negate(c.formula)])
     return not ok
 
 
 def _constraint_bodies(kb: KnowledgeBase) -> list[Formula]:
-    if kb.context is None:
-        return kb.formulas()
-    ctx_var = kb.context[0]
-    out = []
-    for c in kb.constraints:
-        if c.contextualized:
-            out.append(strip_context(c, ctx_var).formula)
-        else:
-            out.append(c.formula)
-    return out
+    return [
+        c.formula.right if is_contextualized(c.formula, kb.context) else c.formula
+        for c in kb.constraints
+    ]
 
 
 def intersection_count(kb1: KnowledgeBase, kb2: KnowledgeBase) -> int:

@@ -75,15 +75,14 @@ Formula = Union[Atom, Not, And, Or, Implies]
 class Constraint:
     """A named formula with source tracking.
 
-    ``contextualized`` marks constraints of the shape
-    ``Implies(Atom(ctx_var = value), body)`` produced by contextualization;
-    the guard variable is the owning knowledge base's context variable.
+    Whether a constraint is contextualized is not stored: it is a property
+    of its formula under the owning knowledge base's context, decided by
+    :func:`is_contextualized`.
     """
 
     id: str
     formula: Formula
     provenance: str = ""
-    contextualized: bool = False
 
 
 @dataclass(frozen=True)
@@ -162,17 +161,32 @@ def is_context_guarded(f: Formula, ctx_var: str) -> bool:
     )
 
 
-def strip_context(c: Constraint, ctx_var: str) -> Constraint:
-    """Drop the context guard of a contextualized constraint.
+def is_contextualized(f: Formula, context: Optional[tuple[str, str]]) -> bool:
+    """True iff ``f`` is ``Implies(Atom(ctx_var = ctx_val), body)`` for the
+    context pair ``(ctx_var, ctx_val)``; never true without a context.
+
+    This is the one definition of a contextualized constraint: parsing,
+    printing and merging all decide it here.
+    """
+    return (
+        context is not None
+        and is_context_guarded(f, context[0])
+        and f.left.value == context[1]
+    )
+
+
+def strip_context(c: Constraint, context: tuple[str, str]) -> Constraint:
+    """Drop the guard of a constraint contextualized under ``context``.
 
     Returns a constraint with the same id and provenance whose formula is
-    the guard's body; the contextualized flag is cleared.
+    the guard's body.
     """
-    if not c.contextualized or not is_context_guarded(c.formula, ctx_var):
+    if not is_contextualized(c.formula, context):
         raise NotContextualizedError(
-            f"constraint '{c.id}' is not contextualized on '{ctx_var}'"
+            f"constraint '{c.id}' is not contextualized on "
+            f"'{context[0]} = {context[1]}'"
         )
-    return replace(c, formula=c.formula.right, contextualized=False)
+    return replace(c, formula=c.formula.right)
 
 
 def validate_variables(variables: Iterable[Variable]) -> dict[str, Variable]:
@@ -224,14 +238,3 @@ def validate_kb(kb: KnowledgeBase) -> None:
             raise ValidationError(f"duplicate constraint id '{c.id}'")
         seen_ids.add(c.id)
         validate_formula(c.formula, table, where=f"constraint '{c.id}'")
-        if c.contextualized:
-            if kb.context is None:
-                raise ValidationError(
-                    f"constraint '{c.id}' is flagged contextualized but the "
-                    f"knowledge base declares no context"
-                )
-            if not is_context_guarded(c.formula, kb.context[0]):
-                raise ValidationError(
-                    f"constraint '{c.id}' is flagged contextualized but is not "
-                    f"guarded by '{kb.context[0]}'"
-                )

@@ -34,7 +34,6 @@ from .model import (
     Or,
     Variable,
     evaluate,
-    free_vars,
     validate_formula,
     validate_variables,
 )
@@ -69,25 +68,28 @@ class CountResult:
 def _compile(
     f: Formula,
     index: Mapping[str, int],
-    memo: Optional[dict[int, Callable]] = None,
-) -> Callable:
+    memo: Optional[dict[int, tuple[Callable, int]]] = None,
+) -> tuple[Callable, int]:
     """Compile a formula into a closure over a positional assignment list.
 
     The closure returns True or False when every completion of the
     partial assignment (None marks an unassigned slot) forces that value,
     and None otherwise: three-valued Kleene evaluation, which tests check
-    against a reference evaluator and the brute-force oracle. ``memo`` maps
-    ``id(node)`` to its closure, so a subformula shared by several formulas
-    compiles once; the caller keeps every memoised node alive.
+    against a reference evaluator and the brute-force oracle. Returns the
+    closure and the formula's scope as a bit set over the positions of
+    ``index``. ``memo`` maps ``id(node)`` to both, so a subformula shared
+    by several formulas compiles once; the caller keeps every memoised
+    node alive.
     """
     if memo is None:
         memo = {}
     key = id(f)
-    ev = memo.get(key)
-    if ev is not None:
-        return ev
+    done = memo.get(key)
+    if done is not None:
+        return done
     if isinstance(f, Atom):
         i = index[f.var]
+        mask = 1 << i
         v = f.value
         if f.op is AtomOp.EQ:
             def ev(a, i=i, v=v):
@@ -98,14 +100,15 @@ def _compile(
                 x = a[i]
                 return None if x is None else x != v
     elif isinstance(f, Not):
-        child = _compile(f.child, index, memo)
+        child, mask = _compile(f.child, index, memo)
 
         def ev(a, child=child):
             r = child(a)
             return None if r is None else not r
     else:
-        left = _compile(f.left, index, memo)
-        right = _compile(f.right, index, memo)
+        left, left_mask = _compile(f.left, index, memo)
+        right, right_mask = _compile(f.right, index, memo)
+        mask = left_mask | right_mask
         if isinstance(f, And):
             def ev(a, left=left, right=right):
                 x = left(a)
@@ -139,8 +142,18 @@ def _compile(
                 if x is True and y is False:
                     return False
                 return None
-    memo[key] = ev
-    return ev
+    memo[key] = done = (ev, mask)
+    return done
+
+
+def _depths(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class _Instance:
@@ -158,12 +171,12 @@ class _Instance:
         self.names = [v.name for v in variables]
         self.domains = [v.domain for v in variables]
         index = {name: i for i, name in enumerate(self.names)}
-        memo: dict[int, Callable] = {}
-        self.compiled = [_compile(f, index, memo) for f in constraints]
-        self.scopes = [tuple(sorted(index[name] for name in free_vars(f)))
-                       for f in constraints]
+        memo: dict[int, tuple[Callable, int]] = {}
+        compiled = [_compile(f, index, memo) for f in constraints]
+        self.compiled = [ev for ev, _ in compiled]
         # scope of each constraint as a bit set over variable depths
-        self.masks = [sum(1 << depth for depth in scope) for scope in self.scopes]
+        self.masks = [mask for _, mask in compiled]
+        self.scopes = [_depths(mask) for mask in self.masks]
         # tails[d]: number of assignments to the variables from depth d on
         self.tails = [1] * (len(self.domains) + 1)
         for depth in range(len(self.domains) - 1, -1, -1):

@@ -38,7 +38,7 @@ from .model import (
     Not,
     Or,
     Variable,
-    is_context_guarded,
+    is_contextualized,
     validate_kb,
 )
 
@@ -121,20 +121,26 @@ class _Parser:
             self.i += 1
         return tok
 
-    def expect(self, kind: str, what: Optional[str] = None) -> Token:
+    def error(self, want: str) -> ParseError:
+        """The error for finding the next token where ``want`` belongs."""
         tok = self.peek()
-        if tok.kind != kind:
-            want = what or f"'{kind}'"
-            found = "end of input" if tok.kind == "eof" else f"'{tok.value}'"
-            raise ParseError(f"expected {want}, found {found}", tok.line, tok.col)
+        found = "end of input" if tok.kind == "eof" else f"'{tok.value}'"
+        return ParseError(f"expected {want}, found {found}", tok.line, tok.col)
+
+    def expect(self, kind: str, what: Optional[str] = None) -> Token:
+        if self.peek().kind != kind:
+            raise self.error(what or f"'{kind}'")
         return self.advance()
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value != word:
-            found = "end of input" if tok.kind == "eof" else f"'{tok.value}'"
-            raise ParseError(f"expected '{word}', found {found}", tok.line, tok.col)
+        if not self.at_keyword(word):
+            raise self.error(f"'{word}'")
         return self.advance()
+
+    def expect_end(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected trailing '{tok.value}'", tok.line, tok.col)
 
     def expect_name(self, what: str) -> Token:
         tok = self.expect("ident", what)
@@ -153,8 +159,7 @@ def _parse_atom(p: _Parser) -> Atom:
     var = p.expect_name("a variable name")
     tok = p.peek()
     if tok.kind not in ("=", "!="):
-        found = "end of input" if tok.kind == "eof" else f"'{tok.value}'"
-        raise ParseError(f"expected '=' or '!=', found {found}", tok.line, tok.col)
+        raise p.error("'=' or '!='")
     p.advance()
     value = p.expect_name("a value")
     op = AtomOp.EQ if tok.kind == "=" else AtomOp.NEQ
@@ -201,18 +206,16 @@ def parse_formula(text: str) -> Formula:
     """Parse a bare formula (no surrounding kb document)."""
     p = _Parser(_tokenize(text))
     f = _parse_formula(p)
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing '{tok.value}'", tok.line, tok.col)
+    p.expect_end()
     return f
 
 
 def parse_kb(text: str) -> KnowledgeBase:
     """Parse and validate one knowledge-base document.
 
-    Constraints get the kb name as provenance; a constraint is flagged
-    contextualized when the document declares a context and the formula
-    is guarded by exactly that context atom.
+    Constraints get the kb name as provenance. Whether one of them is
+    contextualized follows from its formula and the declared context (see
+    :func:`kbmerge.model.is_contextualized`); nothing is stored for it.
     """
     p = _Parser(_tokenize(text))
     p.expect_keyword("kb")
@@ -221,7 +224,7 @@ def parse_kb(text: str) -> KnowledgeBase:
 
     context: Optional[tuple[str, str]] = None
     variables: list[Variable] = []
-    constraints: list[tuple[str, Formula]] = []
+    constraints: list[Constraint] = []
     while p.peek().kind != "}":
         tok = p.peek()
         if p.at_keyword("context"):
@@ -251,38 +254,16 @@ def parse_kb(text: str) -> KnowledgeBase:
             p.expect(":")
             f = _parse_formula(p)
             p.expect(";")
-            constraints.append((cid.value, f))
+            constraints.append(Constraint(cid.value, f, provenance=name.value))
         else:
-            found = "end of input" if tok.kind == "eof" else f"'{tok.value}'"
-            raise ParseError(
-                f"expected 'context', 'var' or 'constraint', found {found}",
-                tok.line,
-                tok.col,
-            )
+            raise p.error("'context', 'var' or 'constraint'")
     p.expect("}")
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing '{tok.value}'", tok.line, tok.col)
+    p.expect_end()
 
-    built: list[Constraint] = []
-    for cid, f in constraints:
-        contextualized = (
-            context is not None
-            and is_context_guarded(f, context[0])
-            and f.left.value == context[1]
-        )
-        built.append(
-            Constraint(
-                id=cid,
-                formula=f,
-                provenance=name.value,
-                contextualized=contextualized,
-            )
-        )
     kb = KnowledgeBase(
         name=name.value,
         variables=tuple(variables),
-        constraints=tuple(built),
+        constraints=tuple(constraints),
         context=context,
     )
     validate_kb(kb)
@@ -332,13 +313,11 @@ def format_formula(f: Formula) -> str:
     return _fmt(f)[0]
 
 
-def _format_constraint_formula(c: Constraint) -> str:
+def _format_constraint_formula(f: Formula, context: Optional[tuple[str, str]]) -> str:
     # contextualized constraints keep the body visually grouped
-    if c.contextualized and isinstance(c.formula, Implies):
-        guard, _ = _fmt(c.formula.left)
-        body, _ = _fmt(c.formula.right)
-        return f"{guard} -> ({body})"
-    return format_formula(c.formula)
+    if is_contextualized(f, context):
+        return f"{format_formula(f.left)} -> ({format_formula(f.right)})"
+    return format_formula(f)
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:
@@ -349,7 +328,8 @@ def serialize_kb(kb: KnowledgeBase) -> str:
     for v in kb.variables:
         lines.append(f"  var {v.name} : {{ {', '.join(v.domain)} }};")
     for c in kb.constraints:
-        lines.append(f"  constraint {c.id}: {_format_constraint_formula(c)};")
+        text = _format_constraint_formula(c.formula, kb.context)
+        lines.append(f"  constraint {c.id}: {text};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -17,7 +17,9 @@ from kbmerge import (
     SpaceTooLargeError,
     UnassignedVariableError,
     ValidationError,
+    contextualize,
     parse_kb,
+    serialize_kb,
 )
 from kbmerge.cli import main
 from kbmerge.textio import BENCH_CSV_HEADER
@@ -167,6 +169,24 @@ def test_merge_to_stdout_by_default(capsys):
     assert out.startswith('kb "CKB_us+CKB_ger"')
 
 
+def test_merge_output_matches_golden_file(tmp_path, capsys):
+    golden = (FIXTURES / "car_merged.kb").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "merge", US, GER)
+    assert code == 0
+    assert out == golden
+    # sources that are already contextualized merge to the same text
+    guarded = []
+    for path, value in ((US, "US"), (GER, "GER")):
+        with open(path, encoding="utf-8") as fh:
+            kb = contextualize(parse_kb(fh.read()), "country", value)
+        target = tmp_path / f"{value}.kb"
+        target.write_text(serialize_kb(kb), encoding="utf-8")
+        guarded.append(str(target))
+    code, out, _ = run(capsys, "merge", *guarded)
+    assert code == 0
+    assert out == golden
+
+
 def test_merge_ctx_value_override_warns(tmp_path, capsys):
     # an explicit flag that disagrees with the file declaration wins but warns
     out_path = tmp_path / "merged.kb"
@@ -241,6 +261,39 @@ def test_merge_without_any_context_declaration(tmp_path, capsys):
     code, _, err = run(capsys, "merge", str(path), str(path))
     assert code == 1
     assert "--ctx-var" in err
+
+
+def _deep_kb(path):
+    # one constraint, a chain of 3000 or-ed atoms
+    values = ", ".join(f"v{i}" for i in range(3000))
+    chain = " or ".join(f"x = v{i}" for i in range(3000))
+    path.write_text(f'kb "deep" {{ var x : {{ {values} }}; constraint c1: {chain}; }}')
+
+
+def _wide_kb(path):
+    # 1500 variables, one constraint on the last of them
+    decls = " ".join(f"var x{i} : {{ a, b }};" for i in range(1500))
+    path.write_text(f'kb "wide" {{ {decls} constraint c1: x1499 = a; }}')
+
+
+@pytest.mark.parametrize(
+    "make, argv",
+    [
+        (_deep_kb, ["count"]),
+        (_wide_kb, ["check"]),
+        (_wide_kb, ["count", "--cap", "10"]),
+        (_wide_kb, ["solve", "--limit", "1"]),
+    ],
+    ids=["deep-count", "wide-check", "wide-count-cap", "wide-solve"],
+)
+def test_too_deep_input_exit_code(make, argv, tmp_path, capsys):
+    path = tmp_path / "big.kb"
+    make(path)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: input too deep")
+    assert err.count("\n") == 1
 
 
 def _subclasses(cls):
@@ -352,3 +405,11 @@ def test_bench_csv_to_stdout(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == ",".join(BENCH_CSV_HEADER)
+
+
+@pytest.mark.parametrize("flag", ["--sizes", "--shares"])
+def test_bench_rejects_an_empty_list(flag, capsys):
+    code, out, err = run(capsys, "bench", flag, ",", "--trials", "1")
+    assert code == 1
+    assert out == ""
+    assert "at least one size and one share" in err

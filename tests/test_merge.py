@@ -23,6 +23,7 @@ from kbmerge import (
     count_solutions,
     intersection_count,
     is_consistent,
+    is_contextualized,
     is_redundant,
     negate,
     parse_kb,
@@ -51,7 +52,18 @@ def test_contextualize_guards_every_constraint(kb_us):
     assert first.formula == Implies(
         Atom("country", AtomOp.EQ, "US"), Atom("fuel", AtomOp.NEQ, "hybrid")
     )
-    assert all(c.contextualized for c in out.constraints)
+    assert all(is_contextualized(c.formula, out.context) for c in out.constraints)
+
+
+def test_contextualize_is_idempotent(kb_us):
+    once = contextualize(kb_us, "country", "US")
+    assert contextualize(once, "country", "US") is once
+    # an already guarded KB still has its consistency checked
+    # c1us already rules out hybrid fuel
+    hybrid = Implies(Atom("country", AtomOp.EQ, "US"), Atom("fuel", AtomOp.EQ, "hybrid"))
+    dead = replace(once, constraints=once.constraints + (Constraint("c4us", hybrid),))
+    with pytest.raises(InconsistentInputError, match="CKB_us"):
+        contextualize(dead, "country", "US")
 
 
 def test_contextualize_preserves_solution_space(kb_us):
@@ -219,7 +231,9 @@ def test_car_merge_is_deterministic(car_pair, car_merged):
 def test_merged_output_declares_no_single_context(car_merged):
     merged, _ = car_merged
     assert merged.context is None
-    assert all(not c.contextualized for c in merged.constraints)
+    assert not any(
+        is_contextualized(c.formula, merged.context) for c in merged.constraints
+    )
 
 
 def test_merging_identical_constraint_sets_keeps_one_copy():
@@ -268,8 +282,8 @@ def test_merge_rejects_inconsistent_contextualized_input():
     ctx = Atom("country", AtomOp.EQ, "US")
     variables = (Variable("country", ("US",)), Variable("x", ("a", "b")))
     constraints = (
-        Constraint("c1", Implies(ctx, Atom("x", AtomOp.EQ, "a")), "bad", True),
-        Constraint("c2", Implies(ctx, Atom("x", AtomOp.NEQ, "a")), "bad", True),
+        Constraint("c1", Implies(ctx, Atom("x", AtomOp.EQ, "a")), "bad"),
+        Constraint("c2", Implies(ctx, Atom("x", AtomOp.NEQ, "a")), "bad"),
     )
     bad = KnowledgeBase("bad", variables, constraints, ("country", "US"))
     aligned_ger = KnowledgeBase(
@@ -290,7 +304,7 @@ def test_merge_checks_input_consistency_under_the_source_context():
     bad = KnowledgeBase(
         "bad",
         (Variable("country", ("US",)), Variable("x", ("a", "b"))),
-        (Constraint("c1", Implies(us, body), "bad", True),),
+        (Constraint("c1", Implies(us, body), "bad"),),
         ("country", "US"),
     )
     other = KnowledgeBase(
@@ -324,7 +338,7 @@ def test_lone_constraint_is_not_redundant():
 def test_second_decontextualized_copy_is_redundant(kb_union):
     # the phase-1 picture of the car merge: both electro constraints bare
     constraints = tuple(
-        strip_context(replace(c, contextualized=True), "country")
+        strip_context(c, ("country", c.formula.left.value))
         if c.id in ("c2us", "c2ger")
         else c
         for c in kb_union.constraints
@@ -444,7 +458,7 @@ def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
     decontextualized, kept_contextualized, merged = [], [], []
     nodes = [0, 0]
     for i, guarded in enumerate(ckb_prime):
-        bare = strip_context(guarded, ctx_var)
+        bare = strip_context(guarded, (kb1c if i < len(renamed1) else kb2c).context)
         pool = [c.formula for c in ckb_prime[i:]] + [c.formula for c in merged]
         ok, stats = is_consistent(variables, pool + [negate(bare.formula)])
         nodes[0] += stats.nodes_explored
@@ -452,7 +466,7 @@ def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
             merged.append(bare)
             decontextualized.append(bare.id)
         else:
-            merged.append(replace(guarded, contextualized=False))
+            merged.append(guarded)
             kept_contextualized.append(guarded.id)
     kept = list(merged)
     removed = []

@@ -16,6 +16,7 @@ from kbmerge import (
     evaluate,
     free_vars,
     is_context_guarded,
+    is_contextualized,
     negate,
     strip_context,
     validate_kb,
@@ -90,19 +91,25 @@ def test_strip_context_round_trip():
         id="c2us",
         formula=Implies(Atom("country", AtomOp.EQ, "US"), NO_COUPLING_FOR_ELECTRO),
         provenance="CKB_us",
-        contextualized=True,
     )
-    bare = strip_context(guarded, "country")
+    bare = strip_context(guarded, ("country", "US"))
     assert bare.formula == NO_COUPLING_FOR_ELECTRO
     assert bare.id == "c2us"
     assert bare.provenance == "CKB_us"
-    assert not bare.contextualized
+    assert not is_contextualized(bare.formula, ("country", "US"))
 
 
 def test_strip_context_rejects_unguarded():
-    plain = Constraint(id="c", formula=NO_COUPLING_FOR_ELECTRO, contextualized=False)
+    plain = Constraint(id="c", formula=NO_COUPLING_FOR_ELECTRO)
     with pytest.raises(NotContextualizedError):
-        strip_context(plain, "country")
+        strip_context(plain, ("country", "US"))
+    # a guard on another value of the context variable does not count
+    guarded = Constraint(
+        id="c",
+        formula=Implies(Atom("country", AtomOp.EQ, "GER"), NO_COUPLING_FOR_ELECTRO),
+    )
+    with pytest.raises(NotContextualizedError):
+        strip_context(guarded, ("country", "US"))
 
 
 def _kb(variables, constraints, context=None):
@@ -151,16 +158,3 @@ def test_validate_kb_rejects_bad_context_declaration():
     with pytest.raises(ValidationError, match="bad context"):
         validate_kb(_kb((FUEL,), (), context=("fuel", "coal")))
 
-
-def test_validate_kb_rejects_false_contextualized_flag():
-    kb = _kb(
-        (Variable("country", ("US",)), FUEL, COUPLING),
-        (
-            Constraint(
-                id="c1", formula=NO_COUPLING_FOR_ELECTRO, contextualized=True
-            ),
-        ),
-        context=("country", "US"),
-    )
-    with pytest.raises(ValidationError, match="not"):
-        validate_kb(kb)

@@ -85,7 +85,7 @@ def test_partial_eval_is_sound(f, partial):
 def test_compiled_evaluator_agrees_with_partial_eval(f, partial):
     index = {v.name: i for i, v in enumerate(STRATEGY_VARS)}
     slots = [partial.get(v.name) for v in STRATEGY_VARS]
-    got = _compile(f, index)(slots)
+    got = _compile(f, index)[0](slots)
     want = {Tri.TRUE: True, Tri.FALSE: False, Tri.UNKNOWN: None}[
         partial_eval(f, partial)
     ]

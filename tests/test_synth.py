@@ -11,7 +11,7 @@ from kbmerge import (
     synthesize_pair,
     validate_kb,
 )
-from kbmerge.model import Atom, AtomOp, Implies, Not
+from kbmerge.model import Atom, AtomOp, Implies, Not, is_contextualized
 from kbmerge.synth import CTX_VALUES, CTX_VAR
 
 
@@ -52,9 +52,9 @@ def test_context_declarations():
 
 def test_constraints_are_raw_not_guarded():
     kb1, _ = make(10, 0.5, seed=0)
-    assert all(not c.contextualized for c in kb1.constraints)
+    assert not any(is_contextualized(c.formula, kb1.context) for c in kb1.constraints)
     kb1c = contextualize(kb1, CTX_VAR, CTX_VALUES[0])
-    assert all(c.contextualized for c in kb1c.constraints)
+    assert all(is_contextualized(c.formula, kb1c.context) for c in kb1c.constraints)
 
 
 def test_total_constraint_count_matches_config():

@@ -11,6 +11,7 @@ from kbmerge import (
     SynthConfig,
     ValidationError,
     format_formula,
+    is_contextualized,
     parse_kb,
     serialize_kb,
     synthesize_pair,
@@ -51,19 +52,26 @@ def test_parses_minimal_kb():
 
 
 def test_contextualized_flag_follows_declared_context(kb_union):
-    # the union fixture declares no context, so nothing is flagged
-    assert all(not c.contextualized for c in kb_union.constraints)
+    # the union fixture declares no context, so nothing is contextualized
+    assert kb_union.context is None
+    assert not any(
+        is_contextualized(c.formula, kb_union.context) for c in kb_union.constraints
+    )
     guarded = parse_kb(
         'kb "g" { context c = on; var c : { on }; var x : { a, b };'
         ' constraint k: c = on -> (x = a); }'
     )
-    assert guarded.constraints[0].contextualized
+    assert is_contextualized(guarded.constraints[0].formula, guarded.context)
     # guard on the wrong value of the context variable does not count
     other = parse_kb(
         'kb "g" { context c = on; var c : { on, off }; var x : { a, b };'
         ' constraint k: c = off -> (x = a); }'
     )
-    assert not other.constraints[0].contextualized
+    assert not is_contextualized(other.constraints[0].formula, other.context)
+    # and it stays that way through a round trip: only the body of a
+    # contextualized constraint is parenthesized
+    assert "c = off -> x = a;" in serialize_kb(other)
+    assert parse_kb(serialize_kb(other)) == other
 
 
 # --- formula syntax ---------------------------------------------------------
@@ -173,9 +181,7 @@ def _structurally_equal(kb1, kb2) -> bool:
         and kb1.context == kb2.context
         and len(kb1.constraints) == len(kb2.constraints)
         and all(
-            a.id == b.id
-            and a.formula == b.formula
-            and a.contextualized == b.contextualized
+            a.id == b.id and a.formula == b.formula
             for a, b in zip(kb1.constraints, kb2.constraints)
         )
     )
