@@ -42,8 +42,6 @@ from .model import (
     Or,
     Variable,
     evaluate,
-    free_vars,
-    is_context_guarded,
     is_contextualized,
     negate,
     strip_context,
@@ -98,10 +96,8 @@ __all__ = [
     "enumerate_solutions",
     "evaluate",
     "format_formula",
-    "free_vars",
     "intersection_count",
     "is_consistent",
-    "is_context_guarded",
     "is_contextualized",
     "is_redundant",
     "negate",

@@ -9,12 +9,17 @@ checks, share trends) are meaningful.
 """
 from __future__ import annotations
 
-import hashlib
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
+
+try:
+    # the module behind hashlib.blake2b; importing hashlib would also load
+    # OpenSSL, about 3.5 MiB of resident memory that nothing here uses
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without it
+    from hashlib import blake2b
 
 from .errors import BenchError, KbError, ValidationError
 from .merge import ckb_merge, contextualize
@@ -38,7 +43,7 @@ class BenchRow:
 
 
 def _derive_seed(*parts) -> int:
-    digest = hashlib.blake2b(repr(parts).encode("utf-8"), digest_size=8)
+    digest = blake2b(repr(parts).encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
 
 
@@ -158,6 +163,10 @@ def run_benchmark(
             cells.append((kb_id, size, share))
 
     if parallel and len(cells) > 1:
+        # imported here: multiprocessing costs every importer of kbmerge
+        # about 2.5 MiB of resident memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures = [
                 pool.submit(_run_cell, seed, kb_id, size, share, trials, verify_counts)

@@ -250,7 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count solutions of a knowledge base")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, help="stop counting above this many solutions")
+    p.add_argument("--cap", type=int,
+                   help="exit 4 if there are more than this many solutions; "
+                        "counting may stop as soon as that is known")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("check", help="report whether a knowledge base is consistent")

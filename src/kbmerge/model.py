@@ -140,27 +140,6 @@ def evaluate(f: Formula, assignment: Assignment) -> bool:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def free_vars(f: Formula) -> set[str]:
-    """Names of all variables occurring in atoms of ``f``."""
-    if isinstance(f, Atom):
-        return {f.var}
-    if isinstance(f, Not):
-        return free_vars(f.child)
-    out = free_vars(f.left)
-    out |= free_vars(f.right)
-    return out
-
-
-def is_context_guarded(f: Formula, ctx_var: str) -> bool:
-    """True if ``f`` is Implies with a single EQ guard atom on ``ctx_var``."""
-    return (
-        isinstance(f, Implies)
-        and isinstance(f.left, Atom)
-        and f.left.op is AtomOp.EQ
-        and f.left.var == ctx_var
-    )
-
-
 def is_contextualized(f: Formula, context: Optional[tuple[str, str]]) -> bool:
     """True iff ``f`` is ``Implies(Atom(ctx_var = ctx_val), body)`` for the
     context pair ``(ctx_var, ctx_val)``; never true without a context.
@@ -170,7 +149,10 @@ def is_contextualized(f: Formula, context: Optional[tuple[str, str]]) -> bool:
     """
     return (
         context is not None
-        and is_context_guarded(f, context[0])
+        and isinstance(f, Implies)
+        and isinstance(f.left, Atom)
+        and f.left.op is AtomOp.EQ
+        and f.left.var == context[0]
         and f.left.value == context[1]
     )
 

@@ -1,14 +1,24 @@
 """Embedded finite-domain satisfiability engine.
 
-Search is depth-first with static orders: variables in declaration order,
-values in domain order. Branches are pruned as soon as some constraint
-partial-evaluates to false under the current partial assignment. One
-search with conflict-directed backjumping (no learning, no restarts)
-answers all three queries: consistency stops at the first solution,
-counting adds up cubes (once every constraint is decided true, the
-remaining variables are free and their domain sizes multiply), and
-enumeration expands those cubes in domain order, so its output stays
-lexicographic.
+Both searches are depth-first with static orders: variables in
+declaration order, values in domain order. Branches are pruned as soon as
+some constraint partial-evaluates to false under the current partial
+assignment, and a constraint that evaluates to true is decided.
+
+Consistency and enumeration share one search with conflict-directed
+backjumping (no learning, no restarts). Once every constraint is decided
+true, the remaining variables are free and the assignment prefix stands
+for a cube of solutions. Consistency stops at the first cube; enumeration
+expands cubes in domain order, so its output stays lexicographic.
+
+Counting splits the undecided constraints into components that share no
+unassigned variable, multiplies their counts, and caches each component's
+count for the rest of the call (dynamic decomposition, as in the model
+counters sharpSAT and Cachet). A variable that no undecided constraint
+touches contributes its domain size without being branched on.
+
+``nodes_explored`` counts variable-value bindings tried; for counting, a
+component answered from the cache costs none.
 
 ``brute_force_solutions`` is the independent oracle: it iterates the full
 Cartesian product and filters with :func:`kbmerge.model.evaluate`,
@@ -19,7 +29,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from math import inf, prod
+from math import prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import SpaceTooLargeError
@@ -47,19 +57,18 @@ FrozenAssignment = frozenset[tuple[str, str]]
 class SolveStats:
     """Search bookkeeping for one solver call.
 
-    ``consistency_result`` is the consistency verdict or the solution
-    count; ``nodes_explored`` counts variable-value binding attempts and
-    is deterministic for identical inputs.
+    ``nodes_explored`` counts variable-value binding attempts and is
+    deterministic for identical inputs. When counting, a component whose
+    count comes from the cache costs no attempt.
     """
 
     nodes_explored: int
-    consistency_result: bool | int
     elapsed_ms: float
 
 
 @dataclass(frozen=True)
 class CountResult:
-    """Exact solution count, or the partial count when ``capped`` is set."""
+    """Solution count; with ``capped`` set, a lower bound above the cap."""
 
     count: int
     capped: bool = False
@@ -196,13 +205,12 @@ class _Instance:
         start = time.perf_counter()
         count, nodes = _search(self, 0, active)
         elapsed = (time.perf_counter() - start) * 1000.0
-        ok = count > 0
-        return ok, SolveStats(nodes_explored=nodes, consistency_result=ok, elapsed_ms=elapsed)
+        return count > 0, SolveStats(nodes_explored=nodes, elapsed_ms=elapsed)
 
 
 def _search(
     inst: _Instance,
-    cap: Optional[int],
+    cap: int,
     active: Optional[Sequence[int]] = None,
     on_cube: Optional[Callable[[list[Optional[str]], int], None]] = None,
 ) -> tuple[int, int]:
@@ -216,8 +224,8 @@ def _search(
     Once every active constraint is decided true at depth ``d``, the
     assignment prefix stands for a cube of ``inst.tails[d]`` solutions: the
     count grows by that much and ``on_cube(assignment, d)`` is called when
-    given. The search stops as soon as the count exceeds ``cap`` (never when
-    ``cap`` is None). Returns the count and the node count.
+    given. The search stops as soon as the count exceeds ``cap``. Returns the
+    count and the node count.
 
     A level whose subtree held a solution backtracks chronologically; any
     other exhausted level jumps to the deepest variable implicated by the
@@ -239,7 +247,6 @@ def _search(
             undecided[ci] = True
         watchers_at = inst.watch(active)
     pending = undecided.count(True)
-    bound = inf if cap is None else cap
     count = nodes = 0
     carried = 0  # conflict set handed to the level a backjump lands on
 
@@ -251,7 +258,7 @@ def _search(
             count += tails[depth]
             if on_cube is not None:
                 on_cube(assignment, depth)
-            return -1 if count > bound else depth - 1
+            return -1 if count > cap else depth - 1
         entry = count
         below = (1 << depth) - 1
         conflict = 0
@@ -301,6 +308,117 @@ def _search(
     return count, nodes
 
 
+class _Capped(Exception):
+    """Unwinds a count; its one argument is a lower bound above the cap."""
+
+
+def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
+    """Model counting by dynamic component decomposition (sharpSAT, Cachet).
+
+    Under the current partial assignment the undecided constraints fall
+    into components linked by shared unassigned variables. A node's count
+    is the product of its components' counts times the domain size of
+    every unassigned variable that no undecided constraint touches; a
+    component's count is the sum, over the values of its lowest-depth
+    variable, of the counts of what remains after propagation. Component
+    counts are cached for the duration of the call, keyed by the
+    component's constraints, its unassigned variables and the values of
+    the assigned variables in its constraints' scopes: the residual
+    problem depends on nothing else.
+
+    With ``cap`` set, counting stops once a lower bound of the total
+    exceeds it. A bound exists only along the last component of each
+    product, once its siblings are counted, since any zero factor would
+    cancel a partial sum. Returns the count (that bound when stopped
+    early) and the number of binding attempts; cache hits cost none.
+    """
+    domains = inst.domains
+    compiled = inst.compiled
+    masks = inst.masks
+    watchers = inst.watchers
+    sizes = [len(domain) for domain in domains]
+    assignment: list[Optional[str]] = [None] * len(domains)
+    undecided = [True] * len(compiled)
+    cache: dict[tuple[int, int, tuple[Optional[str], ...]], int] = {}
+    nodes = 0
+
+    # The count of the residual problem over ``cons`` (undecided constraints)
+    # and ``free`` (unassigned variables). The final total is at least
+    # ``base`` plus ``mult`` times this count.
+    def count(cons: list[int], free: int, base: int, mult: int) -> int:
+        nonlocal nodes
+        parts: list[list] = []  # per component: [vars, constraint bits, scope, constraints]
+        for ci in cons:
+            scope = masks[ci]
+            live = scope & free
+            part = [live, 1 << ci, scope, [ci]]
+            rest = []
+            for other in parts:
+                if other[0] & live:
+                    part[0] |= other[0]
+                    part[1] |= other[1]
+                    part[2] |= other[2]
+                    part[3] += other[3]
+                else:
+                    rest.append(other)
+            rest.append(part)
+            parts = rest
+        total = 1
+        untouched = free
+        for part in parts:
+            untouched &= ~part[0]
+        for depth in _depths(untouched):
+            total *= sizes[depth]
+        last = len(parts) - 1
+        for k, (own, bits, scope, members) in enumerate(parts):
+            # a zero factor in a later component would cancel this one's
+            # partial sum, so only the last component bounds the total
+            part_base, part_mult = (base, mult * total) if k == last else (0, 0)
+            key = (bits, own, tuple(assignment[d] for d in _depths(scope & ~own)))
+            sub = cache.get(key)
+            if sub is None:
+                low = own & -own
+                depth = low.bit_length() - 1
+                own ^= low
+                sub = 0
+                for value in domains[depth]:
+                    nodes += 1
+                    assignment[depth] = value
+                    newly: list[int] = []
+                    for ci in watchers[depth]:
+                        if not undecided[ci]:
+                            continue
+                        r = compiled[ci](assignment)
+                        if r is False:
+                            break
+                        if r is True:
+                            undecided[ci] = False
+                            newly.append(ci)
+                    else:
+                        rest = [ci for ci in members if undecided[ci]]
+                        sub += count(rest, own, part_base + part_mult * sub, part_mult)
+                    for ci in newly:
+                        undecided[ci] = True
+                    if part_mult and part_base + part_mult * sub > cap:
+                        raise _Capped(part_base + part_mult * sub)
+                assignment[depth] = None
+                cache[key] = sub
+            total *= sub
+            if not total:
+                return 0
+        return total
+
+    everything = (1 << len(domains)) - 1
+    try:
+        total = count(list(range(len(compiled))), everything, 0, int(cap is not None))
+    except _Capped as stop:
+        (total,) = stop.args
+    # ``count`` refers to itself; without this the cache and the instance
+    # would wait for the cycle collector
+    del count
+    return total, nodes
+
+
 def is_consistent(
     variables: Sequence[Variable], constraints: Sequence[Formula]
 ) -> tuple[bool, SolveStats]:
@@ -315,16 +433,17 @@ def count_solutions(
 ) -> tuple[CountResult, SolveStats]:
     """Exact number of satisfying total assignments.
 
-    With ``cap`` set, counting stops once the running total exceeds it and
-    the partial count is returned with ``capped`` marked; exceeding the cap
-    is an outcome, not an error.
+    With ``cap`` set, ``capped`` is marked exactly when the number of
+    solutions exceeds ``cap``. Counting may then stop early, and ``count``
+    is only known to lie above ``cap`` and at or below the true number.
+    Exceeding the cap is an outcome, not an error.
     """
     inst = _Instance(variables, constraints)
     start = time.perf_counter()
-    count, nodes = _search(inst, cap)
+    count, nodes = _count(inst, cap)
     elapsed = (time.perf_counter() - start) * 1000.0
     result = CountResult(count=count, capped=cap is not None and count > cap)
-    return result, SolveStats(nodes_explored=nodes, consistency_result=count, elapsed_ms=elapsed)
+    return result, SolveStats(nodes_explored=nodes, elapsed_ms=elapsed)
 
 
 def enumerate_solutions(

@@ -2,7 +2,8 @@
 
 A plain recursive three-valued evaluation under a partial assignment,
 kept apart from the compiled closures in ``kbmerge.solver`` so the tests
-can check one against the other.
+can check one against the other, and ``free_vars``, which the tests use
+to enumerate the completions of a partial assignment.
 """
 import enum
 
@@ -57,3 +58,14 @@ def partial_eval(f: Formula, assignment: Assignment) -> Tri:
             return Tri.FALSE
         return Tri.UNKNOWN
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def free_vars(f: Formula) -> set[str]:
+    """Names of all variables occurring in atoms of ``f``."""
+    if isinstance(f, Atom):
+        return {f.var}
+    if isinstance(f, Not):
+        return free_vars(f.child)
+    out = free_vars(f.left)
+    out |= free_vars(f.right)
+    return out

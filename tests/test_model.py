@@ -14,13 +14,12 @@ from kbmerge import (
     ValidationError,
     Variable,
     evaluate,
-    free_vars,
-    is_context_guarded,
     is_contextualized,
     negate,
     strip_context,
     validate_kb,
 )
+from kleene import free_vars
 
 FUEL = Variable("fuel", ("electro", "diesel", "gas", "hybrid"))
 COUPLING = Variable("couplingdev", ("yes", "no"))
@@ -78,12 +77,12 @@ def test_free_vars():
 
 def test_is_context_guarded():
     guarded = Implies(Atom("country", AtomOp.EQ, "US"), NO_COUPLING_FOR_ELECTRO)
-    assert is_context_guarded(guarded, "country")
-    assert not is_context_guarded(guarded, "fuel")
-    assert not is_context_guarded(NO_COUPLING_FOR_ELECTRO, "country")
+    assert is_contextualized(guarded, ("country", "US"))
+    assert not is_contextualized(guarded, ("fuel", "US"))
+    assert not is_contextualized(NO_COUPLING_FOR_ELECTRO, ("country", "US"))
     # a negated guard atom does not count as a guard
     wrong = Implies(Atom("country", AtomOp.NEQ, "US"), NO_COUPLING_FOR_ELECTRO)
-    assert not is_context_guarded(wrong, "country")
+    assert not is_contextualized(wrong, ("country", "US"))
 
 
 def test_strip_context_round_trip():

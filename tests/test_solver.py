@@ -1,5 +1,6 @@
 import itertools
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,11 @@ from conftest import (
     STRATEGY_VARS,
     formula_strategy,
     partial_assignment_strategy,
+    random_formula,
     random_instance,
 )
 from kbmerge import (
+    And,
     Atom,
     AtomOp,
     CountResult,
@@ -26,14 +29,13 @@ from kbmerge import (
     count_solutions,
     enumerate_solutions,
     evaluate,
-    free_vars,
     is_consistent,
     negate,
     synthesize_pair,
 )
 from kbmerge.solver import _compile, _Instance
 from kbmerge.synth import CTX_VALUES, CTX_VAR
-from kleene import Tri, partial_eval
+from kleene import Tri, free_vars, partial_eval
 
 ELECTRO_NEEDS_NO_COUPLING = Implies(
     Atom("fuel", AtomOp.EQ, "electro"), Atom("couplingdev", AtomOp.EQ, "no")
@@ -97,8 +99,7 @@ def test_compiled_evaluator_agrees_with_partial_eval(f, partial):
 
 def test_us_kb_is_consistent(kb_us):
     ok, stats = is_consistent(kb_us.variables, kb_us.formulas())
-    assert ok
-    assert stats.consistency_result is True
+    assert ok is True
     assert stats.nodes_explored >= 0
     assert stats.elapsed_ms >= 0
 
@@ -181,7 +182,8 @@ def test_count_cap_is_an_outcome_not_an_error():
 
 def test_count_stats_report_the_count(kb_us):
     result, stats = count_solutions(kb_us.variables, kb_us.formulas())
-    assert stats.consistency_result == result.count == 288
+    assert result == CountResult(288)
+    assert stats.nodes_explored > 0
 
 
 # --- enumeration -------------------------------------------------------------
@@ -269,6 +271,104 @@ def test_count_matches_brute_force_on_random_instances():
         found = enumerate_solutions(variables, formulas, result.count + 1)
         assert len(found) == result.count
         assert {frozenset(s.items()) for s in found} == oracle
+
+
+def grouped_instance(rng):
+    """Disjoint variable groups that repeat one random sub-structure.
+
+    Each group is a copy of the same formulas over its own variables, the
+    declaration order interleaves the groups, and an optional hub variable
+    guards one more formula per group, so the groups split apart only once
+    the hub is assigned.
+    """
+    values = tuple(string.ascii_lowercase[: rng.randint(2, 3)])
+    width = rng.randint(1, 3)
+    groups = [
+        [Variable(f"g{g}_{i}", values) for i in range(width)]
+        for g in range(rng.randint(2, 6 // width + 1))
+    ]
+    template = rng.randrange(1 << 30)
+    formulas = []
+    for group in groups:
+        copy = random.Random(template)
+        formulas += [random_formula(copy, group, 2) for _ in range(copy.randint(1, 3))]
+    variables = [v for group in groups for v in group]
+    rng.shuffle(variables)
+    if rng.random() < 0.5:
+        hub = Variable("hub", values)
+        variables.insert(0, hub)
+        for group in groups:
+            guard = Atom("hub", AtomOp.EQ, rng.choice(values))
+            formulas.append(Implies(guard, random_formula(rng, group, 2)))
+    return tuple(variables), formulas
+
+
+def test_count_matches_brute_force_on_grouped_instances():
+    rng = random.Random(4242)
+    for _ in range(150):
+        variables, formulas = grouped_instance(rng)
+        want = len(brute_force_solutions(variables, formulas))
+        result, _ = count_solutions(variables, formulas)
+        assert result == CountResult(want), (variables, formulas)
+        if want:
+            # stopped early, the count is a lower bound above the cap
+            capped, _ = count_solutions(variables, formulas, cap=0)
+            assert capped.capped and 0 < capped.count <= want
+            capped, _ = count_solutions(variables, formulas, cap=want - 1)
+            assert capped == CountResult(want, capped=True)
+        exact, _ = count_solutions(variables, formulas, cap=want)
+        assert exact == CountResult(want)
+
+
+def test_count_decomposes_into_components():
+    group = [Variable("x", ("a", "b", "c")), Variable("y", ("a", "b", "c"))]
+    distinct = Not(Implies(Atom("x", AtomOp.EQ, "a"), Atom("y", AtomOp.EQ, "a")))
+    one, one_stats = count_solutions(group, [distinct])
+    copies = [Variable(f"{v.name}{k}", v.domain) for k in range(3) for v in group]
+    formulas = [
+        Not(Implies(Atom(f"x{k}", AtomOp.EQ, "a"), Atom(f"y{k}", AtomOp.EQ, "a")))
+        for k in range(3)
+    ]
+    three, three_stats = count_solutions(copies, formulas)
+    assert three.count == one.count**3
+    # independent copies are counted one after another, not nested
+    assert three_stats.nodes_explored == 3 * one_stats.nodes_explored
+
+
+def test_count_reuses_a_component_met_again():
+    variables = [Variable(name, ("a", "b")) for name in "pqxy"]
+    formulas = [
+        Implies(Atom("p", AtomOp.EQ, "a"), Atom("q", AtomOp.EQ, "a")),
+        Implies(
+            Atom("q", AtomOp.EQ, "a"),
+            And(Atom("x", AtomOp.EQ, "a"), Atom("y", AtomOp.EQ, "b")),
+        ),
+    ]
+    result, stats = count_solutions(variables, formulas)
+    assert result.count == len(brute_force_solutions(variables, formulas)) == 6
+    # p = a: q 2, x 2, y 2 bindings. p = b: q 2 bindings, and under q = a the
+    # component {x, y} of the second formula is the one counted under p = a
+    assert stats.nodes_explored == 2 + 6 + 2
+
+
+def test_count_nodes_of_a_merged_pair_are_pinned():
+    # per-solution enumeration took 446,914 nodes here; a count far above
+    # the pin means counting no longer decomposes
+    kb1, kb2 = synthesize_pair(SynthConfig(n_constraints=50, context_share=0.3, seed=2))
+    merged, _ = ckb_merge(
+        contextualize(kb1, CTX_VAR, CTX_VALUES[0]),
+        contextualize(kb2, CTX_VAR, CTX_VALUES[1]),
+    )
+    result, stats = count_solutions(merged.variables, merged.formulas())
+    assert result.count == 305091
+    assert stats.nodes_explored == 1958
+
+
+def test_count_of_a_wide_kb_does_not_recurse_per_variable():
+    variables = [Variable(f"x{i}", ("a", "b")) for i in range(1500)]
+    result, stats = count_solutions(variables, [Atom("x1499", AtomOp.EQ, "a")])
+    assert result == CountResult(2**1499)
+    assert stats.nodes_explored == 2
 
 
 def test_solver_is_deterministic():
