@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .merge import (
+    CheckRecord,
     MergeReport,
     align,
     ckb_merge,
@@ -68,6 +69,7 @@ __all__ = [
     "AtomOp",
     "BenchError",
     "BenchRow",
+    "CheckRecord",
     "Constraint",
     "ConstraintNotFoundError",
     "CountResult",

@@ -4,7 +4,7 @@ Subcommands: merge, count, check, solve, intersect, synth, bench.
 Exit codes: 0 success, 1 validation or alignment error, 2 inconsistent
 input (including failed generation and bench runs), 3 I/O or parse
 error, 4 cap or guard exceeded, or input too deep for the recursive
-formula walkers and search. Each ``KbError`` subclass carries its code
+formula walkers and counter. Each ``KbError`` subclass carries its code
 as ``exit_code``.
 """
 from __future__ import annotations
@@ -116,8 +116,10 @@ def _format_report(report: MergeReport) -> str:
 
 
 def _report_json(report: MergeReport) -> str:
-    # one key per MergeReport field, in field order
-    return json.dumps(asdict(report), indent=2) + "\n"
+    # one key per MergeReport field, in field order; one object per check
+    data = asdict(report)
+    data["checks"] = [check._asdict() for check in report.checks]
+    return json.dumps(data, indent=2) + "\n"
 
 
 def cmd_merge(args: argparse.Namespace) -> ExitStatus:
@@ -314,7 +316,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
     except RecursionError:
-        # formula walkers recurse per nesting level, the search per variable
+        # formula walkers recurse per nesting level, the counter per
+        # branched variable
         print(
             "error: input too deep: a formula nests too deeply or the "
             "knowledge base has too many variables",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     AlignmentError,
@@ -39,6 +39,22 @@ from .model import (
 from .solver import _Instance, count_solutions, is_consistent
 
 
+class CheckRecord(NamedTuple):
+    """One consistency check of a merge.
+
+    ``phase`` is ``"input"`` for the two input-consistency checks, whose
+    ``constraint_id`` is None, and ``"1"`` or ``"2"`` for a check of the
+    input or merged constraint ``constraint_id``. ``consistent`` is the
+    verdict, ``nodes`` and ``search_ms`` the search's cost.
+    """
+
+    phase: str
+    constraint_id: Optional[str]
+    consistent: bool
+    nodes: int
+    search_ms: float
+
+
 @dataclass(frozen=True)
 class MergeReport:
     """Accounting for one merge run.
@@ -49,7 +65,8 @@ class MergeReport:
     constraint count: decontextualization costs one consistency check per
     constraint. ``nodes_phase1``/``nodes_phase2`` sum the search nodes of
     each phase's checks, and ``build_ms`` is the one solver instance build
-    that all checks of the merge share.
+    that all checks of the merge share. ``checks`` records every check in
+    the order it ran, the two input checks first.
     """
 
     decontextualized_ids: tuple[str, ...]
@@ -62,6 +79,7 @@ class MergeReport:
     nodes_phase1: int
     nodes_phase2: int
     build_ms: float
+    checks: tuple[CheckRecord, ...] = ()
 
 
 def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBase:
@@ -259,9 +277,13 @@ def ckb_merge(
     # Each source's context domain is its singleton value, which makes its
     # guards vacuous: the source is consistent iff its bare bodies are, with
     # the context variable pinned to that value.
+    records: list[CheckRecord] = []
     sources = ((kb1c, range(len(renamed1))), (kb2c, range(len(renamed1), n)))
     for k, (kb, members) in enumerate(sources):
-        ok, _ = inst.check([BARE + i for i in members] + [PIN + k])
+        ok, stats = inst.check([BARE + i for i in members] + [PIN + k])
+        records.append(
+            CheckRecord("input", None, ok, stats.nodes_explored, stats.elapsed_ms)
+        )
         if not ok:
             raise InconsistentInputError(
                 f"knowledge base '{kb.name}' is inconsistent"
@@ -280,6 +302,9 @@ def ckb_merge(
         # the current constraint stays in the unprocessed pool for its own check
         pool = list(range(GUARDED + i, GUARDED + n)) + own + [NOT_BARE + i]
         ok, stats = inst.check(pool)
+        records.append(
+            CheckRecord("1", guarded.id, ok, stats.nodes_explored, stats.elapsed_ms)
+        )
         checks1 += 1
         nodes1 += stats.nodes_explored
         if not ok:
@@ -300,6 +325,9 @@ def ckb_merge(
     for j, c in enumerate(merged):
         rest = [own[x] for x in kept if x != j]
         ok, stats = inst.check(rest + [negation[j]])
+        records.append(
+            CheckRecord("2", c.id, ok, stats.nodes_explored, stats.elapsed_ms)
+        )
         checks2 += 1
         nodes2 += stats.nodes_explored
         if not ok:
@@ -325,6 +353,7 @@ def ckb_merge(
         nodes_phase1=nodes1,
         nodes_phase2=nodes2,
         build_ms=build_ms,
+        checks=tuple(records),
     )
     return out, report
 

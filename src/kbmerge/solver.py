@@ -5,11 +5,18 @@ declaration order, values in domain order. Branches are pruned as soon as
 some constraint partial-evaluates to false under the current partial
 assignment, and a constraint that evaluates to true is decided.
 
-Consistency and enumeration share one search with conflict-directed
-backjumping (no learning, no restarts). Once every constraint is decided
-true, the remaining variables are free and the assignment prefix stands
-for a cube of solutions. Consistency stops at the first cube; enumeration
-expands cubes in domain order, so its output stays lexicographic.
+Consistency and enumeration share one search, forward checking with
+conflict-directed backjumping (FC-CBJ, Prosser 1993; no learning, no
+restarts), which keeps its levels on an explicit stack. Each variable has
+a live domain. Once a constraint's second-deepest variable is assigned and
+the constraint is still undecided, it filters its deepest variable down to
+the values it allows and counts as decided; a domain that loses every value
+fails the assignment that emptied it. A filter depends only on the values
+of the rest of the constraint's scope, so an instance memoises filters for
+all the checks it answers. Once every constraint is decided, the assignment
+prefix and the live domains of the remaining variables form a cube of
+solutions. Consistency stops at the first cube; enumeration expands cubes
+in domain order, so its output stays lexicographic.
 
 Counting splits the undecided constraints into components that share no
 unassigned variable, multiplies their counts, and caches each component's
@@ -17,8 +24,9 @@ count for the rest of the call (dynamic decomposition, as in the model
 counters sharpSAT and Cachet). A variable that no undecided constraint
 touches contributes its domain size without being branched on.
 
-``nodes_explored`` counts variable-value bindings tried; for counting, a
-component answered from the cache costs none.
+``nodes_explored`` counts variable-value bindings tried; a value removed
+by a filter is never tried, and for counting, a component answered from
+the cache costs none.
 
 ``brute_force_solutions`` is the independent oracle: it iterates the full
 Cartesian product and filters with :func:`kbmerge.model.evaluate`,
@@ -29,8 +37,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import SpaceTooLargeError
 from .model import (
@@ -77,18 +87,18 @@ class CountResult:
 def _compile(
     f: Formula,
     index: Mapping[str, int],
-    memo: Optional[dict[int, tuple[Callable, int]]] = None,
-) -> tuple[Callable, int]:
+    memo: Optional[dict[int, tuple[Callable, int, tuple]]] = None,
+) -> tuple[Callable, int, tuple[tuple[int, str], ...]]:
     """Compile a formula into a closure over a positional assignment list.
 
     The closure returns True or False when every completion of the
     partial assignment (None marks an unassigned slot) forces that value,
     and None otherwise: three-valued Kleene evaluation, which tests check
     against a reference evaluator and the brute-force oracle. Returns the
-    closure and the formula's scope as a bit set over the positions of
-    ``index``. ``memo`` maps ``id(node)`` to both, so a subformula shared
-    by several formulas compiles once; the caller keeps every memoised
-    node alive.
+    closure, the formula's scope as a bit set over the positions of
+    ``index``, and its atoms as (position, value) pairs. ``memo`` maps
+    ``id(node)`` to all three, so a subformula shared by several formulas
+    compiles once; the caller keeps every memoised node alive.
     """
     if memo is None:
         memo = {}
@@ -100,6 +110,7 @@ def _compile(
         i = index[f.var]
         mask = 1 << i
         v = f.value
+        atoms = ((i, v),)
         if f.op is AtomOp.EQ:
             def ev(a, i=i, v=v):
                 x = a[i]
@@ -109,15 +120,16 @@ def _compile(
                 x = a[i]
                 return None if x is None else x != v
     elif isinstance(f, Not):
-        child, mask = _compile(f.child, index, memo)
+        child, mask, atoms = _compile(f.child, index, memo)
 
         def ev(a, child=child):
             r = child(a)
             return None if r is None else not r
     else:
-        left, left_mask = _compile(f.left, index, memo)
-        right, right_mask = _compile(f.right, index, memo)
+        left, left_mask, left_atoms = _compile(f.left, index, memo)
+        right, right_mask, right_atoms = _compile(f.right, index, memo)
         mask = left_mask | right_mask
+        atoms = left_atoms + right_atoms
         if isinstance(f, And):
             def ev(a, left=left, right=right):
                 x = left(a)
@@ -151,7 +163,7 @@ def _compile(
                 if x is True and y is False:
                     return False
                 return None
-    memo[key] = done = (ev, mask)
+    memo[key] = done = (ev, mask, atoms)
     return done
 
 
@@ -171,6 +183,15 @@ class _Instance:
     Built once, an instance can answer many consistency checks, each over
     a subset of its constraints (see :meth:`check`): the assumption-style
     incremental interface of MiniSat, without learning.
+
+    The search evaluates each constraint at the depths of its scope
+    variables up to its second-deepest one, where the constraint, if still
+    undecided, filters its deepest variable (see :attr:`watch`). A filter
+    is a pure function of the values of the rest of the scope, so the
+    instance memoises filters per constraint: a filter met again, in the
+    same check or in a later one, costs one dictionary lookup. A check on a
+    shared instance explores exactly the nodes of a fresh instance built
+    from its active constraints.
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
@@ -180,25 +201,72 @@ class _Instance:
         self.names = [v.name for v in variables]
         self.domains = [v.domain for v in variables]
         index = {name: i for i, name in enumerate(self.names)}
-        memo: dict[int, tuple[Callable, int]] = {}
+        memo: dict[int, tuple[Callable, int, tuple]] = {}
         compiled = [_compile(f, index, memo) for f in constraints]
-        self.compiled = [ev for ev, _ in compiled]
+        self.compiled = [ev for ev, _, _ in compiled]
         # scope of each constraint as a bit set over variable depths
-        self.masks = [mask for _, mask in compiled]
+        self.masks = [mask for _, mask, _ in compiled]
         self.scopes = [_depths(mask) for mask in self.masks]
-        # tails[d]: number of assignments to the variables from depth d on
-        self.tails = [1] * (len(self.domains) + 1)
-        for depth in range(len(self.domains) - 1, -1, -1):
-            self.tails[depth] = self.tails[depth + 1] * len(self.domains[depth])
-        self.watchers = self.watch(range(len(constraints)))
+        self.atoms = [atoms for _, _, atoms in compiled]
+        # all values of each variable, as a bit set over its value indices
+        self.full = [(1 << len(domain)) - 1 for domain in self.domains]
+        # per constraint, built on its first filter: see _filter
+        self.fc: list[Optional[tuple]] = [None] * len(constraints)
 
-    def watch(self, order: Iterable[int]) -> list[list[int]]:
-        """Per variable, the constraints of ``order`` over it, in that order."""
-        watchers: list[list[int]] = [[] for _ in self.domains]
-        for ci in order:
-            for depth in self.scopes[ci]:
-                watchers[depth].append(ci)
-        return watchers
+    @cached_property
+    def watch(self) -> tuple[list[int], list[list[int]], list[list[int]]]:
+        """Which constraints the search evaluates where.
+
+        Returns the constraints over one variable, which filter before the
+        search, and per depth two lists: the constraints it evaluates that
+        keep two or more unassigned variables, and those whose
+        second-deepest variable it is, which it evaluates and may filter
+        with. Each list is in scope order: what a constraint does to the
+        search depends only on its scope and its verdict, so a search does
+        not depend on the order of the constraints. Built on the first
+        search; counting does not need it.
+        """
+        unary: list[int] = []
+        checks: list[list[int]] = [[] for _ in self.domains]
+        filters: list[list[int]] = [[] for _ in self.domains]
+        # constraints with equal scopes behave alike at every depth
+        for ci in sorted(range(len(self.masks)), key=self.masks.__getitem__):
+            scope = self.scopes[ci]
+            if len(scope) == 1:
+                unary.append(ci)
+                continue
+            filters[scope[-2]].append(ci)
+            for depth in scope[:-2]:
+                checks[depth].append(ci)
+        return unary, checks, filters
+
+    def _filter(self, ci: int) -> tuple:
+        """The deepest variable of constraint ``ci``, a getter of the values
+        of the rest of its scope, that rest as a bit set, the representative
+        values to try, each with the value bits it stands for, and the memo.
+
+        Values that no atom of the constraint compares the deepest variable
+        with all give the constraint the same truth value, so one of them
+        stands for all.
+        """
+        *prefix, deep = self.scopes[ci]
+        getter = itemgetter(*prefix) if prefix else (lambda a: ())
+        mentioned = {value for i, value in self.atoms[ci] if i == deep}
+        groups = []
+        rest = 0
+        for j, value in enumerate(self.domains[deep]):
+            if value in mentioned:
+                groups.append((1 << j, value))
+            elif rest:
+                rest |= 1 << j
+            else:
+                rest = 1 << j
+                first = value
+        if rest:
+            groups.append((rest, first))
+        data = (deep, getter, self.masks[ci] ^ (1 << deep), groups, {})
+        self.fc[ci] = data
+        return data
 
     def check(self, active: Optional[Sequence[int]] = None) -> tuple[bool, SolveStats]:
         """Consistency of the constraints indexed by ``active`` (all by default)."""
@@ -212,99 +280,188 @@ def _search(
     inst: _Instance,
     cap: int,
     active: Optional[Sequence[int]] = None,
-    on_cube: Optional[Callable[[list[Optional[str]], int], None]] = None,
+    on_cube: Optional[Callable[[list[Optional[str]], list[int], int], None]] = None,
 ) -> tuple[int, int]:
-    """Depth-first search with conflict-directed backjumping over all solutions.
+    """Forward checking with conflict-directed backjumping (FC-CBJ, Prosser
+    1993), over all solutions, with an explicit stack.
 
-    Only the constraints indexed by ``active`` take part (every constraint,
-    in instance order, when omitted); their order is the order in which a
-    variable's watchers are evaluated, so a search over an activated subset
-    explores exactly the nodes of an instance built from that subset.
+    Only the constraints indexed by ``active`` take part (every constraint
+    when omitted). Each variable has a live domain, a bit set over its
+    value indices, and a reason set, the past variables whose filters
+    narrowed it; both are restored from an undo trail. Assigning a value
+    evaluates the undecided constraints watched at that depth: one that
+    turns false fails the value, one that turns true is decided. One whose
+    second-deepest variable this is, and which is still undecided, filters
+    its deepest variable down to the values it allows and is decided too.
+    A filter that leaves no value fails the value with that variable's
+    reasons as the conflict. Filters run only once every watched constraint
+    is evaluated, and the watch lists are in scope order, so a search over
+    an activated subset explores exactly the nodes of an instance built
+    from that subset, whatever the order of either.
 
-    Once every active constraint is decided true at depth ``d``, the
-    assignment prefix stands for a cube of ``inst.tails[d]`` solutions: the
-    count grows by that much and ``on_cube(assignment, d)`` is called when
-    given. The search stops as soon as the count exceeds ``cap``. Returns the
-    count and the node count.
+    Once every active constraint is decided at depth ``d``, the assignment
+    prefix and the live domains from ``d`` on form a cube of solutions: the
+    count grows by its size and ``on_cube(assignment, live, d)`` is called
+    when given. The search stops as soon as the count exceeds ``cap``.
+    Returns the count and the node count (values tried).
 
     A level whose subtree held a solution backtracks chronologically; any
-    other exhausted level jumps to the deepest variable implicated by the
-    violated constraints, which keeps backjumping sound when every solution
-    is wanted (Chen & van Beek, JAIR 2001). An empty conflict set proves
-    that no solution exists.
+    other exhausted level jumps to the deepest variable in its conflict
+    set and the reasons of its own domain, which keeps backjumping sound
+    when every solution is wanted (Chen & van Beek, JAIR 2001). An empty
+    conflict set proves that no solution exists.
     """
     domains = inst.domains
     compiled = inst.compiled
     masks = inst.masks
-    tails = inst.tails
-    assignment: list[Optional[str]] = [None] * len(domains)
+    unary, checks_at, filters_at = inst.watch
+    fc = inst.fc
+    n = len(domains)
     if active is None:
         undecided = [True] * len(compiled)
-        watchers_at = inst.watchers
     else:
         undecided = [False] * len(compiled)
         for ci in active:
             undecided[ci] = True
-        watchers_at = inst.watch(active)
-    pending = undecided.count(True)
+    goal = undecided.count(True)
+    assignment: list[Optional[str]] = [None] * n
+    live = inst.full[:]
+    reasons = [0] * n
+    trail: list[tuple[int, int, int]] = []  # (variable, live, reasons) to restore
+    decided: list[int] = []
+
+    def allowed(ci: int) -> int:
+        """Compute and memoise the bits of the values that constraint ``ci``
+        allows its deepest variable under the current assignment."""
+        deep, getter, _, groups, memo = fc[ci] or inst._filter(ci)
+        bits = 0
+        ev = compiled[ci]
+        for group, value in groups:
+            assignment[deep] = value
+            if ev(assignment):
+                bits |= group
+        assignment[deep] = None
+        memo[getter(assignment)] = bits
+        return bits
+
+    for ci in unary:
+        if undecided[ci]:
+            undecided[ci] = False
+            decided.append(ci)
+            deep = inst.scopes[ci][0]
+            live[deep] &= allowed(ci)
+            if not live[deep]:
+                return 0, 0
+
+    # per level: live values not yet tried, conflict set, count on entry
+    # and the trail lengths to undo each of its values to
+    untried = [0] * n
+    conflict = [0] * n
+    entry = [0] * n
+    trail_mark = [0] * n
+    decided_mark = [0] * n
     count = nodes = 0
-    carried = 0  # conflict set handed to the level a backjump lands on
-
-    # Returns the depth at which the search resumes: depth - 1 to go back
-    # chronologically, a lower level to jump, -1 when the search is over.
-    def search(depth: int) -> int:
-        nonlocal count, nodes, pending, carried
-        if pending == 0:
-            count += tails[depth]
-            if on_cube is not None:
-                on_cube(assignment, depth)
-            return -1 if count > cap else depth - 1
-        entry = count
-        below = (1 << depth) - 1
-        conflict = 0
-        watchers = watchers_at[depth]
-        for value in domains[depth]:
-            nodes += 1
-            assignment[depth] = value
-            newly: list[int] = []
-            violated = -1
-            for ci in watchers:
-                if not undecided[ci]:
-                    continue
-                r = compiled[ci](assignment)
-                if r is False:
-                    violated = ci
+    depth = 0
+    fresh = True
+    while True:
+        if fresh:
+            if len(decided) == goal:
+                size = 1
+                for d in range(depth, n):
+                    size *= live[d].bit_count()
+                count += size
+                if on_cube is not None:
+                    on_cube(assignment, live, depth)
+                if count > cap or depth == 0:
                     break
-                if r is True:
-                    undecided[ci] = False
-                    newly.append(ci)
-            if violated >= 0:
-                conflict |= masks[violated] & below
-                for ci in newly:
-                    undecided[ci] = True
-                continue
-            pending -= len(newly)
-            back = search(depth + 1)
-            pending += len(newly)
-            for ci in newly:
+                depth -= 1
+            else:
+                untried[depth] = live[depth]
+                conflict[depth] = 0
+                entry[depth] = count
+                trail_mark[depth] = len(trail)
+                decided_mark[depth] = len(decided)
+        # undo what the previous value at this depth left behind
+        mark = trail_mark[depth]
+        if len(trail) > mark:
+            for d, d_live, d_reasons in reversed(trail[mark:]):
+                live[d] = d_live
+                reasons[d] = d_reasons
+            del trail[mark:]
+        mark = decided_mark[depth]
+        if len(decided) > mark:
+            for ci in decided[mark:]:
                 undecided[ci] = True
-            if back < depth:
-                assignment[depth] = None
-                return back
-            # a jump landed here; after a chronological return ``carried``
-            # is stale, but the count grew and this level goes back
-            # chronologically anyway
-            conflict |= carried
+            del decided[mark:]
+        rest = untried[depth]
+        if rest:
+            low = rest & -rest
+            untried[depth] = rest ^ low
+            nodes += 1
+            assignment[depth] = domains[depth][low.bit_length() - 1]
+            below = (1 << depth) - 1
+            failed = -1
+            for ci in checks_at[depth]:
+                if undecided[ci]:
+                    r = compiled[ci](assignment)
+                    if r is None:
+                        continue
+                    if not r:
+                        failed = masks[ci] & below
+                        break
+                    undecided[ci] = False
+                    decided.append(ci)
+            if failed < 0:
+                todo = []
+                for ci in filters_at[depth]:
+                    if undecided[ci]:
+                        r = compiled[ci](assignment)
+                        if r is False:
+                            failed = masks[ci] & below
+                            break
+                        undecided[ci] = False
+                        decided.append(ci)
+                        if r is None:
+                            todo.append(ci)
+                if failed < 0:
+                    for ci in todo:
+                        deep, getter, prefix, _, memo = fc[ci] or inst._filter(ci)
+                        ok = memo.get(getter(assignment))
+                        if ok is None:
+                            ok = allowed(ci)
+                        old = live[deep]
+                        if old & ~ok:
+                            trail.append((deep, old, reasons[deep]))
+                            live[deep] = old & ok
+                            reasons[deep] |= prefix
+                            if not old & ok:
+                                failed = reasons[deep] & below
+                                break
+            if failed < 0:
+                depth += 1
+                fresh = True
+            else:
+                conflict[depth] |= failed
+                fresh = False
+            continue
+        # every live value of this depth is tried
         assignment[depth] = None
-        if count != entry:
-            return depth - 1
-        if not conflict:
-            return -1
-        jump = conflict.bit_length() - 1
-        carried = conflict ^ (1 << jump)
-        return jump
-
-    search(0)
+        if count != entry[depth]:
+            back = depth - 1
+            carried = 0
+        else:
+            why = conflict[depth] | reasons[depth]
+            if not why:
+                break
+            back = why.bit_length() - 1
+            carried = why ^ (1 << back)
+        if back < 0:
+            break
+        for d in range(back + 1, depth):
+            assignment[d] = None
+        depth = back
+        conflict[depth] |= carried
+        fresh = False
     return count, nodes
 
 
@@ -335,7 +492,11 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     domains = inst.domains
     compiled = inst.compiled
     masks = inst.masks
-    watchers = inst.watchers
+    # per variable, the constraints over it in instance order
+    watchers: list[list[int]] = [[] for _ in domains]
+    for ci, scope in enumerate(inst.scopes):
+        for depth in scope:
+            watchers[depth].append(ci)
     sizes = [len(domain) for domain in domains]
     assignment: list[Optional[str]] = [None] * len(domains)
     undecided = [True] * len(compiled)
@@ -455,9 +616,14 @@ def enumerate_solutions(
     inst = _Instance(variables, constraints)
     out: list[dict[str, str]] = []
 
-    def expand(assignment: list[Optional[str]], depth: int) -> None:
+    def expand(assignment: list[Optional[str]], live: list[int], depth: int) -> None:
         prefix = assignment[:depth]
-        completions = itertools.product(*inst.domains[depth:])
+        completions = itertools.product(
+            *(
+                [value for j, value in enumerate(inst.domains[d]) if live[d] >> j & 1]
+                for d in range(depth, len(live))
+            )
+        )
         for tail in itertools.islice(completions, limit - len(out)):
             out.append(dict(zip(inst.names, prefix + list(tail))))
 

@@ -159,6 +159,11 @@ def test_merge_reports(tmp_path, capsys):
     assert data["nodes_phase1"] > 0
     assert data["nodes_phase2"] > 0
     assert data["build_ms"] >= 0
+    checks = data["checks"]
+    assert [c["phase"] for c in checks] == ["input"] * 2 + ["1"] * 6 + ["2"] * 6
+    assert sum(c["nodes"] for c in checks if c["phase"] == "1") == data["nodes_phase1"]
+    fields = {"phase", "constraint_id", "consistent", "nodes", "search_ms"}
+    assert all(c.keys() == fields for c in checks)
     assert "solver instance build:" in text
     assert f"6 checks, {data['nodes_phase1']} nodes" in text
 
@@ -276,26 +281,30 @@ def _wide_kb(path):
     path.write_text(f'kb "wide" {{ {decls} constraint c1: x1499 = a; }}')
 
 
+WIDE_SOLUTION = " ".join(f"x{i}=a" for i in range(1500)) + "\n"
+
+
 @pytest.mark.parametrize(
-    "make, argv, answer",
+    "make, argv, want",
     [
         (_deep_kb, ["count"], None),
-        (_wide_kb, ["check"], None),
+        # the search keeps its levels on an explicit stack
+        (_wide_kb, ["check"], (0, "consistent\n")),
         # counting splits off the 1499 unconstrained variables, so it
         # never goes deeper than the one constrained variable
-        (_wide_kb, ["count", "--cap", "10"], "cap exceeded: more than 10 solutions\n"),
-        (_wide_kb, ["solve", "--limit", "1"], None),
+        (_wide_kb, ["count", "--cap", "10"], (4, "cap exceeded: more than 10 solutions\n")),
+        (_wide_kb, ["solve", "--limit", "1"], (0, WIDE_SOLUTION)),
     ],
     ids=["deep-count", "wide-check", "wide-count-cap", "wide-solve"],
 )
-def test_too_deep_input_exit_code(make, argv, answer, tmp_path, capsys):
+def test_too_deep_input_exit_code(make, argv, want, tmp_path, capsys):
     path = tmp_path / "big.kb"
     make(path)
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
-    assert code == 4
-    if answer is not None:
-        assert (out, err) == (answer, "")
+    if want is not None:
+        assert (code, out, err) == (*want, "")
         return
+    assert code == 4
     assert out == ""
     assert err.startswith("error: input too deep")
     assert err.count("\n") == 1

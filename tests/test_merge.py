@@ -534,3 +534,30 @@ def test_merge_report_solver_work_is_deterministic(car_pair):
     assert first.nodes_phase1 == second.nodes_phase1 > 0
     assert first.nodes_phase2 == second.nodes_phase2 > 0
     assert first.build_ms >= 0
+
+
+def test_check_records_sum_to_the_phase_totals(car_pair):
+    for kb1c, kb2c in [car_pair, *synthesized_pairs()]:
+        merged, report = ckb_merge(kb1c, kb2c)
+        phases = [record.phase for record in report.checks]
+        n = report.checks_phase1
+        assert phases == ["input"] * 2 + ["1"] * n + ["2"] * report.checks_phase2
+        for phase, checks, nodes in (
+            ("1", report.checks_phase1, report.nodes_phase1),
+            ("2", report.checks_phase2, report.nodes_phase2),
+        ):
+            records = [r for r in report.checks if r.phase == phase]
+            assert len(records) == checks
+            assert sum(r.nodes for r in records) == nodes
+            assert all(r.search_ms >= 0 for r in records)
+        assert all(r.consistent and r.constraint_id is None for r in report.checks[:2])
+        phase1 = report.checks[2 : 2 + n]
+        # an unsatisfiable check is what drops a guard or a constraint
+        assert tuple(r.constraint_id for r in phase1 if not r.consistent) == (
+            report.decontextualized_ids
+        )
+        phase2 = report.checks[2 + n :]
+        assert tuple(r.constraint_id for r in phase2 if not r.consistent) == (
+            report.removed_redundant_ids
+        )
+        assert len(merged.constraints) == n - len(report.removed_redundant_ids)

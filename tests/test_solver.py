@@ -19,6 +19,7 @@ from kbmerge import (
     CountResult,
     Implies,
     Not,
+    Or,
     SpaceTooLargeError,
     SynthConfig,
     ValidationError,
@@ -33,7 +34,7 @@ from kbmerge import (
     negate,
     synthesize_pair,
 )
-from kbmerge.solver import _compile, _Instance
+from kbmerge.solver import _compile, _Instance, _search
 from kbmerge.synth import CTX_VALUES, CTX_VAR
 from kleene import Tri, free_vars, partial_eval
 
@@ -123,11 +124,11 @@ def test_consistency_node_counts_are_pinned(car_pair):
     # Merge reports and the benchmark read these counts; a change to the
     # search core must leave the consistency search tree as it is.
     _, report = ckb_merge(*car_pair)
-    assert (report.nodes_phase1, report.nodes_phase2) == (142, 69)
+    assert (report.nodes_phase1, report.nodes_phase2) == (60, 45)
     pinned = {
-        (20, 1): ((12, 12), (601, 355)),
-        (50, 2): ((13, 12), (2155, 1328)),
-        (100, 3): ((12, 15), (3758, 2342)),
+        (20, 1): ((9, 9), (339, 217)),
+        (50, 2): ((10, 10), (1089, 765)),
+        (100, 3): ((9, 10), (1925, 1318)),
     }
     for (n, seed), (sources, phases) in pinned.items():
         kb1, kb2 = synthesize_pair(
@@ -385,3 +386,155 @@ def test_solver_is_deterministic():
         enumerate_solutions(variables, formulas, 50),
     )
     assert first == second
+
+
+# --- forward checking and the filter memo ------------------------------------
+
+
+def fc_instance(rng):
+    """A small CSP whose constraints span 3 or more variables and repeat
+    atoms on their deepest variable.
+
+    Domains have 1-4 values, so singleton domains occur. The repeated
+    atoms form ``x = v or x != v``, ``not (x = v and x != v)`` or
+    ``x = v and x != v``: Kleene evaluation leaves the first two
+    undecided until ``x`` is assigned, although they allow every value.
+    """
+    variables = tuple(
+        Variable(f"x{i + 1}", tuple(string.ascii_lowercase[: rng.randint(1, 4)]))
+        for i in range(rng.randint(3, 6))
+    )
+    formulas = []
+    for _ in range(rng.randint(1, 6)):
+        scope = sorted(rng.sample(range(len(variables)), rng.randint(3, len(variables))))
+        chosen = [variables[i] for i in scope]
+        f = random_formula(rng, chosen, 2)
+        for v in chosen:
+            op = rng.choice((AtomOp.EQ, AtomOp.NEQ))
+            f = rng.choice((And, Or, Implies))(f, Atom(v.name, op, rng.choice(v.domain)))
+        deep = chosen[-1]
+        value = rng.choice(deep.domain)
+        eq = Atom(deep.name, AtomOp.EQ, value)
+        neq = Atom(deep.name, AtomOp.NEQ, value)
+        kind = rng.randrange(4)
+        if kind == 0:
+            f = And(f, Or(eq, neq))
+        elif kind == 1:
+            f = Implies(Not(And(eq, neq)), f)
+        elif kind == 2:
+            f = Or(f, And(eq, neq))
+        formulas.append(f)
+    if rng.random() < 0.3:
+        # a constraint over one variable, filtered before the search
+        v = rng.choice(variables)
+        eq = Atom(v.name, AtomOp.EQ, rng.choice(v.domain))
+        formulas.append(Or(eq, Atom(v.name, AtomOp.NEQ, eq.value)))
+    return variables, formulas
+
+
+def lexicographic(variables, solutions):
+    """Oracle solutions in declaration order, values in domain order."""
+    rank = [{value: j for j, value in enumerate(v.domain)} for v in variables]
+    return sorted(
+        (dict(s) for s in solutions),
+        key=lambda s: [r[s[v.name]] for v, r in zip(variables, rank)],
+    )
+
+
+def test_forward_checking_matches_brute_force():
+    rng = random.Random(1993)
+    filtered = 0
+    for _ in range(300):
+        variables, formulas = fc_instance(rng)
+        oracle = brute_force_solutions(variables, formulas)
+        inst = _Instance(variables, formulas)
+        ok, _ = inst.check()
+        assert ok == bool(oracle), (variables, formulas)
+        # the search counts cubes of live domains
+        assert _search(inst, len(oracle))[0] == len(oracle), (variables, formulas)
+        assert count_solutions(variables, formulas)[0] == CountResult(len(oracle))
+        found = enumerate_solutions(variables, formulas, len(oracle) + 1)
+        assert found == lexicographic(variables, oracle), (variables, formulas)
+        filtered += sum(len(data[-1]) for data in inst.fc if data is not None)
+    assert filtered > 300
+
+
+def test_tautology_on_the_deepest_variable_filters_nothing():
+    variables = (
+        Variable("x", ("a", "b")),
+        Variable("y", ("a", "b", "c")),
+        Variable("z", ("a", "b", "c", "d")),
+    )
+
+    def z(op, value):
+        return Atom("z", op, value)
+
+    formulas = [
+        Implies(Atom("x", AtomOp.EQ, "a"), Or(z(AtomOp.EQ, "b"), z(AtomOp.NEQ, "b"))),
+        Or(Atom("y", AtomOp.EQ, "c"), Not(And(z(AtomOp.EQ, "a"), z(AtomOp.NEQ, "a")))),
+    ]
+    inst = _Instance(variables, formulas)
+    # every value of x and y is tried once; each is a cube over all of z
+    assert _search(inst, 100) == (24, 8)
+    # x = a leaves the first constraint undecided, and its filter keeps all
+    # of z's values: b and one value standing for a, c and d
+    deep, _, _, groups, memo = inst.fc[0]
+    assert deep == 2
+    assert sorted(groups) == [(0b0010, "b"), (0b1101, "a")]
+    assert memo == {"a": 0b1111}
+
+
+def test_a_warm_filter_memo_explores_the_nodes_of_a_cold_one():
+    rng = random.Random(5)
+    reused = 0
+    for _ in range(100):
+        variables, formulas = fc_instance(rng)
+        pool_formulas = formulas + [negate(f) for f in formulas]
+        inst = _Instance(variables, pool_formulas)
+        # one negation and every constraint, in a random order
+        pool = [len(formulas) + rng.randrange(len(formulas)), *range(len(formulas))]
+        rng.shuffle(pool)
+        cold_ok, cold = inst.check(pool)
+        entries = sum(len(data[-1]) for data in inst.fc if data is not None)
+        warm_ok, warm = inst.check(pool)
+        fresh_ok, fresh = _Instance(variables, [pool_formulas[ci] for ci in pool]).check()
+        assert cold_ok == warm_ok == fresh_ok
+        assert cold.nodes_explored == warm.nodes_explored == fresh.nodes_explored
+        # the warm check computed no filter the cold one had not
+        assert sum(len(data[-1]) for data in inst.fc if data is not None) == entries
+        reused += entries
+    assert reused > 0
+
+
+def test_consistency_and_enumeration_of_a_wide_kb():
+    variables = [Variable(f"x{i}", ("a", "b")) for i in range(1500)]
+    formulas = [Atom("x1499", AtomOp.EQ, "a")]
+    ok, stats = is_consistent(variables, formulas)
+    assert ok
+    # the constraint filters x1499 before the search, which then stops at
+    # the root with the cube of every live domain
+    assert stats.nodes_explored == 0
+    assert enumerate_solutions(variables, formulas, 1) == [
+        {f"x{i}": "a" for i in range(1500)}
+    ]
+
+
+def test_consistency_and_enumeration_of_a_long_chain():
+    variables = [Variable(f"x{i}", ("a", "b")) for i in range(1500)]
+    chain = [
+        Implies(Atom(f"x{i}", AtomOp.EQ, "a"), Atom(f"x{i + 1}", AtomOp.EQ, "a"))
+        for i in range(1499)
+    ]
+    ok, stats = is_consistent(variables, chain)
+    assert ok
+    # x0 to x1498 are a, and the last constraint decided leaves x1499 a cube
+    assert stats.nodes_explored == 1499
+    # solutions are a run of b's followed by a's
+    assert enumerate_solutions(variables, chain, 3) == [
+        {f"x{i}": "a" if i >= k else "b" for i in range(1500)} for k in range(3)
+    ]
+    pinned = chain + [Atom("x0", AtomOp.EQ, "a"), Atom("x1499", AtomOp.EQ, "b")]
+    ok, stats = is_consistent(variables, pinned)
+    assert not ok
+    # each level has one live value, and each wipe-out jumps one level back
+    assert stats.nodes_explored == 1499
