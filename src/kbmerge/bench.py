@@ -65,13 +65,14 @@ def _run_cell(
     trials: int,
     verify_counts: bool,
 ) -> list[BenchRow]:
-    share_pct = int(round(share * 100))
-    where = f"cell kb_id={kb_id} (n_constraints={size}, share={share_pct}%)"
+    # validates the share before it is rounded to a percentage
     cfg = SynthConfig(
         n_constraints=size,
         context_share=share,
         seed=_derive_seed("pair", seed, size, share),
     )
+    share_pct = int(round(share * 100))
+    where = f"cell kb_id={kb_id} (n_constraints={size}, share={share_pct}%)"
     try:
         raw1, raw2 = synthesize_pair(cfg)
     except KbError as err:

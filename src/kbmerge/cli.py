@@ -2,10 +2,11 @@
 
 Subcommands: merge, count, check, solve, intersect, synth, bench.
 Exit codes: 0 success, 1 validation or alignment error, 2 inconsistent
-input (including failed generation and bench runs), 3 I/O or parse
-error, 4 cap or guard exceeded, or input too deep for the recursive
-formula walkers and counter. Each ``KbError`` subclass carries its code
-as ``exit_code``.
+input (including failed generation and bench runs) or a usage error
+reported by argparse, 3 I/O or parse error (a KB file that is not valid
+UTF-8 included), 4 cap or guard exceeded, or input too deep for the
+recursive formula walkers and counter. Each ``KbError`` subclass carries
+its code as ``exit_code``.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from .bench import run_benchmark
-from .errors import ExitStatus, KbError, ValidationError
+from .errors import ExitStatus, KbError, ParseError, ValidationError
 from .merge import MergeReport, ckb_merge, contextualize, intersection_count
 from .model import KnowledgeBase
 from .solver import count_solutions, enumerate_solutions, is_consistent
@@ -32,8 +33,17 @@ def _warn(message: str) -> None:
 
 
 def _load_kb(path: str) -> KnowledgeBase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kb(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        # read() decodes the whole file at once, so err.object is all of it
+        # and everything before err.start decodes
+        before = err.object[: err.start].decode("utf-8")
+        line = before.count("\n") + 1
+        column = len(before) - before.rfind("\n")
+        raise ParseError(f"not valid UTF-8: {err.reason}", line, column) from None
+    return parse_kb(text)
 
 
 def _write_text(path: Optional[str], text: str) -> None:

@@ -274,17 +274,22 @@ def ckb_merge(
     )
     build_ms = (time.perf_counter() - tb) * 1000.0
 
+    records: list[CheckRecord] = []
+
+    def check(phase: str, cid: Optional[str], pool: list[int]) -> bool:
+        """Run one check on the shared instance and record it."""
+        ok, stats = inst.check(pool)
+        records.append(
+            CheckRecord(phase, cid, ok, stats.nodes_explored, stats.elapsed_ms)
+        )
+        return ok
+
     # Each source's context domain is its singleton value, which makes its
     # guards vacuous: the source is consistent iff its bare bodies are, with
     # the context variable pinned to that value.
-    records: list[CheckRecord] = []
     sources = ((kb1c, range(len(renamed1))), (kb2c, range(len(renamed1), n)))
     for k, (kb, members) in enumerate(sources):
-        ok, stats = inst.check([BARE + i for i in members] + [PIN + k])
-        records.append(
-            CheckRecord("input", None, ok, stats.nodes_explored, stats.elapsed_ms)
-        )
-        if not ok:
+        if not check("input", None, [BARE + i for i in members] + [PIN + k]):
             raise InconsistentInputError(
                 f"knowledge base '{kb.name}' is inconsistent"
             )
@@ -295,19 +300,12 @@ def ckb_merge(
     # instance indices of each merged constraint and of its negation
     own: list[int] = []
     negation: list[int] = []
-    checks1 = nodes1 = 0
 
     t0 = time.perf_counter()
     for i, guarded in enumerate(ckb_prime):
         # the current constraint stays in the unprocessed pool for its own check
         pool = list(range(GUARDED + i, GUARDED + n)) + own + [NOT_BARE + i]
-        ok, stats = inst.check(pool)
-        records.append(
-            CheckRecord("1", guarded.id, ok, stats.nodes_explored, stats.elapsed_ms)
-        )
-        checks1 += 1
-        nodes1 += stats.nodes_explored
-        if not ok:
+        if not check("1", guarded.id, pool):
             merged.append(bares[i])
             own.append(BARE + i)
             negation.append(NOT_BARE + i)
@@ -321,16 +319,9 @@ def ckb_merge(
 
     kept = list(range(len(merged)))
     removed: list[str] = []
-    checks2 = nodes2 = 0
     for j, c in enumerate(merged):
         rest = [own[x] for x in kept if x != j]
-        ok, stats = inst.check(rest + [negation[j]])
-        records.append(
-            CheckRecord("2", c.id, ok, stats.nodes_explored, stats.elapsed_ms)
-        )
-        checks2 += 1
-        nodes2 += stats.nodes_explored
-        if not ok:
+        if not check("2", c.id, rest + [negation[j]]):
             kept.remove(j)
             removed.append(c.id)
     t2 = time.perf_counter()
@@ -342,16 +333,18 @@ def ckb_merge(
         context=None,
     )
     validate_kb(out)
+    phase1 = [r for r in records if r.phase == "1"]
+    phase2 = [r for r in records if r.phase == "2"]
     report = MergeReport(
         decontextualized_ids=tuple(decontextualized),
         kept_contextualized_ids=tuple(kept_contextualized),
         removed_redundant_ids=tuple(removed),
-        checks_phase1=checks1,
-        checks_phase2=checks2,
+        checks_phase1=len(phase1),
+        checks_phase2=len(phase2),
         elapsed_phase1_ms=(t1 - t0) * 1000.0,
         elapsed_phase2_ms=(t2 - t1) * 1000.0,
-        nodes_phase1=nodes1,
-        nodes_phase2=nodes2,
+        nodes_phase1=sum(r.nodes for r in phase1),
+        nodes_phase2=sum(r.nodes for r in phase2),
         build_ms=build_ms,
         checks=tuple(records),
     )

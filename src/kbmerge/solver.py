@@ -87,18 +87,18 @@ class CountResult:
 def _compile(
     f: Formula,
     index: Mapping[str, int],
-    memo: Optional[dict[int, tuple[Callable, int, tuple]]] = None,
-) -> tuple[Callable, int, tuple[tuple[int, str], ...]]:
+    memo: Optional[dict[int, tuple[Callable, int]]] = None,
+) -> tuple[Callable, int]:
     """Compile a formula into a closure over a positional assignment list.
 
     The closure returns True or False when every completion of the
     partial assignment (None marks an unassigned slot) forces that value,
     and None otherwise: three-valued Kleene evaluation, which tests check
     against a reference evaluator and the brute-force oracle. Returns the
-    closure, the formula's scope as a bit set over the positions of
-    ``index``, and its atoms as (position, value) pairs. ``memo`` maps
-    ``id(node)`` to all three, so a subformula shared by several formulas
-    compiles once; the caller keeps every memoised node alive.
+    closure and the formula's scope as a bit set over the positions of
+    ``index``. ``memo`` maps ``id(node)`` to both, so a subformula shared
+    by several formulas compiles once; the caller keeps every memoised
+    node alive.
     """
     if memo is None:
         memo = {}
@@ -110,7 +110,6 @@ def _compile(
         i = index[f.var]
         mask = 1 << i
         v = f.value
-        atoms = ((i, v),)
         if f.op is AtomOp.EQ:
             def ev(a, i=i, v=v):
                 x = a[i]
@@ -120,16 +119,15 @@ def _compile(
                 x = a[i]
                 return None if x is None else x != v
     elif isinstance(f, Not):
-        child, mask, atoms = _compile(f.child, index, memo)
+        child, mask = _compile(f.child, index, memo)
 
         def ev(a, child=child):
             r = child(a)
             return None if r is None else not r
     else:
-        left, left_mask, left_atoms = _compile(f.left, index, memo)
-        right, right_mask, right_atoms = _compile(f.right, index, memo)
+        left, left_mask = _compile(f.left, index, memo)
+        right, right_mask = _compile(f.right, index, memo)
         mask = left_mask | right_mask
-        atoms = left_atoms + right_atoms
         if isinstance(f, And):
             def ev(a, left=left, right=right):
                 x = left(a)
@@ -163,7 +161,7 @@ def _compile(
                 if x is True and y is False:
                     return False
                 return None
-    memo[key] = done = (ev, mask, atoms)
+    memo[key] = done = (ev, mask)
     return done
 
 
@@ -187,11 +185,11 @@ class _Instance:
     The search evaluates each constraint at the depths of its scope
     variables up to its second-deepest one, where the constraint, if still
     undecided, filters its deepest variable (see :attr:`watch`). A filter
-    is a pure function of the values of the rest of the scope, so the
-    instance memoises filters per constraint: a filter met again, in the
-    same check or in a later one, costs one dictionary lookup. A check on a
-    shared instance explores exactly the nodes of a fresh instance built
-    from its active constraints.
+    is a pure function of the values of the rest of the scope, so each
+    constraint's filter record memoises its filters: a filter met again,
+    in the same check or in a later one, costs one dictionary lookup. A
+    check on a shared instance explores exactly the nodes of a fresh
+    instance built from its active constraints.
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
@@ -201,30 +199,31 @@ class _Instance:
         self.names = [v.name for v in variables]
         self.domains = [v.domain for v in variables]
         index = {name: i for i, name in enumerate(self.names)}
-        memo: dict[int, tuple[Callable, int, tuple]] = {}
+        memo: dict[int, tuple[Callable, int]] = {}
         compiled = [_compile(f, index, memo) for f in constraints]
-        self.compiled = [ev for ev, _, _ in compiled]
+        self.compiled = [ev for ev, _ in compiled]
         # scope of each constraint as a bit set over variable depths
-        self.masks = [mask for _, mask, _ in compiled]
+        self.masks = [mask for _, mask in compiled]
         self.scopes = [_depths(mask) for mask in self.masks]
-        self.atoms = [atoms for _, _, atoms in compiled]
         # all values of each variable, as a bit set over its value indices
         self.full = [(1 << len(domain)) - 1 for domain in self.domains]
-        # per constraint, built on its first filter: see _filter
-        self.fc: list[Optional[tuple]] = [None] * len(constraints)
 
     @cached_property
-    def watch(self) -> tuple[list[int], list[list[int]], list[list[int]]]:
-        """Which constraints the search evaluates where.
+    def watch(self) -> tuple[list[int], list[list[int]], list[list[int]], list[tuple]]:
+        """Which constraints the search evaluates where, and how each filters.
 
         Returns the constraints over one variable, which filter before the
-        search, and per depth two lists: the constraints it evaluates that
-        keep two or more unassigned variables, and those whose
+        search; per depth two lists, the constraints it evaluates that
+        keep two or more unassigned variables and those whose
         second-deepest variable it is, which it evaluates and may filter
-        with. Each list is in scope order: what a constraint does to the
-        search depends only on its scope and its verdict, so a search does
-        not depend on the order of the constraints. Built on the first
-        search; counting does not need it.
+        with; and per constraint its filter record: the deepest variable,
+        a getter of the values of the rest of the scope, that rest as a bit
+        set, and the memo from those values to the bits of the values the
+        constraint allows the deepest variable. The constraint lists are in
+        scope order: what a constraint does to the search depends only on
+        its scope and its verdict, so a search does not depend on the order
+        of the constraints. Built on the first search; counting does not
+        need it.
         """
         unary: list[int] = []
         checks: list[list[int]] = [[] for _ in self.domains]
@@ -238,35 +237,11 @@ class _Instance:
             filters[scope[-2]].append(ci)
             for depth in scope[:-2]:
                 checks[depth].append(ci)
-        return unary, checks, filters
-
-    def _filter(self, ci: int) -> tuple:
-        """The deepest variable of constraint ``ci``, a getter of the values
-        of the rest of its scope, that rest as a bit set, the representative
-        values to try, each with the value bits it stands for, and the memo.
-
-        Values that no atom of the constraint compares the deepest variable
-        with all give the constraint the same truth value, so one of them
-        stands for all.
-        """
-        *prefix, deep = self.scopes[ci]
-        getter = itemgetter(*prefix) if prefix else (lambda a: ())
-        mentioned = {value for i, value in self.atoms[ci] if i == deep}
-        groups = []
-        rest = 0
-        for j, value in enumerate(self.domains[deep]):
-            if value in mentioned:
-                groups.append((1 << j, value))
-            elif rest:
-                rest |= 1 << j
-            else:
-                rest = 1 << j
-                first = value
-        if rest:
-            groups.append((rest, first))
-        data = (deep, getter, self.masks[ci] ^ (1 << deep), groups, {})
-        self.fc[ci] = data
-        return data
+        records = []
+        for mask, (*prefix, deep) in zip(self.masks, self.scopes):
+            getter = itemgetter(*prefix) if prefix else (lambda a: ())
+            records.append((deep, getter, mask ^ (1 << deep), {}))
+        return unary, checks, filters, records
 
     def check(self, active: Optional[Sequence[int]] = None) -> tuple[bool, SolveStats]:
         """Consistency of the constraints indexed by ``active`` (all by default)."""
@@ -314,8 +289,7 @@ def _search(
     domains = inst.domains
     compiled = inst.compiled
     masks = inst.masks
-    unary, checks_at, filters_at = inst.watch
-    fc = inst.fc
+    unary, checks_at, filters_at, records = inst.watch
     n = len(domains)
     if active is None:
         undecided = [True] * len(compiled)
@@ -333,13 +307,13 @@ def _search(
     def allowed(ci: int) -> int:
         """Compute and memoise the bits of the values that constraint ``ci``
         allows its deepest variable under the current assignment."""
-        deep, getter, _, groups, memo = fc[ci] or inst._filter(ci)
+        deep, getter, _, memo = records[ci]
         bits = 0
         ev = compiled[ci]
-        for group, value in groups:
+        for j, value in enumerate(domains[deep]):
             assignment[deep] = value
             if ev(assignment):
-                bits |= group
+                bits |= 1 << j
         assignment[deep] = None
         memo[getter(assignment)] = bits
         return bits
@@ -348,7 +322,7 @@ def _search(
         if undecided[ci]:
             undecided[ci] = False
             decided.append(ci)
-            deep = inst.scopes[ci][0]
+            deep = records[ci][0]
             live[deep] &= allowed(ci)
             if not live[deep]:
                 return 0, 0
@@ -425,7 +399,7 @@ def _search(
                             todo.append(ci)
                 if failed < 0:
                     for ci in todo:
-                        deep, getter, prefix, _, memo = fc[ci] or inst._filter(ci)
+                        deep, getter, prefix, memo = records[ci]
                         ok = memo.get(getter(assignment))
                         if ok is None:
                             ok = allowed(ci)

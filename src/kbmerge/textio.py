@@ -24,8 +24,10 @@ from __future__ import annotations
 import csv
 import io
 import re
+from dataclasses import astuple, fields
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .bench import BenchRow
 from .errors import ParseError
 from .model import (
     And,
@@ -44,16 +46,8 @@ from .model import (
 
 KEYWORDS = frozenset({"kb", "var", "constraint", "context", "not", "and", "or"})
 
-BENCH_CSV_HEADER = (
-    "kb_id",
-    "n_constraints",
-    "context_share_pct",
-    "trial",
-    "merge_ms",
-    "solve_ms",
-    "checks_phase1",
-    "checks_phase2",
-)
+# the columns of ``write_bench_csv``, in BenchRow's field order
+BENCH_CSV_HEADER = tuple(f.name for f in fields(BenchRow))
 
 
 class Token(NamedTuple):
@@ -334,22 +328,10 @@ def serialize_kb(kb: KnowledgeBase) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_bench_csv(rows: Iterable) -> str:
-    """Render benchmark rows as CSV text with the fixed 8-column header."""
+def write_bench_csv(rows: Iterable[BenchRow]) -> str:
+    """Render benchmark rows as CSV text under ``BENCH_CSV_HEADER``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                r.kb_id,
-                r.n_constraints,
-                r.context_share_pct,
-                r.trial,
-                r.merge_ms,
-                r.solve_ms,
-                r.checks_phase1,
-                r.checks_phase2,
-            ]
-        )
+    writer.writerows(astuple(r) for r in rows)
     return buf.getvalue()

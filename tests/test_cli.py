@@ -219,6 +219,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "2:" in err  # carries the source position
 
 
+def test_non_utf8_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.kb"
+    path.write_bytes(b'kb "latin1" {\n  var x : { a, \xffb };\n}\n')
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 3
+    assert out == ""
+    # one line, with the position of the first byte that does not decode
+    assert err == "error: 2:16: not valid UTF-8: invalid start byte\n"
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "count", "no_such_file.kb")
     assert code == 3
@@ -427,3 +437,13 @@ def test_bench_rejects_an_empty_list(flag, capsys):
     assert code == 1
     assert out == ""
     assert "at least one size and one share" in err
+
+
+@pytest.mark.parametrize("share", ["nan", "inf", "1e308", "1.5"])
+def test_bench_rejects_a_share_outside_the_unit_interval(share, capsys):
+    code, out, err = run(
+        capsys, "bench", "--sizes", "10", "--shares", share, "--trials", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: context_share must lie in [0, 1]\n"

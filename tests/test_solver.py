@@ -455,7 +455,7 @@ def test_forward_checking_matches_brute_force():
         assert count_solutions(variables, formulas)[0] == CountResult(len(oracle))
         found = enumerate_solutions(variables, formulas, len(oracle) + 1)
         assert found == lexicographic(variables, oracle), (variables, formulas)
-        filtered += sum(len(data[-1]) for data in inst.fc if data is not None)
+        filtered += sum(len(memo) for *_, memo in inst.watch[-1])
     assert filtered > 300
 
 
@@ -477,10 +477,9 @@ def test_tautology_on_the_deepest_variable_filters_nothing():
     # every value of x and y is tried once; each is a cube over all of z
     assert _search(inst, 100) == (24, 8)
     # x = a leaves the first constraint undecided, and its filter keeps all
-    # of z's values: b and one value standing for a, c and d
-    deep, _, _, groups, memo = inst.fc[0]
+    # of z's values
+    deep, _, _, memo = inst.watch[-1][0]
     assert deep == 2
-    assert sorted(groups) == [(0b0010, "b"), (0b1101, "a")]
     assert memo == {"a": 0b1111}
 
 
@@ -495,13 +494,13 @@ def test_a_warm_filter_memo_explores_the_nodes_of_a_cold_one():
         pool = [len(formulas) + rng.randrange(len(formulas)), *range(len(formulas))]
         rng.shuffle(pool)
         cold_ok, cold = inst.check(pool)
-        entries = sum(len(data[-1]) for data in inst.fc if data is not None)
+        entries = sum(len(memo) for *_, memo in inst.watch[-1])
         warm_ok, warm = inst.check(pool)
         fresh_ok, fresh = _Instance(variables, [pool_formulas[ci] for ci in pool]).check()
         assert cold_ok == warm_ok == fresh_ok
         assert cold.nodes_explored == warm.nodes_explored == fresh.nodes_explored
         # the warm check computed no filter the cold one had not
-        assert sum(len(data[-1]) for data in inst.fc if data is not None) == entries
+        assert sum(len(memo) for *_, memo in inst.watch[-1]) == entries
         reused += entries
     assert reused > 0
 
