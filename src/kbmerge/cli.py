@@ -132,6 +132,11 @@ def _report_json(report: MergeReport) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _trace_jsonl(report: MergeReport) -> str:
+    # one line per check, in run order, with the keys of the JSON report's checks
+    return "".join(json.dumps(check._asdict()) + "\n" for check in report.checks)
+
+
 def cmd_merge(args: argparse.Namespace) -> ExitStatus:
     kb1 = _load_kb(args.file1)
     kb2 = _load_kb(args.file2)
@@ -146,6 +151,8 @@ def cmd_merge(args: argparse.Namespace) -> ExitStatus:
         _write_text(args.report, _format_report(report))
     if args.json_report:
         _write_text(args.json_report, _report_json(report))
+    if args.trace:
+        _write_text(args.trace, _trace_jsonl(report))
     n_inputs = len(kb1c.constraints) + len(kb2c.constraints)
     print(
         f"merged {n_inputs} input constraints into {len(merged.constraints)} "
@@ -258,6 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the merged KB here (default: stdout)")
     p.add_argument("--report", help="write a text merge report here")
     p.add_argument("--json-report", help="write a JSON merge report here")
+    p.add_argument("--trace", help="write one JSON line per consistency check here")
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("count", help="count solutions of a knowledge base")

@@ -8,9 +8,13 @@ assignment, and a constraint that evaluates to true is decided.
 Consistency and enumeration share one search, forward checking with
 conflict-directed backjumping (FC-CBJ, Prosser 1993; no learning, no
 restarts), which keeps its levels on an explicit stack. Each variable has
-a live domain. Once a constraint's second-deepest variable is assigned and
-the constraint is still undecided, it filters its deepest variable down to
-the values it allows and counts as decided; a domain that loses every value
+a live domain. Before the first branch, each active constraint removes the
+values that refute it on their own, the literals ``x = v`` under which it
+evaluates false with no other variable assigned (node consistency,
+Mackworth 1977): the negation of ``x = a -> y != b`` fixes both ``x`` and
+``y`` at the root. Once a constraint's second-deepest variable is assigned
+and the constraint is still undecided, it filters its deepest variable down
+to the values it allows and counts as decided; a domain that loses every value
 fails the assignment that emptied it. A filter depends only on the values
 of the rest of the constraint's scope, so an instance memoises filters for
 all the checks it answers. Once every constraint is decided, the assignment
@@ -25,8 +29,8 @@ counters sharpSAT and Cachet). A variable that no undecided constraint
 touches contributes its domain size without being branched on.
 
 ``nodes_explored`` counts variable-value bindings tried; a value removed
-by a filter is never tried, and for counting, a component answered from
-the cache costs none.
+at the root or by a filter is never tried, and for counting, a component
+answered from the cache costs none.
 
 ``brute_force_solutions`` is the independent oracle: it iterates the full
 Cartesian product and filters with :func:`kbmerge.model.evaluate`,
@@ -36,13 +40,14 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import SpaceTooLargeError
+from .errors import SpaceTooLargeError, ValidationError
 from .model import (
     And,
     Assignment,
@@ -84,21 +89,40 @@ class CountResult:
     capped: bool = False
 
 
+def _literal_offsets(domains: Sequence[Sequence[str]]) -> list[int]:
+    """Number the literals ``x = v`` of an instance, variable by variable.
+
+    The literal of the ``j``-th value of variable ``i`` is bit
+    ``offsets[i] + j`` of a literal set; the last offset is the number of
+    literals.
+    """
+    return list(itertools.accumulate(map(len, domains), initial=0))
+
+
 def _compile(
     f: Formula,
     index: Mapping[str, int],
-    memo: Optional[dict[int, tuple[Callable, int]]] = None,
-) -> tuple[Callable, int]:
+    domains: Sequence[Sequence[str]],
+    offsets: Sequence[int],
+    memo: Optional[dict[int, tuple[Callable, int, int, int]]] = None,
+) -> tuple[Callable, int, int, int]:
     """Compile a formula into a closure over a positional assignment list.
 
     The closure returns True or False when every completion of the
     partial assignment (None marks an unassigned slot) forces that value,
     and None otherwise: three-valued Kleene evaluation, which tests check
     against a reference evaluator and the brute-force oracle. Returns the
-    closure and the formula's scope as a bit set over the positions of
-    ``index``. ``memo`` maps ``id(node)`` to both, so a subformula shared
-    by several formulas compiles once; the caller keeps every memoised
-    node alive.
+    closure, the formula's scope as a bit set over the positions of
+    ``index``, and two sets of literals, numbered by ``offsets`` over the
+    values ``domains`` holds per position (see :func:`_literal_offsets`):
+    those that force the formula true and those that force it false
+    (refute it) when their variable is the only one assigned. ``memo``
+    maps ``id(node)`` to all four, so a subformula shared by several
+    formulas compiles once; the caller keeps every memoised node alive.
+
+    An atom over an undeclared variable or a value outside its variable's
+    domain raises :class:`ValidationError` with the message of
+    :func:`kbmerge.model.validate_formula`.
     """
     if memo is None:
         memo = {}
@@ -107,28 +131,49 @@ def _compile(
     if done is not None:
         return done
     if isinstance(f, Atom):
-        i = index[f.var]
-        mask = 1 << i
+        i = index.get(f.var)
+        if i is None:
+            raise ValidationError(f"undeclared variable '{f.var}'")
         v = f.value
+        try:
+            j = domains[i].index(v)
+        except ValueError:
+            raise ValidationError(
+                f"value '{v}' is not in the domain of '{f.var}'"
+            ) from None
+        low = 1 << offsets[i]
+        bit = low << j
+        every = (1 << offsets[i + 1]) - low
+        mask = 1 << i
         if f.op is AtomOp.EQ:
+            true, false = bit, every ^ bit
+
             def ev(a, i=i, v=v):
                 x = a[i]
                 return None if x is None else x == v
         else:
+            true, false = every ^ bit, bit
+
             def ev(a, i=i, v=v):
                 x = a[i]
                 return None if x is None else x != v
     elif isinstance(f, Not):
-        child, mask = _compile(f.child, index, memo)
+        child, mask, false, true = _compile(f.child, index, domains, offsets, memo)
 
         def ev(a, child=child):
             r = child(a)
             return None if r is None else not r
     else:
-        left, left_mask = _compile(f.left, index, memo)
-        right, right_mask = _compile(f.right, index, memo)
+        left, left_mask, left_true, left_false = _compile(
+            f.left, index, domains, offsets, memo
+        )
+        right, right_mask, right_true, right_false = _compile(
+            f.right, index, domains, offsets, memo
+        )
         mask = left_mask | right_mask
         if isinstance(f, And):
+            true, false = left_true & right_true, left_false | right_false
+
             def ev(a, left=left, right=right):
                 x = left(a)
                 if x is False:
@@ -140,6 +185,8 @@ def _compile(
                     return True
                 return None
         elif isinstance(f, Or):
+            true, false = left_true | right_true, left_false & right_false
+
             def ev(a, left=left, right=right):
                 x = left(a)
                 if x is True:
@@ -151,6 +198,8 @@ def _compile(
                     return False
                 return None
         else:
+            true, false = left_false | right_true, left_true & right_false
+
             def ev(a, left=left, right=right):
                 x = left(a)
                 if x is False:
@@ -161,7 +210,7 @@ def _compile(
                 if x is True and y is False:
                     return False
                 return None
-    memo[key] = done = (ev, mask)
+    memo[key] = done = (ev, mask, true, false)
     return done
 
 
@@ -180,7 +229,11 @@ class _Instance:
 
     Built once, an instance can answer many consistency checks, each over
     a subset of its constraints (see :meth:`check`): the assumption-style
-    incremental interface of MiniSat, without learning.
+    incremental interface of MiniSat, without learning. Compiling validates
+    each formula; a bad atom raises the :class:`ValidationError` of
+    :func:`kbmerge.model.validate_formula`. Each constraint keeps its
+    refuted literals (see :func:`_compile`) as one bit set over all the
+    literals of the instance, numbered by :func:`_literal_offsets`.
 
     The search evaluates each constraint at the depths of its scope
     variables up to its second-deepest one, where the constraint, if still
@@ -193,18 +246,22 @@ class _Instance:
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
-        table = validate_variables(variables)
-        for f in constraints:
-            validate_formula(f, table)
         self.names = [v.name for v in variables]
         self.domains = [v.domain for v in variables]
         index = {name: i for i, name in enumerate(self.names)}
-        memo: dict[int, tuple[Callable, int]] = {}
-        compiled = [_compile(f, index, memo) for f in constraints]
-        self.compiled = [ev for ev, _ in compiled]
+        if len(index) < len(self.names):
+            validate_variables(variables)  # raises: a name is declared twice
+        self.offsets = offsets = _literal_offsets(self.domains)
+        memo: dict[int, tuple[Callable, int, int, int]] = {}
+        compiled = [
+            _compile(f, index, self.domains, offsets, memo) for f in constraints
+        ]
+        self.compiled = [ev for ev, _, _, _ in compiled]
         # scope of each constraint as a bit set over variable depths
-        self.masks = [mask for _, mask in compiled]
+        self.masks = [mask for _, mask, _, _ in compiled]
         self.scopes = [_depths(mask) for mask in self.masks]
+        # the literals that refute each constraint on their own
+        self.refuted = [false for _, _, _, false in compiled]
         # all values of each variable, as a bit set over its value indices
         self.full = [(1 << len(domain)) - 1 for domain in self.domains]
 
@@ -212,18 +269,18 @@ class _Instance:
     def watch(self) -> tuple[list[int], list[list[int]], list[list[int]], list[tuple]]:
         """Which constraints the search evaluates where, and how each filters.
 
-        Returns the constraints over one variable, which filter before the
-        search; per depth two lists, the constraints it evaluates that
-        keep two or more unassigned variables and those whose
-        second-deepest variable it is, which it evaluates and may filter
-        with; and per constraint its filter record: the deepest variable,
-        a getter of the values of the rest of the scope, that rest as a bit
-        set, and the memo from those values to the bits of the values the
-        constraint allows the deepest variable. The constraint lists are in
-        scope order: what a constraint does to the search depends only on
-        its scope and its verdict, so a search does not depend on the order
-        of the constraints. Built on the first search; counting does not
-        need it.
+        Returns the constraints over one variable, which their refuted
+        literals settle before the search; per depth two lists, the
+        constraints it evaluates that keep two or more unassigned variables
+        and those whose second-deepest variable it is, which it evaluates
+        and may filter with; and per constraint its filter record: the
+        deepest variable, a getter of the values of the rest of the scope,
+        that rest as a bit set, and the memo from those values to the bits
+        of the values the constraint allows the deepest variable. The
+        constraint lists are in scope order: what a constraint does to the
+        search depends only on its scope and its verdict, so a search does
+        not depend on the order of the constraints. Built on the first
+        search; counting does not need it.
         """
         unary: list[int] = []
         checks: list[list[int]] = [[] for _ in self.domains]
@@ -263,7 +320,11 @@ def _search(
     Only the constraints indexed by ``active`` take part (every constraint
     when omitted). Each variable has a live domain, a bit set over its
     value indices, and a reason set, the past variables whose filters
-    narrowed it; both are restored from an undo trail. Assigning a value
+    narrowed it; both are restored from an undo trail. The live domains
+    start without the literals that refute an active constraint on their
+    own, which settles every constraint over one variable; an emptied
+    domain proves that no solution exists, with no node tried. This
+    depends only on the active set. Assigning a value
     evaluates the undecided constraints watched at that depth: one that
     turns false fails the value, one that turns true is decided. One whose
     second-deepest variable this is, and which is still undecided, filters
@@ -291,41 +352,34 @@ def _search(
     masks = inst.masks
     unary, checks_at, filters_at, records = inst.watch
     n = len(domains)
-    if active is None:
-        undecided = [True] * len(compiled)
-    else:
-        undecided = [False] * len(compiled)
-        for ci in active:
-            undecided[ci] = True
+    refuted_by = inst.refuted
+    undecided = [False] * len(compiled)
+    refuted = 0
+    for ci in range(len(compiled)) if active is None else active:
+        undecided[ci] = True
+        refuted |= refuted_by[ci]
     goal = undecided.count(True)
-    assignment: list[Optional[str]] = [None] * n
     live = inst.full[:]
+    # node consistency: no solution holds a literal that refutes an active
+    # constraint on its own
+    offsets = inst.offsets
+    while refuted:
+        d = bisect_right(offsets, (refuted & -refuted).bit_length() - 1) - 1
+        cut = (refuted >> offsets[d]) & live[d]
+        refuted ^= cut << offsets[d]
+        live[d] ^= cut
+        if not live[d]:
+            return 0, 0
+    assignment: list[Optional[str]] = [None] * n
     reasons = [0] * n
     trail: list[tuple[int, int, int]] = []  # (variable, live, reasons) to restore
     decided: list[int] = []
 
-    def allowed(ci: int) -> int:
-        """Compute and memoise the bits of the values that constraint ``ci``
-        allows its deepest variable under the current assignment."""
-        deep, getter, _, memo = records[ci]
-        bits = 0
-        ev = compiled[ci]
-        for j, value in enumerate(domains[deep]):
-            assignment[deep] = value
-            if ev(assignment):
-                bits |= 1 << j
-        assignment[deep] = None
-        memo[getter(assignment)] = bits
-        return bits
-
+    # a constraint over one variable allows exactly the values it does not refute
     for ci in unary:
         if undecided[ci]:
             undecided[ci] = False
             decided.append(ci)
-            deep = records[ci][0]
-            live[deep] &= allowed(ci)
-            if not live[deep]:
-                return 0, 0
 
     # per level: live values not yet tried, conflict set, count on entry
     # and the trail lengths to undo each of its values to
@@ -400,9 +454,18 @@ def _search(
                 if failed < 0:
                     for ci in todo:
                         deep, getter, prefix, memo = records[ci]
-                        ok = memo.get(getter(assignment))
+                        key = getter(assignment)
+                        ok = memo.get(key)
                         if ok is None:
-                            ok = allowed(ci)
+                            # the bits of the values it allows the deepest variable
+                            ok = 0
+                            ev = compiled[ci]
+                            for j, value in enumerate(domains[deep]):
+                                assignment[deep] = value
+                                if ev(assignment):
+                                    ok |= 1 << j
+                            assignment[deep] = None
+                            memo[key] = ok
                         old = live[deep]
                         if old & ~ok:
                             trail.append((deep, old, reasons[deep]))
@@ -598,8 +661,11 @@ def enumerate_solutions(
                 for d in range(depth, len(live))
             )
         )
-        for tail in itertools.islice(completions, limit - len(out)):
+        # ``limit`` may exceed what ``itertools.islice`` accepts
+        for tail in completions:
             out.append(dict(zip(inst.names, prefix + list(tail))))
+            if len(out) == limit:
+                return
 
     if limit > 0:
         _search(inst, limit - 1, on_cube=expand)

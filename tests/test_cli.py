@@ -109,6 +109,15 @@ def test_solve_rejects_negative_limit(capsys):
     assert "--limit must be non-negative" in err
 
 
+def test_solve_accepts_a_limit_above_sys_maxsize(capsys):
+    code, out, _ = run(capsys, "solve", US, "--limit", "288")
+    assert code == 0
+    code, unbounded, _ = run(capsys, "solve", US, "--limit", "9223372036854775808")
+    assert code == 0
+    assert unbounded == out
+    assert len(out.splitlines()) == 288
+
+
 def test_intersect(capsys):
     code, out, _ = run(capsys, "intersect", US, GER)
     assert code == 0
@@ -166,6 +175,27 @@ def test_merge_reports(tmp_path, capsys):
     assert all(c.keys() == fields for c in checks)
     assert "solver instance build:" in text
     assert f"6 checks, {data['nodes_phase1']} nodes" in text
+
+
+def test_merge_trace_has_one_line_per_check(tmp_path, capsys):
+    json_path = tmp_path / "report.json"
+    trace_path = tmp_path / "trace.jsonl"
+    code, _, _ = run(
+        capsys,
+        "merge", US, GER,
+        "--out", str(tmp_path / "merged.kb"),
+        "--json-report", str(json_path),
+        "--trace", str(trace_path),
+    )
+    assert code == 0
+    data = json.loads(json_path.read_text())
+    lines = trace_path.read_text().splitlines()
+    assert len(lines) == 2 + data["checks_phase1"] + data["checks_phase2"]
+    trace = [json.loads(line) for line in lines]
+    assert trace == data["checks"]
+    for phase in ("1", "2"):
+        nodes = sum(c["nodes"] for c in trace if c["phase"] == phase)
+        assert nodes == data[f"nodes_phase{phase}"]
 
 
 def test_merge_to_stdout_by_default(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -34,9 +35,13 @@ from kbmerge import (
     negate,
     synthesize_pair,
 )
-from kbmerge.solver import _compile, _Instance, _search
+from kbmerge.model import validate_formula
+from kbmerge.solver import _compile, _Instance, _literal_offsets, _search
 from kbmerge.synth import CTX_VALUES, CTX_VAR
 from kleene import Tri, free_vars, partial_eval
+
+STRATEGY_DOMAINS = [v.domain for v in STRATEGY_VARS]
+STRATEGY_OFFSETS = _literal_offsets(STRATEGY_DOMAINS)
 
 ELECTRO_NEEDS_NO_COUPLING = Implies(
     Atom("fuel", AtomOp.EQ, "electro"), Atom("couplingdev", AtomOp.EQ, "no")
@@ -88,11 +93,45 @@ def test_partial_eval_is_sound(f, partial):
 def test_compiled_evaluator_agrees_with_partial_eval(f, partial):
     index = {v.name: i for i, v in enumerate(STRATEGY_VARS)}
     slots = [partial.get(v.name) for v in STRATEGY_VARS]
-    got = _compile(f, index)[0](slots)
+    got = _compile(f, index, STRATEGY_DOMAINS, STRATEGY_OFFSETS)[0](slots)
     want = {Tri.TRUE: True, Tri.FALSE: False, Tri.UNKNOWN: None}[
         partial_eval(f, partial)
     ]
     assert got == want
+
+
+def _literal_set(bits, variables):
+    """The literals ``(name, value)`` in ``bits``, numbered variable by variable."""
+    literals = [(v.name, value) for v in variables for value in v.domain]
+    return {literal for k, literal in enumerate(literals) if bits >> k & 1}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(f=formula_strategy)
+def test_refuted_literals_are_those_that_falsify_alone(f):
+    index = {v.name: i for i, v in enumerate(STRATEGY_VARS)}
+    _, _, true_bits, false_bits = _compile(f, index, STRATEGY_DOMAINS, STRATEGY_OFFSETS)
+    forced_true = _literal_set(true_bits, STRATEGY_VARS)
+    refuted = _literal_set(false_bits, STRATEGY_VARS)
+    for v in STRATEGY_VARS:
+        for value in v.domain:
+            verdict = partial_eval(f, {v.name: value})
+            assert ((v.name, value) in refuted) == (verdict is Tri.FALSE)
+            assert ((v.name, value) in forced_true) == (verdict is Tri.TRUE)
+
+
+def test_no_solution_holds_a_refuted_literal():
+    rng = random.Random(1977)
+    refuted_total = 0
+    for _ in range(200):
+        variables, formulas = random_instance(rng)
+        inst = _Instance(variables, formulas)
+        solutions = brute_force_solutions(variables, formulas)
+        for bits in inst.refuted:
+            refuted = _literal_set(bits, variables)
+            refuted_total += len(refuted)
+            assert not any(refuted & s for s in solutions), (variables, formulas)
+    assert refuted_total > 100
 
 
 # --- consistency -------------------------------------------------------------
@@ -124,11 +163,11 @@ def test_consistency_node_counts_are_pinned(car_pair):
     # Merge reports and the benchmark read these counts; a change to the
     # search core must leave the consistency search tree as it is.
     _, report = ckb_merge(*car_pair)
-    assert (report.nodes_phase1, report.nodes_phase2) == (60, 45)
+    assert (report.nodes_phase1, report.nodes_phase2) == (40, 30)
     pinned = {
-        (20, 1): ((9, 9), (339, 217)),
-        (50, 2): ((10, 10), (1089, 765)),
-        (100, 3): ((9, 10), (1925, 1318)),
+        (20, 1): ((9, 9), (187, 157)),
+        (50, 2): ((10, 10), (464, 434)),
+        (100, 3): ((9, 10), (632, 611)),
     }
     for (n, seed), (sources, phases) in pinned.items():
         kb1, kb2 = synthesize_pair(
@@ -149,6 +188,41 @@ def test_consistency_node_counts_are_pinned(car_pair):
 def test_is_consistent_validates_variables():
     with pytest.raises(ValidationError):
         is_consistent((Variable("x", ("a",)),), [Atom("y", AtomOp.EQ, "a")])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [Atom("y", AtomOp.EQ, "a"), Atom("x", AtomOp.NEQ, "q")],
+    ids=["undeclared-variable", "out-of-domain-value"],
+)
+def test_solver_entry_points_reject_bad_atoms_like_validate_formula(bad):
+    variables = (Variable("x", ("a", "b")), Variable("z", ("a",)))
+    # the bad atom sits below a valid one, in the second constraint
+    formulas = [Atom("z", AtomOp.EQ, "a"), Or(Atom("x", AtomOp.EQ, "a"), Not(bad))]
+    with pytest.raises(ValidationError) as want:
+        validate_formula(formulas[1], {v.name: v for v in variables})
+    calls = [
+        lambda: is_consistent(variables, formulas),
+        lambda: count_solutions(variables, formulas),
+        lambda: enumerate_solutions(variables, formulas, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
+def test_solver_entry_points_reject_a_variable_declared_twice():
+    variables = (Variable("x", ("a",)), Variable("y", ("a",)), Variable("x", ("b",)))
+    formulas = [Atom("y", AtomOp.EQ, "a")]
+    calls = [
+        lambda: is_consistent(variables, formulas),
+        lambda: count_solutions(variables, formulas),
+        lambda: enumerate_solutions(variables, formulas, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^variable 'x' declared twice$"):
+            call()
 
 
 # --- counting ----------------------------------------------------------------
@@ -215,6 +289,16 @@ def test_enumerate_limit_and_zero():
     variables = (Variable("x", ("a", "b")), Variable("y", ("c", "d")))
     assert len(enumerate_solutions(variables, [], 3)) == 3
     assert enumerate_solutions(variables, [], 0) == []
+
+
+def test_enumerate_accepts_a_limit_above_sys_maxsize(kb_us):
+    limit = sys.maxsize + 1
+    assert enumerate_solutions(kb_us.variables, kb_us.formulas(), limit) == (
+        enumerate_solutions(kb_us.variables, kb_us.formulas(), 288)
+    )
+    # one cube holds every solution of an unconstrained grid
+    variables = (Variable("x", ("a", "b")), Variable("y", ("c", "d")))
+    assert len(enumerate_solutions(variables, [], limit)) == 4
 
 
 def test_enumerate_us_kb_solutions_all_satisfy(kb_us):
