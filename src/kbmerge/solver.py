@@ -12,15 +12,19 @@ a live domain. Before the first branch, each active constraint removes the
 values that refute it on their own, the literals ``x = v`` under which it
 evaluates false with no other variable assigned (node consistency,
 Mackworth 1977): the negation of ``x = a -> y != b`` fixes both ``x`` and
-``y`` at the root. Once a constraint's second-deepest variable is assigned
-and the constraint is still undecided, it filters its deepest variable down
-to the values it allows and counts as decided; a domain that loses every value
-fails the assignment that emptied it. A filter depends only on the values
-of the rest of the constraint's scope, so an instance memoises filters for
-all the checks it answers. Once every constraint is decided, the assignment
-prefix and the live domains of the remaining variables form a cube of
-solutions. Consistency stops at the first cube; enumeration expands cubes
-in domain order, so its output stays lexicographic.
+``y`` at the root. So at its shallowest variable a constraint is never
+false: the literal assigned there decides it, with no evaluation, when it
+forces the constraint true. The undecided constraints of a check are one
+int bit set. Once a constraint's second-deepest variable is assigned and
+the constraint is still undecided, it filters its deepest variable down to
+the values it allows and counts as decided; a domain that loses every
+value fails the assignment that emptied it. A constraint's
+verdict and filter there depend only on the values of the rest of its
+scope, so an instance memoises both for all the checks it answers. Once
+every constraint is decided, the assignment prefix and the live domains of
+the remaining variables form a cube of solutions. Consistency stops at the
+first cube; enumeration expands cubes in domain order, so its output stays
+lexicographic.
 
 Counting splits the undecided constraints into components that share no
 unassigned variable, multiplies their counts, and caches each component's
@@ -231,16 +235,19 @@ class _Instance:
     a subset of its constraints (see :meth:`check`): the assumption-style
     incremental interface of MiniSat, without learning. Compiling validates
     each formula; a bad atom raises the :class:`ValidationError` of
-    :func:`kbmerge.model.validate_formula`. Each constraint keeps its
-    refuted literals (see :func:`_compile`) as one bit set over all the
-    literals of the instance, numbered by :func:`_literal_offsets`.
+    :func:`kbmerge.model.validate_formula`. Each constraint keeps the
+    literals that force it true and those that refute it (see
+    :func:`_compile`), each as one bit set over all the literals of the
+    instance, numbered by :func:`_literal_offsets`.
 
-    The search evaluates each constraint at the depths of its scope
-    variables up to its second-deepest one, where the constraint, if still
-    undecided, filters its deepest variable (see :attr:`watch`). A filter
-    is a pure function of the values of the rest of the scope, so each
-    constraint's filter record memoises its filters: a filter met again,
-    in the same check or in a later one, costs one dictionary lookup. A
+    The search keeps sets of constraints as int bit sets (see
+    :attr:`watch`). It decides a constraint at its shallowest variable by
+    the literal assigned there, evaluates it at the variables between that
+    one and its second-deepest, and there, if the constraint is still
+    undecided, filters its deepest variable. A filter is a pure function of
+    the values of the rest of the scope, so each constraint's filter record
+    memoises its verdict and filter: a filter met again, in the same check
+    or in a later one, costs one dictionary lookup and no evaluation. A
     check on a shared instance explores exactly the nodes of a fresh
     instance built from its active constraints.
     """
@@ -260,45 +267,81 @@ class _Instance:
         # scope of each constraint as a bit set over variable depths
         self.masks = [mask for _, mask, _, _ in compiled]
         self.scopes = [_depths(mask) for mask in self.masks]
-        # the literals that refute each constraint on their own
+        # the literals that force each constraint true, and those that
+        # refute it, on their own
+        self.forced = [true for _, _, true, _ in compiled]
         self.refuted = [false for _, _, _, false in compiled]
         # all values of each variable, as a bit set over its value indices
         self.full = [(1 << len(domain)) - 1 for domain in self.domains]
 
     @cached_property
-    def watch(self) -> tuple[list[int], list[list[int]], list[list[int]], list[tuple]]:
-        """Which constraints the search evaluates where, and how each filters.
+    def watch(
+        self,
+    ) -> tuple[list[int], int, list[int], list[int], list[int], list[tuple]]:
+        """Which constraints the search decides, evaluates and filters with
+        where, as int bit sets over constraints.
 
-        Returns the constraints over one variable, which their refuted
-        literals settle before the search; per depth two lists, the
-        constraints it evaluates that keep two or more unassigned variables
-        and those whose second-deepest variable it is, which it evaluates
-        and may filter with; and per constraint its filter record: the
-        deepest variable, a getter of the values of the rest of the scope,
-        that rest as a bit set, and the memo from those values to the bits
-        of the values the constraint allows the deepest variable. The
-        constraint lists are in scope order: what a constraint does to the
-        search depends only on its scope and its verdict, so a search does
-        not depend on the order of the constraints. Built on the first
-        search; counting does not need it.
+        A constraint's bit is its rank in a stable sort of the constraints
+        by scope. What a constraint does to the search depends only on its
+        scope and its verdict, so a search that visits set bits from the
+        low end does not depend on the order of the constraints.
+
+        Returns:
+
+        - the bit of each constraint;
+        - the constraints over one variable, which their refuted literals
+          settle before the search;
+        - per literal, the constraints of two or more variables whose
+          shallowest variable is the literal's and which it forces true;
+        - per depth, the constraints of four or more variables evaluated
+          there, strictly between their shallowest and second-deepest
+          variables;
+        - per depth, the constraints whose second-deepest variable it is,
+          which filter there;
+        - per bit, the constraint's record: its closure, its scope, its
+          deepest variable, a getter of the values of the rest of the
+          scope, that rest as a bit set, and the memo from those values to
+          the constraint's verdict and filter: -1 when it is false, else
+          the bits of the values it allows the deepest variable (all of
+          them when it is true).
+
+        Built on the first search; counting does not need it.
         """
-        unary: list[int] = []
-        checks: list[list[int]] = [[] for _ in self.domains]
-        filters: list[list[int]] = [[] for _ in self.domains]
-        # constraints with equal scopes behave alike at every depth
-        for ci in sorted(range(len(self.masks)), key=self.masks.__getitem__):
-            scope = self.scopes[ci]
-            if len(scope) == 1:
-                unary.append(ci)
-                continue
-            filters[scope[-2]].append(ci)
-            for depth in scope[:-2]:
-                checks[depth].append(ci)
+        masks = self.masks
+        scopes = self.scopes
+        compiled = self.compiled
+        forced = self.forced
+        # the literals of each variable, as a bit set over all literals
+        own = [full << offset for full, offset in zip(self.full, self.offsets)]
+        bits = [0] * len(masks)
+        unary = 0
+        first_true = [0] * self.offsets[-1]
+        middle = [0] * len(own)
+        filters = [0] * len(own)
         records = []
-        for mask, (*prefix, deep) in zip(self.masks, self.scopes):
-            getter = itemgetter(*prefix) if prefix else (lambda a: ())
-            records.append((deep, getter, mask ^ (1 << deep), {}))
-        return unary, checks, filters, records
+        bit = 1
+        for ci in sorted(range(len(masks)), key=masks.__getitem__):
+            bits[ci] = bit
+            scope = scopes[ci]
+            mask = masks[ci]
+            deep = scope[-1]
+            if len(scope) == 1:
+                unary |= bit
+                records.append((compiled[ci], mask, deep, None, 0, {}))
+            else:
+                getter = itemgetter(*scope[:-1])
+                records.append((compiled[ci], mask, deep, getter, mask ^ (1 << deep), {}))
+                true = forced[ci] & own[scope[0]]
+                while true:
+                    low = true & -true
+                    first_true[low.bit_length() - 1] |= bit
+                    true ^= low
+                if len(scope) > 3:
+                    for depth in scope[1:-2]:
+                        middle[depth] |= bit
+                filters[scope[-2]] |= bit
+            bit <<= 1
+        return bits, unary, first_true, middle, filters, records
 
     def check(self, active: Optional[Sequence[int]] = None) -> tuple[bool, SolveStats]:
         """Consistency of the constraints indexed by ``active`` (all by default)."""
@@ -318,24 +361,34 @@ def _search(
     1993), over all solutions, with an explicit stack.
 
     Only the constraints indexed by ``active`` take part (every constraint
-    when omitted). Each variable has a live domain, a bit set over its
-    value indices, and a reason set, the past variables whose filters
+    when omitted); the undecided ones are one bit set (see
+    :attr:`_Instance.watch`), which each level saves on entry and restores
+    for each of its values. Each variable has a live domain, a bit set over
+    its value indices, and a reason set, the past variables whose filters
     narrowed it; both are restored from an undo trail. The live domains
     start without the literals that refute an active constraint on their
     own, which settles every constraint over one variable; an emptied
     domain proves that no solution exists, with no node tried. This
-    depends only on the active set. Assigning a value
-    evaluates the undecided constraints watched at that depth: one that
-    turns false fails the value, one that turns true is decided. One whose
-    second-deepest variable this is, and which is still undecided, filters
-    its deepest variable down to the values it allows and is decided too.
-    A filter that leaves no value fails the value with that variable's
-    reasons as the conflict. Filters run only once every watched constraint
-    is evaluated, and the watch lists are in scope order, so a search over
-    an activated subset explores exactly the nodes of an instance built
-    from that subset, whatever the order of either.
+    depends only on the active set.
 
-    Once every active constraint is decided at depth ``d``, the assignment
+    Assigning a value decides, with no evaluation, each constraint whose
+    shallowest variable this is and which the literal forces true: with
+    no other scope variable assigned and its refuting literals gone, the
+    constraint is true exactly then and never false. Then each undecided
+    constraint with this depth strictly between its shallowest and
+    second-deepest variables is evaluated: one that turns false fails the
+    value, one that turns true is decided. Last, each undecided
+    constraint whose second-deepest variable this is looks up its verdict
+    and filter in its record's memo (evaluating it on a miss) and is
+    decided: a false one fails the value; otherwise it filters its deepest
+    variable down to the values it allows, and a filter that leaves no
+    value fails the value with that variable's reasons as the conflict.
+    A false constraint fails the value even after another filter of the
+    same depth emptied a domain, and bits are visited from the low end, so
+    a search over an activated subset explores exactly the nodes of an
+    instance built from that subset, whatever the order of either.
+
+    Once no active constraint is undecided at depth ``d``, the assignment
     prefix and the live domains from ``d`` on form a cube of solutions: the
     count grows by its size and ``on_cube(assignment, live, d)`` is called
     when given. The search stops as soon as the count exceeds ``cap``.
@@ -348,21 +401,23 @@ def _search(
     conflict set proves that no solution exists.
     """
     domains = inst.domains
-    compiled = inst.compiled
-    masks = inst.masks
-    unary, checks_at, filters_at, records = inst.watch
+    full = inst.full
+    offsets = inst.offsets
+    bits, unary, first_true, middle, filters, records = inst.watch
     n = len(domains)
     refuted_by = inst.refuted
-    undecided = [False] * len(compiled)
-    refuted = 0
-    for ci in range(len(compiled)) if active is None else active:
-        undecided[ci] = True
-        refuted |= refuted_by[ci]
-    goal = undecided.count(True)
-    live = inst.full[:]
+    undecided = refuted = 0
+    if active is None:
+        undecided = (1 << len(bits)) - 1
+        for false in refuted_by:
+            refuted |= false
+    else:
+        for ci in active:
+            undecided |= bits[ci]
+            refuted |= refuted_by[ci]
+    live = full[:]
     # node consistency: no solution holds a literal that refutes an active
     # constraint on its own
-    offsets = inst.offsets
     while refuted:
         d = bisect_right(offsets, (refuted & -refuted).bit_length() - 1) - 1
         cut = (refuted >> offsets[d]) & live[d]
@@ -370,30 +425,26 @@ def _search(
         live[d] ^= cut
         if not live[d]:
             return 0, 0
+    # so a constraint over one variable allows exactly the values left
+    undecided &= ~unary
     assignment: list[Optional[str]] = [None] * n
     reasons = [0] * n
     trail: list[tuple[int, int, int]] = []  # (variable, live, reasons) to restore
-    decided: list[int] = []
 
-    # a constraint over one variable allows exactly the values it does not refute
-    for ci in unary:
-        if undecided[ci]:
-            undecided[ci] = False
-            decided.append(ci)
-
-    # per level: live values not yet tried, conflict set, count on entry
-    # and the trail lengths to undo each of its values to
+    # per level: live values not yet tried, conflict set, count on entry,
+    # the trail length to undo each of its values to and the undecided
+    # constraints on entry
     untried = [0] * n
     conflict = [0] * n
     entry = [0] * n
     trail_mark = [0] * n
-    decided_mark = [0] * n
+    saved = [0] * n
     count = nodes = 0
     depth = 0
     fresh = True
     while True:
         if fresh:
-            if len(decided) == goal:
+            if not undecided:
                 size = 1
                 for d in range(depth, n):
                     size *= live[d].bit_count()
@@ -408,7 +459,7 @@ def _search(
                 conflict[depth] = 0
                 entry[depth] = count
                 trail_mark[depth] = len(trail)
-                decided_mark[depth] = len(decided)
+                saved[depth] = undecided
         # undo what the previous value at this depth left behind
         mark = trail_mark[depth]
         if len(trail) > mark:
@@ -416,64 +467,68 @@ def _search(
                 live[d] = d_live
                 reasons[d] = d_reasons
             del trail[mark:]
-        mark = decided_mark[depth]
-        if len(decided) > mark:
-            for ci in decided[mark:]:
-                undecided[ci] = True
-            del decided[mark:]
         rest = untried[depth]
         if rest:
             low = rest & -rest
             untried[depth] = rest ^ low
             nodes += 1
-            assignment[depth] = domains[depth][low.bit_length() - 1]
-            below = (1 << depth) - 1
+            j = low.bit_length() - 1
+            assignment[depth] = domains[depth][j]
+            # root refutation left no literal that makes a constraint false
+            # at its shallowest variable, so there it is true or undecided
+            undecided = saved[depth] & ~first_true[offsets[depth] + j]
             failed = -1
-            for ci in checks_at[depth]:
-                if undecided[ci]:
-                    r = compiled[ci](assignment)
-                    if r is None:
-                        continue
-                    if not r:
-                        failed = masks[ci] & below
-                        break
-                    undecided[ci] = False
-                    decided.append(ci)
-            if failed < 0:
-                todo = []
-                for ci in filters_at[depth]:
-                    if undecided[ci]:
-                        r = compiled[ci](assignment)
-                        if r is False:
-                            failed = masks[ci] & below
-                            break
-                        undecided[ci] = False
-                        decided.append(ci)
+            todo = undecided & middle[depth]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                ev, mask, _, _, _, _ = records[low.bit_length() - 1]
+                r = ev(assignment)
+                if r is None:
+                    continue
+                if not r:
+                    failed = mask & ((1 << depth) - 1)
+                    break
+                undecided ^= low
+            todo = undecided & filters[depth] if failed < 0 else 0
+            if todo:
+                undecided ^= todo
+                # a false constraint fails the value before any wipe-out
+                # does, so after a wipe-out the rest are only looked up
+                wiped = -1
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    ev, mask, deep, getter, prefix, memo = records[low.bit_length() - 1]
+                    key = getter(assignment)
+                    ok = memo.get(key)
+                    if ok is None:
+                        r = ev(assignment)
                         if r is None:
-                            todo.append(ci)
-                if failed < 0:
-                    for ci in todo:
-                        deep, getter, prefix, memo = records[ci]
-                        key = getter(assignment)
-                        ok = memo.get(key)
-                        if ok is None:
                             # the bits of the values it allows the deepest variable
                             ok = 0
-                            ev = compiled[ci]
-                            for j, value in enumerate(domains[deep]):
+                            for k, value in enumerate(domains[deep]):
                                 assignment[deep] = value
                                 if ev(assignment):
-                                    ok |= 1 << j
+                                    ok |= 1 << k
                             assignment[deep] = None
-                            memo[key] = ok
+                        else:
+                            ok = full[deep] if r else -1
+                        memo[key] = ok
+                    if ok < 0:
+                        failed = mask & ((1 << depth) - 1)
+                        break
+                    if wiped < 0:
                         old = live[deep]
-                        if old & ~ok:
+                        new = old & ok
+                        if new != old:
                             trail.append((deep, old, reasons[deep]))
-                            live[deep] = old & ok
+                            live[deep] = new
                             reasons[deep] |= prefix
-                            if not old & ok:
-                                failed = reasons[deep] & below
-                                break
+                            if not new:
+                                wiped = reasons[deep] & ((1 << depth) - 1)
+                else:
+                    failed = wiped
             if failed < 0:
                 depth += 1
                 fresh = True

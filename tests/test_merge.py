@@ -528,6 +528,26 @@ def test_each_merge_builds_one_solver_instance(car_pair, monkeypatch):
         assert len(built) == 1
 
 
+def test_merge_builds_the_search_tables_before_its_first_check(car_pair, monkeypatch):
+    # drawn first: synthesizing runs one-shot checks, which build lazily
+    pairs = [car_pair, *synthesized_pairs()]
+    checked = []
+    original = solver._Instance.check
+
+    def check_after_build(self, *args, **kwargs):
+        # built inside the timed instance build, so no check's search_ms
+        # pays for them
+        assert "watch" in self.__dict__
+        checked.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Instance, "check", check_after_build)
+    for kb1c, kb2c in pairs:
+        checked.clear()
+        _, report = ckb_merge(kb1c, kb2c)
+        assert len(checked) == len(report.checks)
+
+
 def test_merge_report_solver_work_is_deterministic(car_pair):
     _, first = ckb_merge(*car_pair)
     _, second = ckb_merge(*car_pair)

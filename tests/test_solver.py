@@ -25,6 +25,7 @@ from kbmerge import (
     SynthConfig,
     ValidationError,
     Variable,
+    align,
     brute_force_solutions,
     ckb_merge,
     contextualize,
@@ -562,7 +563,7 @@ def test_tautology_on_the_deepest_variable_filters_nothing():
     assert _search(inst, 100) == (24, 8)
     # x = a leaves the first constraint undecided, and its filter keeps all
     # of z's values
-    deep, _, _, memo = inst.watch[-1][0]
+    _, _, deep, _, _, memo = inst.watch[-1][0]
     assert deep == 2
     assert memo == {"a": 0b1111}
 
@@ -587,6 +588,51 @@ def test_a_warm_filter_memo_explores_the_nodes_of_a_cold_one():
         assert sum(len(memo) for *_, memo in inst.watch[-1]) == entries
         reused += entries
     assert reused > 0
+
+
+def test_a_warm_check_evaluates_no_constraint():
+    kb1, kb2 = synthesize_pair(SynthConfig(n_constraints=30, context_share=0.3, seed=4))
+    kb1c = contextualize(kb1, CTX_VAR, CTX_VALUES[0])
+    kb2c = contextualize(kb2, CTX_VAR, CTX_VALUES[1])
+    guarded = [c.formula for c in kb1c.constraints + kb2c.constraints]
+    inst = _Instance(align(kb1c, kb2c, CTX_VAR), guarded + [negate(f) for f in guarded])
+    assert max(map(len, inst.scopes)) == 3
+    calls = [0]
+
+    def counted(ev):
+        def wrapper(a):
+            calls[0] += 1
+            return ev(a)
+
+        return wrapper
+
+    inst.compiled = [counted(ev) for ev in inst.compiled]
+    # every guarded constraint and the negation of one of them
+    pool = [*range(len(guarded)), len(guarded) + 3]
+    cold_ok, cold = inst.check(pool)
+    assert calls[0] > 0
+    calls[0] = 0
+    warm_ok, warm = inst.check(pool)
+    assert (cold_ok, cold.nodes_explored) == (warm_ok, warm.nodes_explored)
+    assert warm.nodes_explored > 0
+    # literals decide constraints at their shallowest variable, and every
+    # filter comes from the memo with its verdict
+    assert calls[0] == 0
+
+
+def test_a_shared_instance_searches_like_a_fresh_one_in_any_order():
+    rng = random.Random(2008)
+    for _ in range(100):
+        variables, formulas = fc_instance(rng)
+        pool_formulas = formulas + [negate(f) for f in formulas]
+        inst = _Instance(variables, pool_formulas)
+        for _ in range(4):
+            active = rng.sample(range(len(pool_formulas)), rng.randint(1, len(pool_formulas)))
+            shared_ok, shared = inst.check(active)
+            rng.shuffle(active)
+            fresh_ok, fresh = _Instance(variables, [pool_formulas[ci] for ci in active]).check()
+            assert shared_ok == fresh_ok, (variables, formulas, active)
+            assert shared.nodes_explored == fresh.nodes_explored, (variables, formulas, active)
 
 
 def test_consistency_and_enumeration_of_a_wide_kb():
