@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     AlignmentError,
@@ -91,6 +91,10 @@ def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBas
     in-context assignments, so the solution space is unchanged. The KB
     must be consistent; one already contextualized on ``(ctx_var, ctx_val)``
     is returned unchanged, so contextualizing twice is the same as once.
+
+    Only the input is validated: the output adds a context variable that
+    is new or already declared with the singleton domain, keeps every id,
+    and its guard atom names a value of that domain.
     """
     validate_kb(kb)
     declared = kb.variables_by_name().get(ctx_var)
@@ -114,11 +118,9 @@ def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBas
         variables += (Variable(ctx_var, (ctx_val,)),)
     guard = Atom(ctx_var, AtomOp.EQ, ctx_val)
     constraints = tuple(
-        replace(c, formula=Implies(guard, c.formula)) for c in kb.constraints
+        Constraint(c.id, Implies(guard, c.formula), c.provenance) for c in kb.constraints
     )
-    out = replace(kb, variables=variables, constraints=constraints, context=context)
-    validate_kb(out)
-    return out
+    return KnowledgeBase(kb.name, variables, constraints, context)
 
 
 def align(
@@ -178,7 +180,11 @@ _IDENT_SAFE = re.compile(r"[^A-Za-z0-9_.]")
 def _rename_clashes(
     kb1: KnowledgeBase, kb2: KnowledgeBase
 ) -> tuple[list[Constraint], list[Constraint]]:
-    # ids shared by both sources get a provenance suffix on each side
+    """Give the ids shared by both sources a provenance suffix on each side.
+
+    A suffixed id can meet an id that either source already holds; that
+    raises ValidationError naming it, since the merged ids must be unique.
+    """
     clashes = {c.id for c in kb1.constraints} & {c.id for c in kb2.constraints}
 
     def rename(kb: KnowledgeBase) -> list[Constraint]:
@@ -186,11 +192,33 @@ def _rename_clashes(
         for c in kb.constraints:
             if c.id in clashes:
                 tag = _IDENT_SAFE.sub("_", c.provenance or kb.name)
-                c = replace(c, id=f"{c.id}.{tag}")
+                c = Constraint(f"{c.id}.{tag}", c.formula, c.provenance)
             out.append(c)
         return out
 
-    return rename(kb1), rename(kb2)
+    renamed1, renamed2 = rename(kb1), rename(kb2)
+    if clashes:
+        seen: set[str] = set()
+        for c in renamed1 + renamed2:
+            if c.id in seen:
+                raise ValidationError(f"duplicate constraint id '{c.id}'")
+            seen.add(c.id)
+    return renamed1, renamed2
+
+
+def _suffix_ors(
+    bits: list[int], refuted: list[int], indices: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Entry ``k`` ORs the constraint bits and the refuted-literal sets of
+    the instance constraints ``indices[k:]``; the last entry is (0, 0)."""
+    out = [(0, 0)]
+    undecided = false = 0
+    for ci in reversed(indices):
+        undecided |= bits[ci]
+        false |= refuted[ci]
+        out.append((undecided, false))
+    out.reverse()
+    return out
 
 
 def _require_contextualized(kb: KnowledgeBase) -> tuple[str, str]:
@@ -226,7 +254,10 @@ def ckb_merge(
     kept guarded. Phase 2 walks the output in insertion order and deletes
     any constraint whose negation is unsatisfiable with the rest; deletions
     are visible to the remaining checks. Every check, including the two
-    input-consistency checks, runs on one solver instance built up front.
+    input-consistency checks, runs on one solver instance built up front,
+    which is handed each check's pool as its ORed constraint bits and
+    refuted literals, kept as suffix ORs over the constraints still to come
+    and running ORs over those already merged or kept.
 
     Returns the merged KB over the aligned variables (context domain is the
     union of the two context values) and a MergeReport. The merged KB has
@@ -261,7 +292,8 @@ def ckb_merge(
     # One instance serves every check of the merge. Input constraint i sits
     # at GUARDED + i (c'_i), BARE + i (c_i), NOT_BARE + i (not c_i) and
     # NOT_GUARDED + i (not c'_i); PIN + k pins the context value of source
-    # k. Each check activates exactly the pool it tests, in pool order.
+    # k. A check is handed its pool as the pair (undecided, refuted) of
+    # ORed bits and refuted literals, so no check walks its pool.
     GUARDED, BARE, NOT_BARE, NOT_GUARDED, PIN = 0, n, 2 * n, 3 * n, 4 * n
     tb = time.perf_counter()
     inst = _Instance(
@@ -274,12 +306,16 @@ def ckb_merge(
     )
     inst.watch  # the search tables, built here so that build_ms covers them
     build_ms = (time.perf_counter() - tb) * 1000.0
+    bits, refuted = inst.watch[0], inst.refuted
 
     records: list[CheckRecord] = []
 
-    def check(phase: str, cid: Optional[str], pool: list[int]) -> bool:
-        """Run one check on the shared instance and record it."""
-        ok, stats = inst.check(pool)
+    def check(
+        phase: str, cid: Optional[str], pool: tuple[int, int], extra: int
+    ) -> bool:
+        """Run one check of the shared instance, over the ORed ``pool`` and
+        the constraint ``extra`` (a pin or a negation), and record it."""
+        ok, stats = inst.check((pool[0] | bits[extra], pool[1] | refuted[extra]))
         records.append(
             CheckRecord(phase, cid, ok, stats.nodes_explored, stats.elapsed_ms)
         )
@@ -288,9 +324,10 @@ def ckb_merge(
     # Each source's context domain is its singleton value, which makes its
     # guards vacuous: the source is consistent iff its bare bodies are, with
     # the context variable pinned to that value.
-    sources = ((kb1c, range(len(renamed1))), (kb2c, range(len(renamed1), n)))
+    n1 = len(renamed1)
+    sources = ((kb1c, range(BARE, BARE + n1)), (kb2c, range(BARE + n1, BARE + n)))
     for k, (kb, members) in enumerate(sources):
-        if not check("input", None, [BARE + i for i in members] + [PIN + k]):
+        if not check("input", None, _suffix_ors(bits, refuted, members)[0], PIN + k):
             raise InconsistentInputError(
                 f"knowledge base '{kb.name}' is inconsistent"
             )
@@ -303,10 +340,14 @@ def ckb_merge(
     negation: list[int] = []
 
     t0 = time.perf_counter()
+    # the inputs from i on, the current one included, exactly as in the
+    # pseudocode, and the ORs of the merged constraints so far
+    unprocessed = _suffix_ors(bits, refuted, range(GUARDED, GUARDED + n))
+    done = done_false = 0
     for i, guarded in enumerate(ckb_prime):
-        # the current constraint stays in the unprocessed pool for its own check
-        pool = list(range(GUARDED + i, GUARDED + n)) + own + [NOT_BARE + i]
-        if not check("1", guarded.id, pool):
+        undecided, false = unprocessed[i]
+        pool = (undecided | done, false | done_false)
+        if not check("1", guarded.id, pool, NOT_BARE + i):
             merged.append(bares[i])
             own.append(BARE + i)
             negation.append(NOT_BARE + i)
@@ -316,24 +357,34 @@ def ckb_merge(
             own.append(GUARDED + i)
             negation.append(NOT_GUARDED + i)
             kept_contextualized.append(guarded.id)
+        done |= bits[own[-1]]
+        done_false |= refuted[own[-1]]
     t1 = time.perf_counter()
 
-    kept = list(range(len(merged)))
+    # the merged constraints after j, and the ORs of those kept before it
+    later = _suffix_ors(bits, refuted, own)
+    done = done_false = 0
+    kept: list[Constraint] = []
     removed: list[str] = []
     for j, c in enumerate(merged):
-        rest = [own[x] for x in kept if x != j]
-        if not check("2", c.id, rest + [negation[j]]):
-            kept.remove(j)
+        undecided, false = later[j + 1]
+        pool = (done | undecided, done_false | false)
+        if not check("2", c.id, pool, negation[j]):
             removed.append(c.id)
+        else:
+            kept.append(c)
+            done |= bits[own[j]]
+            done_false |= refuted[own[j]]
     t2 = time.perf_counter()
 
+    # valid by construction: the aligned variables declare every atom of
+    # the inputs, and _rename_clashes leaves the ids unique
     out = KnowledgeBase(
         name=f"{kb1c.name}+{kb2c.name}",
         variables=variables,
-        constraints=tuple(merged[j] for j in kept),
+        constraints=tuple(kept),
         context=None,
     )
-    validate_kb(out)
     phase1 = [r for r in records if r.phase == "1"]
     phase2 = [r for r in records if r.phase == "2"]
     report = MergeReport(

@@ -7,7 +7,7 @@ live here; satisfiability queries live in :mod:`kbmerge.solver`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
@@ -168,7 +168,7 @@ def strip_context(c: Constraint, context: tuple[str, str]) -> Constraint:
             f"constraint '{c.id}' is not contextualized on "
             f"'{context[0]} = {context[1]}'"
         )
-    return replace(c, formula=c.formula.right)
+    return Constraint(c.id, c.formula.right, c.provenance)
 
 
 def validate_variables(variables: Iterable[Variable]) -> dict[str, Variable]:

@@ -46,9 +46,9 @@ import itertools
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import SpaceTooLargeError, ValidationError
@@ -344,8 +344,16 @@ class _Instance:
         return bits, unary, first_true, middle, filters, records
 
     def check(self, active: Optional[Sequence[int]] = None) -> tuple[bool, SolveStats]:
-        """Consistency of the constraints indexed by ``active`` (all by default)."""
+        """Consistency of the active constraints (all by default): a list of
+        their indices, or as a tuple the ready pair ``(undecided, refuted)``
+        of their ORed bits (see :attr:`watch`) and refuted-literal sets."""
         start = time.perf_counter()
+        if active is not None and not isinstance(active, tuple):
+            bits, refuted = self.watch[0], self.refuted
+            active = (
+                reduce(or_, [bits[ci] for ci in active], 0),
+                reduce(or_, [refuted[ci] for ci in active], 0),
+            )
         count, nodes = _search(self, 0, active)
         elapsed = (time.perf_counter() - start) * 1000.0
         return count > 0, SolveStats(nodes_explored=nodes, elapsed_ms=elapsed)
@@ -354,22 +362,21 @@ class _Instance:
 def _search(
     inst: _Instance,
     cap: int,
-    active: Optional[Sequence[int]] = None,
+    active: Optional[tuple[int, int]] = None,
     on_cube: Optional[Callable[[list[Optional[str]], list[int], int], None]] = None,
 ) -> tuple[int, int]:
     """Forward checking with conflict-directed backjumping (FC-CBJ, Prosser
     1993), over all solutions, with an explicit stack.
 
-    Only the constraints indexed by ``active`` take part (every constraint
-    when omitted); the undecided ones are one bit set (see
-    :attr:`_Instance.watch`), which each level saves on entry and restores
-    for each of its values. Each variable has a live domain, a bit set over
-    its value indices, and a reason set, the past variables whose filters
-    narrowed it; both are restored from an undo trail. The live domains
-    start without the literals that refute an active constraint on their
-    own, which settles every constraint over one variable; an emptied
-    domain proves that no solution exists, with no node tried. This
-    depends only on the active set.
+    ``active`` is the check's pair ``(undecided, refuted)`` (see
+    :meth:`_Instance.check`), every constraint when omitted. The undecided
+    constraints are one bit set, which each level saves on entry and
+    restores for each of its values. Each variable has a live domain, a bit
+    set over its value indices, and a reason set, the past variables whose
+    filters narrowed it; both are restored from an undo trail. The live
+    domains start without the ``refuted`` literals, which settles every
+    constraint over one variable; an emptied domain proves that no solution
+    exists, with no node tried. This depends only on the active set.
 
     Assigning a value decides, with no evaluation, each constraint whose
     shallowest variable this is and which the literal forces true: with
@@ -405,16 +412,9 @@ def _search(
     offsets = inst.offsets
     bits, unary, first_true, middle, filters, records = inst.watch
     n = len(domains)
-    refuted_by = inst.refuted
-    undecided = refuted = 0
     if active is None:
-        undecided = (1 << len(bits)) - 1
-        for false in refuted_by:
-            refuted |= false
-    else:
-        for ci in active:
-            undecided |= bits[ci]
-            refuted |= refuted_by[ci]
+        active = (1 << len(bits)) - 1, reduce(or_, inst.refuted, 0)
+    undecided, refuted = active
     live = full[:]
     # node consistency: no solution holds a literal that refutes an active
     # constraint on its own

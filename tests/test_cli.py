@@ -300,6 +300,23 @@ def test_domain_mismatch_exit_code_names_variable(tmp_path, capsys):
     assert "color" in err
 
 
+def test_merge_renamed_id_clash_exit_code(tmp_path, capsys):
+    text = (
+        'kb "%s" {\n  context ctx = %s;\n  var ctx : { %s };\n'
+        "  var x : { a, b };\n  var y : { a, b };\n%s}\n"
+    )
+    left = tmp_path / "kb1.kb"
+    left.write_text(
+        text % ("kb1", "A", "A", "  constraint r: x = a;\n  constraint r.kb2: y = a;\n")
+    )
+    right = tmp_path / "kb2.kb"
+    right.write_text(text % ("kb2", "B", "B", "  constraint r: y = b;\n"))
+    # r of kb2 is renamed r.kb2, which kb1 already holds
+    code, _, err = run(capsys, "merge", str(left), str(right))
+    assert code == 1
+    assert "duplicate constraint id 'r.kb2'" in err
+
+
 def test_merge_without_any_context_declaration(tmp_path, capsys):
     path = tmp_path / "plain.kb"
     path.write_text('kb "plain" {\n  var x : { a, b };\n}\n')

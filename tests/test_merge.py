@@ -30,6 +30,7 @@ from kbmerge import (
     serialize_kb,
     strip_context,
     synthesize_pair,
+    validate_kb,
 )
 from kbmerge import solver
 from kbmerge.bench import _shuffled
@@ -98,6 +99,48 @@ def test_contextualize_rejects_inconsistent_kb():
     )
     with pytest.raises(InconsistentInputError, match="bad"):
         contextualize(kb, "market", "EU")
+
+
+def _raw_kbs():
+    """Uncontextualized synthesized KBs, desk-sized and at n = 30 and 60."""
+    rng = random.Random(7)
+    configs = [
+        SynthConfig(
+            n_constraints=rng.randint(2, 10),
+            context_share=rng.random(),
+            seed=rng.randrange(10**9),
+            n_vars=rng.randint(2, 5),
+            domain_size=rng.randint(2, 3),
+        )
+        for _ in range(20)
+    ]
+    configs += [SynthConfig(n_constraints=n, context_share=0.3, seed=n) for n in (30, 60)]
+    for cfg in configs:
+        try:
+            yield from synthesize_pair(cfg)
+        except GenerationError:
+            continue
+
+
+def test_contextualize_output_is_valid_by_construction():
+    # the output is not validated again, so it must be valid as built
+    done = 0
+    for kb in _raw_kbs():
+        ctx_var, ctx_val = kb.context
+        absent = KnowledgeBase(
+            kb.name, tuple(v for v in kb.variables if v.name != ctx_var), kb.constraints
+        )
+        for source in (kb, absent):
+            out = contextualize(source, ctx_var, ctx_val)
+            validate_kb(out)
+            assert out.context == (ctx_var, ctx_val)
+            assert out.variables_by_name()[ctx_var].domain == (ctx_val,)
+            assert [(c.id, c.provenance) for c in out.constraints] == [
+                (c.id, c.provenance) for c in source.constraints
+            ]
+            assert contextualize(out, ctx_var, ctx_val) is out
+            done += 1
+    assert done >= 40
 
 
 # --- align -------------------------------------------------------------------
@@ -251,6 +294,39 @@ def test_merging_identical_constraint_sets_keeps_one_copy():
         kb1.variables, kb1.formulas()
     ) | brute_force_solutions(kb2.variables, kb2.formulas())
     assert brute_force_solutions(merged.variables, merged.formulas()) == union
+
+
+def _clashing_pair(kb1_constraints):
+    text = 'kb "%s" { context ctx = %s; var ctx : { %s };' \
+           " var x : { a, b }; var y : { a, b }; %s }"
+    kb1 = parse_kb(text % ("kb1", "A", "A", kb1_constraints))
+    kb2 = parse_kb(text % ("kb2", "B", "B", "constraint r: y = b;"))
+    return contextualize(kb1, "ctx", "A"), contextualize(kb2, "ctx", "B")
+
+
+@pytest.mark.parametrize(
+    "kb1_constraints",
+    [
+        "constraint r: x = a; constraint r.kb2: y = a;",
+        # r.kb2 of kb1 is redundant, so phase 2 would drop one of the two
+        "constraint r.kb2: x = a; constraint r: x = a;",
+    ],
+)
+def test_merge_rejects_renamed_ids_that_clash(kb1_constraints, monkeypatch):
+    # r of kb2 is renamed r.kb2, an id that kb1 already holds
+    kb1c, kb2c = _clashing_pair(kb1_constraints)
+    built = []
+    original = solver._Instance.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Instance, "__init__", counting_init)
+    with pytest.raises(ValidationError, match="duplicate constraint id 'r.kb2'"):
+        ckb_merge(kb1c, kb2c)
+    # raised before the instance build, so no check ran
+    assert built == []
 
 
 # --- ckb_merge preconditions ---------------------------------------------------
@@ -511,6 +587,59 @@ def test_merge_matches_pool_per_check_reference(car_pair):
         # each check activates its pool in pool order, so it searches the
         # same tree as an instance built from that pool alone
         assert (report.nodes_phase1, report.nodes_phase2) == want_nodes
+
+
+def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
+    """The (phase, id, formula pool) of every check of a merge, in run order.
+
+    Built as in ``reference_merge``, with the verdicts of ``report`` deciding
+    what each phase adds or removes: the input checks pin the source's
+    context value under its bare bodies; a phase-1 check pools the
+    unprocessed guarded inputs, the merged constraints so far and the
+    negated bare body; a phase-2 check pools the merged constraints still
+    kept but the tested one, and its negation.
+    """
+    ctx_var = kb1c.context[0]
+    renamed1, renamed2 = _rename_clashes(kb1c, kb2c)
+    ckb_prime = renamed1 + renamed2
+    bares = [strip_context(c, kb1c.context) for c in renamed1] + [
+        strip_context(c, kb2c.context) for c in renamed2
+    ]
+    verdicts = iter(r.consistent for r in report.checks)
+    pools = []
+    for kb, members in ((kb1c, bares[: len(renamed1)]), (kb2c, bares[len(renamed1) :])):
+        pin = Atom(ctx_var, AtomOp.EQ, kb.context[1])
+        pools.append(("input", None, [c.formula for c in members] + [pin]))
+        next(verdicts)
+    merged = []
+    for i, guarded in enumerate(ckb_prime):
+        pool = [c.formula for c in ckb_prime[i:]] + [c.formula for c in merged]
+        pools.append(("1", guarded.id, pool + [negate(bares[i].formula)]))
+        merged.append(guarded if next(verdicts) else bares[i])
+    kept = list(merged)
+    for c in merged:
+        rest = [x.formula for x in kept if x is not c]
+        pools.append(("2", c.id, rest + [negate(c.formula)]))
+        if not next(verdicts):
+            kept = [x for x in kept if x is not c]
+    return pools
+
+
+def test_each_merge_check_matches_its_explicit_pool(car_pair):
+    # every check searches the tree of a fresh instance over its own pool
+    for kb1c, kb2c in [car_pair, *synthesized_pairs()]:
+        merged, report = ckb_merge(kb1c, kb2c)
+        variables = merged.variables
+        pools = explicit_pools(kb1c, kb2c, report)
+        assert len(pools) == len(report.checks)
+        for (phase, cid, pool), record in zip(pools, report.checks):
+            ok, stats = is_consistent(variables, pool)
+            assert (phase, cid, ok, stats.nodes_explored) == (
+                record.phase,
+                record.constraint_id,
+                record.consistent,
+                record.nodes,
+            )
 
 
 def test_each_merge_builds_one_solver_instance(car_pair, monkeypatch):
