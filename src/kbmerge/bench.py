@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 try:
     # the module behind hashlib.blake2b; importing hashlib would also load
@@ -141,42 +141,21 @@ def run_benchmark(
     trials: int,
     seed: int,
     verify_counts: bool = False,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
 ) -> list[BenchRow]:
     """Run the full grid and return |sizes| x |shares| x trials rows.
 
     ``verify_counts`` additionally counts each merged KB's solutions and
     fails the cell when trials disagree (the solution space must not
-    depend on constraint order). ``parallel`` distributes grid cells over
-    processes; timings are then subject to scheduling noise, so it is a
-    throughput option, not a measurement one.
+    depend on constraint order).
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     if not sizes or not shares:
         raise ValidationError("the grid needs at least one size and one share")
-    cells = []
+    rows: list[BenchRow] = []
     kb_id = 0
     for size in sizes:
         for share in shares:
             kb_id += 1
-            cells.append((kb_id, size, share))
-
-    if parallel and len(cells) > 1:
-        # imported here: multiprocessing costs every importer of kbmerge
-        # about 2.5 MiB of resident memory
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(_run_cell, seed, kb_id, size, share, trials, verify_counts)
-                for kb_id, size, share in cells
-            ]
-            return [row for f in futures for row in f.result()]
-
-    return [
-        row
-        for kb_id, size, share in cells
-        for row in _run_cell(seed, kb_id, size, share, trials, verify_counts)
-    ]
+            rows += _run_cell(seed, kb_id, size, share, trials, verify_counts)
+    return rows

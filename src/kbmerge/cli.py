@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 validation or alignment error, 2 inconsistent
 input (including failed generation and bench runs) or a usage error
 reported by argparse, 3 I/O or parse error (a KB file that is not valid
 UTF-8 included), 4 cap or guard exceeded, or input too deep for the
-recursive formula walkers and counter. Each ``KbError`` subclass carries
-its code as ``exit_code``.
+recursive formula walkers. Each ``KbError`` subclass carries its code as
+``exit_code``.
 """
 from __future__ import annotations
 
@@ -233,7 +233,6 @@ def cmd_bench(args: argparse.Namespace) -> ExitStatus:
         trials=args.trials,
         seed=args.seed,
         verify_counts=args.verify_counts,
-        parallel=args.parallel,
     )
     _write_text(args.out, write_bench_csv(rows))
     print(f"{len(rows)} rows", file=sys.stderr)
@@ -314,8 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.add_argument("--parallel", action="store_true",
-                   help="run grid cells in parallel (timings become noisy)")
     p.add_argument("--verify-counts", action="store_true",
                    help="fail if a cell's solution count varies across trials")
     p.set_defaults(func=cmd_bench)
@@ -334,13 +331,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
     except RecursionError:
-        # formula walkers recurse per nesting level, the counter per
-        # branched variable
-        print(
-            "error: input too deep: a formula nests too deeply or the "
-            "knowledge base has too many variables",
-            file=sys.stderr,
-        )
+        # the formula walkers recurse per nesting level; the search and
+        # the counter keep their frames on explicit stacks
+        print("error: input too deep: a formula nests too deeply", file=sys.stderr)
         return ExitStatus.LIMIT_EXCEEDED
 
 

@@ -1,40 +1,35 @@
 """Embedded finite-domain satisfiability engine.
 
-Both searches are depth-first with static orders: variables in
-declaration order, values in domain order. Branches are pruned as soon as
-some constraint partial-evaluates to false under the current partial
-assignment, and a constraint that evaluates to true is decided.
+Consistency, enumeration and counting run on one set of tables (see
+:attr:`_Instance.watch`) and assign values with one propagation, in static
+orders: variables in declaration order, values in domain order. Before the
+first branch, each active constraint removes from the live domains the
+literals ``x = v`` that refute it on their own, with no other variable
+assigned (node consistency, Mackworth 1977): the negation of
+``x = a -> y != b`` fixes both ``x`` and ``y`` at the root. So at its
+shallowest variable a constraint is never false, and the literal assigned
+there decides it, with no evaluation, when it forces the constraint true.
+Up to its second-deepest variable it is evaluated, and there, if still
+undecided, it filters its deepest variable down to the values it allows; a
+false constraint or an emptied domain fails the value. That verdict and
+filter depend only on the values of the rest of its scope, so an instance
+memoises both for every check and count it answers. A set of constraints
+is one int bit set, and live domains are restored from an undo trail.
 
 Consistency and enumeration share one search, forward checking with
 conflict-directed backjumping (FC-CBJ, Prosser 1993; no learning, no
-restarts), which keeps its levels on an explicit stack. Each variable has
-a live domain. Before the first branch, each active constraint removes the
-values that refute it on their own, the literals ``x = v`` under which it
-evaluates false with no other variable assigned (node consistency,
-Mackworth 1977): the negation of ``x = a -> y != b`` fixes both ``x`` and
-``y`` at the root. So at its shallowest variable a constraint is never
-false: the literal assigned there decides it, with no evaluation, when it
-forces the constraint true. The undecided constraints of a check are one
-int bit set. Once a constraint's second-deepest variable is assigned and
-the constraint is still undecided, it filters its deepest variable down to
-the values it allows and counts as decided; a domain that loses every
-value fails the assignment that emptied it. A constraint's
-verdict and filter there depend only on the values of the rest of its
-scope, so an instance memoises both for all the checks it answers. Once
-every constraint is decided, the assignment prefix and the live domains of
-the remaining variables form a cube of solutions. Consistency stops at the
-first cube; enumeration expands cubes in domain order, so its output stays
-lexicographic.
+restarts). Once every constraint is decided, the assignment prefix and the
+live domains of the remaining variables form a cube of solutions.
+Consistency stops at the first cube; enumeration expands cubes in domain
+order, so its output stays lexicographic. Counting splits the undecided
+constraints into components that share no unassigned variable, multiplies
+their counts, and caches each component's count for the rest of the call
+(dynamic decomposition, as in the model counters sharpSAT and Cachet).
 
-Counting splits the undecided constraints into components that share no
-unassigned variable, multiplies their counts, and caches each component's
-count for the rest of the call (dynamic decomposition, as in the model
-counters sharpSAT and Cachet). A variable that no undecided constraint
-touches contributes its domain size without being branched on.
-
-``nodes_explored`` counts variable-value bindings tried; a value removed
-at the root or by a filter is never tried, and for counting, a component
-answered from the cache costs none.
+Both keep their frames on explicit stacks, so no number of variables meets
+Python's recursion limit. ``nodes_explored`` counts variable-value bindings
+tried, with one meaning for all three: a value removed at the root or by a
+filter is never tried, and a component counted from the cache costs none.
 
 ``brute_force_solutions`` is the independent oracle: it iterates the full
 Cartesian product and filters with :func:`kbmerge.model.evaluate`,
@@ -238,18 +233,12 @@ class _Instance:
     :func:`kbmerge.model.validate_formula`. Each constraint keeps the
     literals that force it true and those that refute it (see
     :func:`_compile`), each as one bit set over all the literals of the
-    instance, numbered by :func:`_literal_offsets`.
-
-    The search keeps sets of constraints as int bit sets (see
-    :attr:`watch`). It decides a constraint at its shallowest variable by
-    the literal assigned there, evaluates it at the variables between that
-    one and its second-deepest, and there, if the constraint is still
-    undecided, filters its deepest variable. A filter is a pure function of
-    the values of the rest of the scope, so each constraint's filter record
-    memoises its verdict and filter: a filter met again, in the same check
-    or in a later one, costs one dictionary lookup and no evaluation. A
-    check on a shared instance explores exactly the nodes of a fresh
-    instance built from its active constraints.
+    instance, numbered by :func:`_literal_offsets`. Each constraint's
+    filter record (see :attr:`watch`) memoises its verdict and filter, so
+    a filter met again, in the same check, a later one or a count, costs
+    one dictionary lookup and no evaluation. A check on a shared instance
+    explores exactly the nodes of a fresh instance built from its active
+    constraints.
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
@@ -260,9 +249,7 @@ class _Instance:
             validate_variables(variables)  # raises: a name is declared twice
         self.offsets = offsets = _literal_offsets(self.domains)
         memo: dict[int, tuple[Callable, int, int, int]] = {}
-        compiled = [
-            _compile(f, index, self.domains, offsets, memo) for f in constraints
-        ]
+        compiled = [_compile(f, index, self.domains, offsets, memo) for f in constraints]
         self.compiled = [ev for ev, _, _, _ in compiled]
         # scope of each constraint as a bit set over variable depths
         self.masks = [mask for _, mask, _, _ in compiled]
@@ -278,34 +265,28 @@ class _Instance:
     def watch(
         self,
     ) -> tuple[list[int], int, list[int], list[int], list[int], list[tuple]]:
-        """Which constraints the search decides, evaluates and filters with
-        where, as int bit sets over constraints.
+        """Which constraints the search and the counter decide, evaluate and
+        filter with where, as int bit sets over constraints; built on first
+        use.
 
         A constraint's bit is its rank in a stable sort of the constraints
         by scope. What a constraint does to the search depends only on its
         scope and its verdict, so a search that visits set bits from the
-        low end does not depend on the order of the constraints.
-
-        Returns:
+        low end does not depend on the order of the constraints. Returns:
 
         - the bit of each constraint;
-        - the constraints over one variable, which their refuted literals
-          settle before the search;
+        - the constraints over one variable, which the root settles;
         - per literal, the constraints of two or more variables whose
           shallowest variable is the literal's and which it forces true;
         - per depth, the constraints of four or more variables evaluated
           there, strictly between their shallowest and second-deepest
           variables;
-        - per depth, the constraints whose second-deepest variable it is,
-          which filter there;
+        - per depth, the constraints that filter there, at their
+          second-deepest variable;
         - per bit, the constraint's record: its closure, its scope, its
           deepest variable, a getter of the values of the rest of the
           scope, that rest as a bit set, and the memo from those values to
-          the constraint's verdict and filter: -1 when it is false, else
-          the bits of the values it allows the deepest variable (all of
-          them when it is true).
-
-        Built on the first search; counting does not need it.
+          the constraint's verdict and filter (see :func:`_allowed`).
         """
         masks = self.masks
         scopes = self.scopes
@@ -359,6 +340,39 @@ class _Instance:
         return count > 0, SolveStats(nodes_explored=nodes, elapsed_ms=elapsed)
 
 
+def _refute(live: list[int], offsets: Sequence[int], refuted: int) -> bool:
+    """Node consistency: remove the ``refuted`` literals, which refute a
+    constraint on their own, from the live domains. Returns False once a
+    domain is left empty, which proves that no solution exists."""
+    while refuted:
+        d = bisect_right(offsets, (refuted & -refuted).bit_length() - 1) - 1
+        cut = (refuted >> offsets[d]) & live[d]
+        refuted ^= cut << offsets[d]
+        live[d] ^= cut
+        if not live[d]:
+            return False
+    return True
+
+
+def _allowed(
+    ev: Callable, assignment: list[Optional[str]], deep: int, domain: Sequence[str]
+) -> int:
+    """A constraint's verdict and filter once every variable of its scope
+    but the deepest, ``deep``, is assigned: -1 when it is false, else the
+    bits of the values of ``domain`` that it allows ``deep`` (all of them
+    when it is true)."""
+    r = ev(assignment)
+    if r is not None:
+        return (1 << len(domain)) - 1 if r else -1
+    ok = 0
+    for k, value in enumerate(domain):
+        assignment[deep] = value
+        if ev(assignment):
+            ok |= 1 << k
+    assignment[deep] = None
+    return ok
+
+
 def _search(
     inst: _Instance,
     cap: int,
@@ -366,46 +380,29 @@ def _search(
     on_cube: Optional[Callable[[list[Optional[str]], list[int], int], None]] = None,
 ) -> tuple[int, int]:
     """Forward checking with conflict-directed backjumping (FC-CBJ, Prosser
-    1993), over all solutions, with an explicit stack.
+    1993) over all solutions, with an explicit stack.
 
     ``active`` is the check's pair ``(undecided, refuted)`` (see
-    :meth:`_Instance.check`), every constraint when omitted. The undecided
-    constraints are one bit set, which each level saves on entry and
-    restores for each of its values. Each variable has a live domain, a bit
-    set over its value indices, and a reason set, the past variables whose
-    filters narrowed it; both are restored from an undo trail. The live
-    domains start without the ``refuted`` literals, which settles every
-    constraint over one variable; an emptied domain proves that no solution
-    exists, with no node tried. This depends only on the active set.
-
-    Assigning a value decides, with no evaluation, each constraint whose
-    shallowest variable this is and which the literal forces true: with
-    no other scope variable assigned and its refuting literals gone, the
-    constraint is true exactly then and never false. Then each undecided
-    constraint with this depth strictly between its shallowest and
-    second-deepest variables is evaluated: one that turns false fails the
-    value, one that turns true is decided. Last, each undecided
-    constraint whose second-deepest variable this is looks up its verdict
-    and filter in its record's memo (evaluating it on a miss) and is
-    decided: a false one fails the value; otherwise it filters its deepest
-    variable down to the values it allows, and a filter that leaves no
-    value fails the value with that variable's reasons as the conflict.
-    A false constraint fails the value even after another filter of the
-    same depth emptied a domain, and bits are visited from the low end, so
-    a search over an activated subset explores exactly the nodes of an
+    :meth:`_Instance.check`), every constraint when omitted. Each level
+    saves the undecided constraints on entry and restores them for each of
+    its values. Besides its live domain, each variable has a reason set:
+    the past variables whose filters narrowed it. A false constraint fails
+    a value with its past scope as the conflict, an emptied domain with
+    that variable's reasons, and a false constraint fails it even after a
+    wipe-out at the same depth. Bits are visited from the low end, so a
+    search over an activated subset explores exactly the nodes of an
     instance built from that subset, whatever the order of either.
 
     Once no active constraint is undecided at depth ``d``, the assignment
     prefix and the live domains from ``d`` on form a cube of solutions: the
     count grows by its size and ``on_cube(assignment, live, d)`` is called
     when given. The search stops as soon as the count exceeds ``cap``.
-    Returns the count and the node count (values tried).
-
-    A level whose subtree held a solution backtracks chronologically; any
-    other exhausted level jumps to the deepest variable in its conflict
-    set and the reasons of its own domain, which keeps backjumping sound
-    when every solution is wanted (Chen & van Beek, JAIR 2001). An empty
-    conflict set proves that no solution exists.
+    Returns the count and the node count (values tried). A level whose
+    subtree held a solution backtracks chronologically; any other exhausted
+    level jumps to the deepest variable in its conflict set and the reasons
+    of its own domain, which keeps backjumping sound when every solution is
+    wanted (Chen & van Beek, JAIR 2001). An empty conflict set proves that
+    no solution exists.
     """
     domains = inst.domains
     full = inst.full
@@ -416,15 +413,8 @@ def _search(
         active = (1 << len(bits)) - 1, reduce(or_, inst.refuted, 0)
     undecided, refuted = active
     live = full[:]
-    # node consistency: no solution holds a literal that refutes an active
-    # constraint on its own
-    while refuted:
-        d = bisect_right(offsets, (refuted & -refuted).bit_length() - 1) - 1
-        cut = (refuted >> offsets[d]) & live[d]
-        refuted ^= cut << offsets[d]
-        live[d] ^= cut
-        if not live[d]:
-            return 0, 0
+    if not _refute(live, offsets, refuted):
+        return 0, 0
     # so a constraint over one variable allows exactly the values left
     undecided &= ~unary
     assignment: list[Optional[str]] = [None] * n
@@ -432,8 +422,7 @@ def _search(
     trail: list[tuple[int, int, int]] = []  # (variable, live, reasons) to restore
 
     # per level: live values not yet tried, conflict set, count on entry,
-    # the trail length to undo each of its values to and the undecided
-    # constraints on entry
+    # trail mark and undecided constraints on entry
     untried = [0] * n
     conflict = [0] * n
     entry = [0] * n
@@ -503,18 +492,7 @@ def _search(
                     key = getter(assignment)
                     ok = memo.get(key)
                     if ok is None:
-                        r = ev(assignment)
-                        if r is None:
-                            # the bits of the values it allows the deepest variable
-                            ok = 0
-                            for k, value in enumerate(domains[deep]):
-                                assignment[deep] = value
-                                if ev(assignment):
-                                    ok |= 1 << k
-                            assignment[deep] = None
-                        else:
-                            ok = full[deep] if r else -1
-                        memo[key] = ok
+                        ok = memo[key] = _allowed(ev, assignment, deep, domains[deep])
                     if ok < 0:
                         failed = mask & ((1 << depth) - 1)
                         break
@@ -557,119 +535,154 @@ def _search(
     return count, nodes
 
 
-class _Capped(Exception):
-    """Unwinds a count; its one argument is a lower bound above the cap."""
+def _components(
+    cons: int, free: int, scopes: Sequence[int], live: Sequence[int]
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """Split the constraints ``cons`` into components linked by shared
+    variables of ``free``. Returns the product of the live domain sizes of
+    the variables of ``free`` that no constraint of ``cons`` touches, and
+    per component its constraints, its variables in ``free`` and its scope,
+    all as bit sets."""
+    parts = []
+    while cons:
+        members = cons & -cons
+        scope = scopes[members.bit_length() - 1]
+        own = scope & free
+        grown = True
+        while grown:
+            grown = False
+            rest = cons & ~members
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                mask = scopes[low.bit_length() - 1]
+                if mask & own:
+                    members |= low
+                    scope |= mask
+                    own |= mask & free
+                    grown = True
+        cons &= ~members
+        parts.append((members, own, scope))
+    untouched = free & ~reduce(or_, [own for _, own, _ in parts], 0)
+    return prod(live[d].bit_count() for d in _depths(untouched)), parts
 
 
 def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
-    """Model counting by dynamic component decomposition (sharpSAT, Cachet).
+    """Model counting by dynamic component decomposition (sharpSAT, Cachet)
+    on the search's tables, with an explicit stack.
 
-    Under the current partial assignment the undecided constraints fall
-    into components linked by shared unassigned variables. A node's count
-    is the product of its components' counts times the domain size of
-    every unassigned variable that no undecided constraint touches; a
-    component's count is the sum, over the values of its lowest-depth
-    variable, of the counts of what remains after propagation. Component
-    counts are cached for the duration of the call, keyed by the
-    component's constraints, its unassigned variables and the values of
-    the assigned variables in its constraints' scopes: the residual
-    problem depends on nothing else.
+    A product multiplies the counts of its components and the live domain
+    size of each unassigned variable that no undecided constraint touches.
+    A component sums, over the live values of its lowest-depth variable,
+    the product of what remains once the value has propagated as in
+    :func:`_search`; a value that fails counts zero. An assigned
+    variable's live domain is its value, so a component's count is cached
+    under its constraints and the live domains of their scope: the values
+    they read and the domains of its variables, which a filter from outside
+    it may have narrowed (Favier, de Givry & Jegou, CP 2009).
 
     With ``cap`` set, counting stops once a lower bound of the total
     exceeds it. A bound exists only along the last component of each
     product, once its siblings are counted, since any zero factor would
     cancel a partial sum. Returns the count (that bound when stopped
-    early) and the number of binding attempts; cache hits cost none.
+    early) and the number of values tried; cache hits cost none.
     """
     domains = inst.domains
-    compiled = inst.compiled
-    masks = inst.masks
-    # per variable, the constraints over it in instance order
-    watchers: list[list[int]] = [[] for _ in domains]
-    for ci, scope in enumerate(inst.scopes):
-        for depth in scope:
-            watchers[depth].append(ci)
-    sizes = [len(domain) for domain in domains]
+    offsets = inst.offsets
+    _, unary, first_true, middle, filters, records = inst.watch
+    live = inst.full[:]
+    if not _refute(live, offsets, reduce(or_, inst.refuted, 0)):
+        return 0, 0
+    scopes = [record[1] for record in records]
     assignment: list[Optional[str]] = [None] * len(domains)
-    undecided = [True] * len(compiled)
-    cache: dict[tuple[int, int, tuple[Optional[str], ...]], int] = {}
+    trail: list[tuple[int, int]] = []  # (variable, live) to restore
+    cache: dict[tuple, int] = {}
     nodes = 0
-
-    # The count of the residual problem over ``cons`` (undecided constraints)
-    # and ``free`` (unassigned variables). The final total is at least
-    # ``base`` plus ``mult`` times this count.
-    def count(cons: list[int], free: int, base: int, mult: int) -> int:
-        nonlocal nodes
-        parts: list[list] = []  # per component: [vars, constraint bits, scope, constraints]
-        for ci in cons:
-            scope = masks[ci]
-            live = scope & free
-            part = [live, 1 << ci, scope, [ci]]
-            rest = []
-            for other in parts:
-                if other[0] & live:
-                    part[0] |= other[0]
-                    part[1] |= other[1]
-                    part[2] |= other[2]
-                    part[3] += other[3]
-                else:
-                    rest.append(other)
-            rest.append(part)
-            parts = rest
-        total = 1
-        untouched = free
-        for part in parts:
-            untouched &= ~part[0]
-        for depth in _depths(untouched):
-            total *= sizes[depth]
-        last = len(parts) - 1
-        for k, (own, bits, scope, members) in enumerate(parts):
+    # The component being counted: its branch variable, values left, sum of
+    # their counts, trail mark, cache key, constraints, unassigned variables
+    # and the bound it extends: the total is at least ``base + mult`` times
+    # its count (none when ``mult`` is 0; at the root, no component). Then
+    # the product under its current value: running product and parts left.
+    var = untried = sub = mark = key = cons = own = base = 0
+    mult = int(cap is not None)
+    undecided = ((1 << len(records)) - 1) & ~unary
+    total, parts = _components(undecided, (1 << len(domains)) - 1, scopes, live)
+    stack: list[tuple] = []  # each enclosing component, with its product
+    while True:
+        if total and parts:
+            members, part_own, scope = parts.pop()
+            part_key = (members, *map(live.__getitem__, _depths(scope)))
+            found = cache.get(part_key)
+            if found is not None:
+                total *= found
+                continue
+            stack.append((var, untried, sub, mark, key, cons, own, base, mult, parts, total))
             # a zero factor in a later component would cancel this one's
             # partial sum, so only the last component bounds the total
-            part_base, part_mult = (base, mult * total) if k == last else (0, 0)
-            key = (bits, own, tuple(assignment[d] for d in _depths(scope & ~own)))
-            sub = cache.get(key)
-            if sub is None:
-                low = own & -own
-                depth = low.bit_length() - 1
-                own ^= low
-                sub = 0
-                for value in domains[depth]:
-                    nodes += 1
-                    assignment[depth] = value
-                    newly: list[int] = []
-                    for ci in watchers[depth]:
-                        if not undecided[ci]:
-                            continue
-                        r = compiled[ci](assignment)
-                        if r is False:
-                            break
-                        if r is True:
-                            undecided[ci] = False
-                            newly.append(ci)
-                    else:
-                        rest = [ci for ci in members if undecided[ci]]
-                        sub += count(rest, own, part_base + part_mult * sub, part_mult)
-                    for ci in newly:
-                        undecided[ci] = True
-                    if part_mult and part_base + part_mult * sub > cap:
-                        raise _Capped(part_base + part_mult * sub)
-                assignment[depth] = None
-                cache[key] = sub
-            total *= sub
-            if not total:
-                return 0
-        return total
-
-    everything = (1 << len(domains)) - 1
-    try:
-        total = count(list(range(len(compiled))), everything, 0, int(cap is not None))
-    except _Capped as stop:
-        (total,) = stop.args
-    # ``count`` refers to itself; without this the cache and the instance
-    # would wait for the cycle collector
-    del count
-    return total, nodes
+            base, mult = (0, 0) if parts else (base + mult * sub, mult * total)
+            key, cons, own = part_key, members, part_own
+            var = (own & -own).bit_length() - 1
+            untried = live[var]
+            sub = 0
+            mark = len(trail)
+        elif not stack:
+            return total, nodes
+        else:
+            sub += total
+            if mult and base + mult * sub > cap:
+                return base + mult * sub, nodes
+        # undo what the previous value of the component left behind
+        if len(trail) > mark:
+            for d, old in reversed(trail[mark:]):
+                live[d] = old
+            del trail[mark:]
+        if not untried:
+            cache[key] = count = sub
+            assignment[var] = None
+            var, untried, sub, mark, key, cons, own, base, mult, parts, total = stack.pop()
+            total *= count
+            continue
+        low = untried & -untried
+        untried ^= low
+        nodes += 1
+        j = low.bit_length() - 1
+        assignment[var] = domains[var][j]
+        trail.append((var, live[var]))
+        live[var] = low
+        # a value that fails counts zero
+        total = 1
+        undecided = cons & ~first_true[offsets[var] + j]
+        todo = undecided & middle[var]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            r = records[low.bit_length() - 1][0](assignment)
+            if r is None:
+                continue
+            if not r:
+                total = 0
+                break
+            undecided ^= low
+        todo = undecided & filters[var] if total else 0
+        undecided ^= todo
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            ev, _, deep, getter, _, memo = records[low.bit_length() - 1]
+            values = getter(assignment)
+            ok = memo.get(values)
+            if ok is None:
+                ok = memo[values] = _allowed(ev, assignment, deep, domains[deep])
+            old = live[deep]
+            new = old & ok
+            if ok < 0 or not new:
+                total = 0
+                break
+            if new != old:
+                trail.append((deep, old))
+                live[deep] = new
+        if total:
+            total, parts = _components(undecided, own ^ (1 << var), scopes, live)
 
 
 def is_consistent(

@@ -61,18 +61,6 @@ def test_shuffling_varies_per_trial_but_not_counts():
     assert len(rows) == 12
 
 
-def test_parallel_matches_serial():
-    serial = small_grid()
-    parallel = small_grid(parallel=True, max_workers=2)
-
-    def key(rows):
-        return [
-            (r.kb_id, r.trial, r.checks_phase1, r.checks_phase2) for r in rows
-        ]
-
-    assert key(serial) == key(parallel)
-
-
 def test_rejects_bad_trial_count():
     with pytest.raises(ValidationError):
         run_benchmark(SIZES, SHARES, trials=0, seed=1)

@@ -338,6 +338,13 @@ def _wide_kb(path):
     path.write_text(f'kb "wide" {{ {decls} constraint c1: x1499 = a; }}')
 
 
+def _chain_kb(path):
+    # 1500 variables, each one at a forcing the next to a
+    decls = " ".join(f"var x{i} : {{ a, b }};" for i in range(1500))
+    chain = " ".join(f"constraint c{i}: x{i} = a -> x{i + 1} = a;" for i in range(1499))
+    path.write_text(f'kb "chain" {{ {decls} {chain} }}')
+
+
 WIDE_SOLUTION = " ".join(f"x{i}=a" for i in range(1500)) + "\n"
 
 
@@ -351,8 +358,10 @@ WIDE_SOLUTION = " ".join(f"x{i}=a" for i in range(1500)) + "\n"
         # never goes deeper than the one constrained variable
         (_wide_kb, ["count", "--cap", "10"], (4, "cap exceeded: more than 10 solutions\n")),
         (_wide_kb, ["solve", "--limit", "1"], (0, WIDE_SOLUTION)),
+        # the counter keeps its frames on an explicit stack
+        (_chain_kb, ["count"], (0, "1501\n")),
     ],
-    ids=["deep-count", "wide-check", "wide-count-cap", "wide-solve"],
+    ids=["deep-count", "wide-check", "wide-count-cap", "wide-solve", "chain-count"],
 )
 def test_too_deep_input_exit_code(make, argv, want, tmp_path, capsys):
     path = tmp_path / "big.kb"

@@ -432,9 +432,11 @@ def test_count_reuses_a_component_met_again():
     ]
     result, stats = count_solutions(variables, formulas)
     assert result.count == len(brute_force_solutions(variables, formulas)) == 6
-    # p = a: q 2, x 2, y 2 bindings. p = b: q 2 bindings, and under q = a the
-    # component {x, y} of the second formula is the one counted under p = a
-    assert stats.nodes_explored == 2 + 6 + 2
+    # p = a: 1 binding, whose filter leaves q = a: 1 binding, then x 2
+    # bindings (x = a filters y to b, x = b falsifies the second formula).
+    # p = b: 1 binding, then q 2 bindings, and under q = a the component
+    # {x, y} of the second formula is the one counted under p = a
+    assert stats.nodes_explored == 1 + 1 + 2 + 1 + 2
 
 
 def test_count_nodes_of_a_merged_pair_are_pinned():
@@ -447,14 +449,26 @@ def test_count_nodes_of_a_merged_pair_are_pinned():
     )
     result, stats = count_solutions(merged.variables, merged.formulas())
     assert result.count == 305091
-    assert stats.nodes_explored == 1958
+    assert stats.nodes_explored == 779
 
 
 def test_count_of_a_wide_kb_does_not_recurse_per_variable():
     variables = [Variable(f"x{i}", ("a", "b")) for i in range(1500)]
     result, stats = count_solutions(variables, [Atom("x1499", AtomOp.EQ, "a")])
     assert result == CountResult(2**1499)
-    assert stats.nodes_explored == 2
+    # the root settles the constraint over one variable
+    assert stats.nodes_explored == 0
+
+
+def test_count_of_a_long_chain_does_not_recurse_per_variable():
+    # one component as deep as the variables; the counter keeps its frames
+    # on an explicit stack
+    variables = [Variable(f"x{i}", ("a", "b")) for i in range(1500)]
+    formulas = [
+        Implies(Atom(f"x{i}", AtomOp.EQ, "a"), Atom(f"x{i + 1}", AtomOp.EQ, "a"))
+        for i in range(1499)
+    ]
+    assert count_solutions(variables, formulas)[0] == CountResult(1501)
 
 
 def test_solver_is_deterministic():
