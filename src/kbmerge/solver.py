@@ -7,14 +7,16 @@ first branch, each active constraint removes from the live domains the
 literals ``x = v`` that refute it on their own, with no other variable
 assigned (node consistency, Mackworth 1977): the negation of
 ``x = a -> y != b`` fixes both ``x`` and ``y`` at the root. So at its
-shallowest variable a constraint is never false, and the literal assigned
-there decides it, with no evaluation, when it forces the constraint true.
-Up to its second-deepest variable it is evaluated, and there, if still
-undecided, it filters its deepest variable down to the values it allows; a
-false constraint or an emptied domain fails the value. That verdict and
-filter depend only on the values of the rest of its scope, so an instance
-memoises both for every check and count it answers. A set of constraints
-is one int bit set, and live domains are restored from an undo trail.
+shallowest variable a constraint is never false. At any variable but its
+deepest, a literal that forces the constraint true on its own decides it
+with no evaluation, as a satisfied clause is no longer watched (Chaff,
+Moskewicz et al. 2001). Up to its second-deepest variable it is evaluated
+otherwise, and there, if still undecided, it filters its deepest variable
+down to the values it allows; a false constraint or an emptied domain
+fails the value. That verdict and filter depend only on the values of the
+rest of its scope, so an instance memoises both for every check and count
+it answers. A set of constraints is one int bit set, and live domains are
+restored from an undo trail.
 
 Consistency and enumeration share one search, forward checking with
 conflict-directed backjumping (FC-CBJ, Prosser 1993; no learning, no
@@ -276,8 +278,8 @@ class _Instance:
 
         - the bit of each constraint;
         - the constraints over one variable, which the root settles;
-        - per literal, the constraints of two or more variables whose
-          shallowest variable is the literal's and which it forces true;
+        - per literal, the constraints of two or more variables that it
+          forces true on its own, where its variable is not their deepest;
         - per depth, the constraints of four or more variables evaluated
           there, strictly between their shallowest and second-deepest
           variables;
@@ -296,7 +298,7 @@ class _Instance:
         own = [full << offset for full, offset in zip(self.full, self.offsets)]
         bits = [0] * len(masks)
         unary = 0
-        first_true = [0] * self.offsets[-1]
+        true_by = [0] * self.offsets[-1]
         middle = [0] * len(own)
         filters = [0] * len(own)
         records = []
@@ -312,17 +314,17 @@ class _Instance:
             else:
                 getter = itemgetter(*scope[:-1])
                 records.append((compiled[ci], mask, deep, getter, mask ^ (1 << deep), {}))
-                true = forced[ci] & own[scope[0]]
+                true = forced[ci] & ~own[deep]
                 while true:
                     low = true & -true
-                    first_true[low.bit_length() - 1] |= bit
+                    true_by[low.bit_length() - 1] |= bit
                     true ^= low
                 if len(scope) > 3:
                     for depth in scope[1:-2]:
                         middle[depth] |= bit
                 filters[scope[-2]] |= bit
             bit <<= 1
-        return bits, unary, first_true, middle, filters, records
+        return bits, unary, true_by, middle, filters, records
 
     def check(self, active: Optional[Sequence[int]] = None) -> tuple[bool, SolveStats]:
         """Consistency of the active constraints (all by default): a list of
@@ -407,7 +409,7 @@ def _search(
     domains = inst.domains
     full = inst.full
     offsets = inst.offsets
-    bits, unary, first_true, middle, filters, records = inst.watch
+    bits, unary, true_by, middle, filters, records = inst.watch
     n = len(domains)
     if active is None:
         active = (1 << len(bits)) - 1, reduce(or_, inst.refuted, 0)
@@ -463,9 +465,10 @@ def _search(
             nodes += 1
             j = low.bit_length() - 1
             assignment[depth] = domains[depth][j]
-            # root refutation left no literal that makes a constraint false
-            # at its shallowest variable, so there it is true or undecided
-            undecided = saved[depth] & ~first_true[offsets[depth] + j]
+            # a constraint this literal forces true is decided with no
+            # evaluation or filter; root refutation left no literal that
+            # makes one false at its shallowest variable
+            undecided = saved[depth] & ~true_by[offsets[depth] + j]
             failed = -1
             todo = undecided & middle[depth]
             while todo:
@@ -589,7 +592,7 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     """
     domains = inst.domains
     offsets = inst.offsets
-    _, unary, first_true, middle, filters, records = inst.watch
+    _, unary, true_by, middle, filters, records = inst.watch
     live = inst.full[:]
     if not _refute(live, offsets, reduce(or_, inst.refuted, 0)):
         return 0, 0
@@ -651,7 +654,8 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
         live[var] = low
         # a value that fails counts zero
         total = 1
-        undecided = cons & ~first_true[offsets[var] + j]
+        # as in _search, the literal decides what it forces true
+        undecided = cons & ~true_by[offsets[var] + j]
         todo = undecided & middle[var]
         while todo:
             low = todo & -todo

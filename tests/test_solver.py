@@ -2,6 +2,7 @@ import itertools
 import random
 import string
 import sys
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from kbmerge import (
     negate,
     synthesize_pair,
 )
+from kbmerge import solver
 from kbmerge.model import validate_formula
 from kbmerge.solver import _compile, _Instance, _literal_offsets, _search
 from kbmerge.synth import CTX_VALUES, CTX_VAR
@@ -629,9 +631,86 @@ def test_a_warm_check_evaluates_no_constraint():
     warm_ok, warm = inst.check(pool)
     assert (cold_ok, cold.nodes_explored) == (warm_ok, warm.nodes_explored)
     assert warm.nodes_explored > 0
-    # literals decide constraints at their shallowest variable, and every
-    # filter comes from the memo with its verdict
+    # literals decide the constraints they force true, and every filter
+    # comes from the memo with its verdict
     assert calls[0] == 0
+
+
+def test_a_literal_decides_what_it_forces_true_below_the_shallowest_variable():
+    variables = tuple(Variable(name, ("a", "b")) for name in "gxy")
+    guarded = Implies(
+        Atom("g", AtomOp.EQ, "a"),
+        Implies(Atom("x", AtomOp.EQ, "a"), Atom("y", AtomOp.NEQ, "b")),
+    )
+    inst = _Instance(variables, [guarded, Atom("g", AtomOp.EQ, "a"), Atom("y", AtomOp.EQ, "b")])
+    seen = []
+    ev = inst.compiled[0]
+
+    def wrapper(a):
+        seen.append(tuple(a))
+        return ev(a)
+
+    inst.compiled[0] = wrapper
+    ok, stats = inst.check()
+    # g = a; x = a empties y's domain; x = b leaves a cube
+    assert ok
+    assert stats.nodes_explored == 3
+    _, _, deep, _, _, memo = inst.watch[-1][inst.watch[0][0].bit_length() - 1]
+    assert deep == 2
+    # x = b forces the constraint true, so its filter of y is never computed
+    assert memo == {("a", "a"): 0b01}
+    assert seen and all(a[1] != "b" for a in seen)
+
+
+class ShallowestOnly(_Instance):
+    """An instance whose literals decide a constraint only at its shallowest
+    variable, the narrower table that the search's results must not depend
+    on."""
+
+    @cached_property
+    def watch(self):
+        bits, unary, _, middle, filters, records = _Instance.watch.func(self)
+        table = [0] * self.offsets[-1]
+        for ci, scope in enumerate(self.scopes):
+            if len(scope) > 1:
+                for lit in range(self.offsets[scope[0]], self.offsets[scope[0] + 1]):
+                    if self.forced[ci] >> lit & 1:
+                        table[lit] |= bits[ci]
+        return bits, unary, table, middle, filters, records
+
+
+def test_deciding_below_the_shallowest_variable_changes_no_result_or_node(monkeypatch):
+    rng = random.Random(2001)
+    entries = {_Instance: 0, ShallowestOnly: 0}
+    for _ in range(200):
+        variables, formulas = fc_instance(rng)
+        pool_formulas = formulas + [negate(f) for f in formulas]
+        pools = [
+            rng.sample(range(len(pool_formulas)), rng.randint(1, len(pool_formulas)))
+            for _ in range(4)
+        ]
+        seen = []
+        for cls in (_Instance, ShallowestOnly):
+            inst = cls(variables, pool_formulas)
+            checks = [inst.check(pool) for pool in pools]
+            with monkeypatch.context() as patched:
+                patched.setattr(solver, "_Instance", cls)
+                ok, stats = is_consistent(variables, formulas)
+                count, count_stats = count_solutions(variables, formulas)
+                caps = (0, count.count // 2)
+                seen.append(
+                    (
+                        [(verdict, s.nodes_explored) for verdict, s in checks],
+                        (ok, stats.nodes_explored),
+                        (count, count_stats.nodes_explored),
+                        [count_solutions(variables, formulas, cap)[0] for cap in caps],
+                        enumerate_solutions(variables, formulas, 100),
+                    )
+                )
+            entries[cls] += sum(len(memo) for *_, memo in inst.watch[-1])
+        assert seen[0] == seen[1], (variables, formulas, pools)
+    # the wider table skips filters that the narrower one computes
+    assert entries[_Instance] < entries[ShallowestOnly]
 
 
 def test_a_shared_instance_searches_like_a_fresh_one_in_any_order():
