@@ -7,7 +7,7 @@ away where possible and deletes constraints the rest already implies,
 preserving the union of the two solution spaces throughout.
 """
 
-from .bench import BenchRow, run_benchmark
+from .bench import BenchRow, run_benchmark, write_bench_csv
 from .errors import (
     AlignmentError,
     BenchError,
@@ -57,7 +57,7 @@ from .solver import (
     is_consistent,
 )
 from .synth import SynthConfig, synthesize_pair
-from .textio import format_formula, parse_formula, parse_kb, serialize_kb, write_bench_csv
+from .textio import format_formula, parse_formula, parse_kb, serialize_kb
 
 __version__ = "0.1.0"
 

@@ -5,14 +5,17 @@ constraint orders with a trial-derived seed and reruns the merge, so the
 timings cover order variance without regenerating the instances. Timing
 uses a monotonic clock and is reported in whole milliseconds; absolute
 values are hardware-bound and only the shapes (linearity of phase-1
-checks, share trends) are meaningful.
+checks, share trends) are meaningful. ``write_bench_csv`` renders the rows
+as CSV.
 """
 from __future__ import annotations
 
+import csv
+import io
 import random
 import time
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import astuple, dataclass, fields, replace
+from typing import Iterable, Sequence
 
 try:
     # the module behind hashlib.blake2b; importing hashlib would also load
@@ -40,6 +43,19 @@ class BenchRow:
     solve_ms: int
     checks_phase1: int
     checks_phase2: int
+
+
+# the columns of ``write_bench_csv``, in BenchRow's field order
+BENCH_CSV_HEADER = tuple(f.name for f in fields(BenchRow))
+
+
+def write_bench_csv(rows: Iterable[BenchRow]) -> str:
+    """Render benchmark rows as CSV text under ``BENCH_CSV_HEADER``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(BENCH_CSV_HEADER)
+    writer.writerows(astuple(r) for r in rows)
+    return buf.getvalue()
 
 
 def _derive_seed(*parts) -> int:

@@ -16,13 +16,13 @@ import sys
 from dataclasses import asdict
 from typing import Optional
 
-from .bench import run_benchmark
+from .bench import run_benchmark, write_bench_csv
 from .errors import ExitStatus, KbError, ParseError, ValidationError
 from .merge import MergeReport, ckb_merge, contextualize, intersection_count
 from .model import KnowledgeBase
 from .solver import count_solutions, enumerate_solutions, is_consistent
 from .synth import SynthConfig, synthesize_pair
-from .textio import parse_kb, serialize_kb, write_bench_csv
+from .textio import parse_kb, serialize_kb
 
 DEFAULT_GRID_SIZES = tuple(range(10, 101, 10))
 DEFAULT_GRID_SHARES = (0.1, 0.2, 0.3, 0.4, 0.5)

@@ -304,9 +304,8 @@ def ckb_merge(
         + [negate(c.formula) for c in ckb_prime]
         + [Atom(ctx_var, AtomOp.EQ, ctx_val1), Atom(ctx_var, AtomOp.EQ, ctx_val2)],
     )
-    inst.watch  # the search tables, built here so that build_ms covers them
     build_ms = (time.perf_counter() - tb) * 1000.0
-    bits, refuted = inst.watch[0], inst.refuted
+    bits, refuted = inst.bits, inst.refuted
 
     records: list[CheckRecord] = []
 

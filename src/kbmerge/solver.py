@@ -1,7 +1,7 @@
 """Embedded finite-domain satisfiability engine.
 
-Consistency, enumeration and counting run on one set of tables (see
-:attr:`_Instance.watch`) and assign values with one propagation, in static
+Consistency, enumeration and counting run on one set of tables, built with
+each :class:`_Instance`, and assign values with one propagation, in static
 orders: variables in declaration order, values in domain order. Before the
 first branch, each active constraint removes from the live domains the
 literals ``x = v`` that refute it on their own, with no other variable
@@ -9,8 +9,8 @@ assigned (node consistency, Mackworth 1977): the negation of
 ``x = a -> y != b`` fixes both ``x`` and ``y`` at the root. So at its
 shallowest variable a constraint is never false. At any variable but its
 deepest, a literal that forces the constraint true on its own decides it
-with no evaluation, as a satisfied clause is no longer watched (Chaff,
-Moskewicz et al. 2001). Up to its second-deepest variable it is evaluated
+with no evaluation, as Chaff (Moskewicz et al. 2001) stops visiting a
+satisfied clause. Up to its second-deepest variable it is evaluated
 otherwise, and there, if still undecided, it filters its deepest variable
 down to the values it allows; a false constraint or an emptied domain
 fails the value. That verdict and filter depend only on the values of the
@@ -29,7 +29,10 @@ their counts, and caches each component's count for the rest of the call
 (dynamic decomposition, as in the model counters sharpSAT and Cachet).
 
 Both keep their frames on explicit stacks, so no number of variables meets
-Python's recursion limit. ``nodes_explored`` counts variable-value bindings
+Python's recursion limit. Each inlines the same assignment step on purpose:
+sharing it, as per-check closures or as a module-level function, made
+``merge_n100`` and ``count_small`` 8-10% slower and won 0 of 76 timing
+rounds. ``nodes_explored`` counts variable-value bindings
 tried, with one meaning for all three: a value removed at the root or by a
 filter is never tried, and a component counted from the cache costs none.
 
@@ -43,7 +46,7 @@ import itertools
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from math import prod
 from operator import itemgetter, or_
 from typing import Callable, Mapping, Optional, Sequence
@@ -232,89 +235,62 @@ class _Instance:
     a subset of its constraints (see :meth:`check`): the assumption-style
     incremental interface of MiniSat, without learning. Compiling validates
     each formula; a bad atom raises the :class:`ValidationError` of
-    :func:`kbmerge.model.validate_formula`. Each constraint keeps the
-    literals that force it true and those that refute it (see
-    :func:`_compile`), each as one bit set over all the literals of the
-    instance, numbered by :func:`_literal_offsets`. Each constraint's
-    filter record (see :attr:`watch`) memoises its verdict and filter, so
-    a filter met again, in the same check, a later one or a count, costs
-    one dictionary lookup and no evaluation. A check on a shared instance
+    :func:`kbmerge.model.validate_formula`. A check on a shared instance
     explores exactly the nodes of a fresh instance built from its active
     constraints.
+
+    The tables are int bit sets over constraints. A constraint's bit is its
+    rank in a stable sort of the constraints by scope; what it does to the
+    search depends only on its scope and verdict, so a search that visits
+    set bits from the low end does not depend on the constraint order.
+    ``bits`` holds each constraint's bit and ``refuted`` the literals that
+    refute it on their own (see :func:`_compile`), numbered by
+    :func:`_literal_offsets`; ``unary`` the constraints over one variable,
+    which the root settles; ``true_by``, per literal, those of two or more
+    variables that it forces true where its variable is not their deepest;
+    ``middle``, per depth, those of four or more variables evaluated there,
+    strictly between their shallowest and second-deepest variables; and
+    ``filters``, per depth, those that filter there, at their second-deepest
+    variable. ``records`` holds per bit the constraint's closure, scope,
+    deepest variable, a getter of the values of the rest of its scope, that
+    rest, and the memo from those values to its verdict and filter (see
+    :func:`_allowed`), so a filter met again, in any check or count, costs
+    one dictionary lookup and no evaluation.
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
         self.names = [v.name for v in variables]
-        self.domains = [v.domain for v in variables]
+        self.domains = domains = [v.domain for v in variables]
         index = {name: i for i, name in enumerate(self.names)}
         if len(index) < len(self.names):
             validate_variables(variables)  # raises: a name is declared twice
-        self.offsets = offsets = _literal_offsets(self.domains)
+        self.offsets = offsets = _literal_offsets(domains)
         memo: dict[int, tuple[Callable, int, int, int]] = {}
-        compiled = [_compile(f, index, self.domains, offsets, memo) for f in constraints]
-        self.compiled = [ev for ev, _, _, _ in compiled]
-        # scope of each constraint as a bit set over variable depths
-        self.masks = [mask for _, mask, _, _ in compiled]
-        self.scopes = [_depths(mask) for mask in self.masks]
-        # the literals that force each constraint true, and those that
-        # refute it, on their own
-        self.forced = [true for _, _, true, _ in compiled]
+        compiled = [_compile(f, index, domains, offsets, memo) for f in constraints]
+        # the literals that refute each constraint on their own
         self.refuted = [false for _, _, _, false in compiled]
         # all values of each variable, as a bit set over its value indices
-        self.full = [(1 << len(domain)) - 1 for domain in self.domains]
-
-    @cached_property
-    def watch(
-        self,
-    ) -> tuple[list[int], int, list[int], list[int], list[int], list[tuple]]:
-        """Which constraints the search and the counter decide, evaluate and
-        filter with where, as int bit sets over constraints; built on first
-        use.
-
-        A constraint's bit is its rank in a stable sort of the constraints
-        by scope. What a constraint does to the search depends only on its
-        scope and its verdict, so a search that visits set bits from the
-        low end does not depend on the order of the constraints. Returns:
-
-        - the bit of each constraint;
-        - the constraints over one variable, which the root settles;
-        - per literal, the constraints of two or more variables that it
-          forces true on its own, where its variable is not their deepest;
-        - per depth, the constraints of four or more variables evaluated
-          there, strictly between their shallowest and second-deepest
-          variables;
-        - per depth, the constraints that filter there, at their
-          second-deepest variable;
-        - per bit, the constraint's record: its closure, its scope, its
-          deepest variable, a getter of the values of the rest of the
-          scope, that rest as a bit set, and the memo from those values to
-          the constraint's verdict and filter (see :func:`_allowed`).
-        """
-        masks = self.masks
-        scopes = self.scopes
-        compiled = self.compiled
-        forced = self.forced
+        self.full = [(1 << len(domain)) - 1 for domain in domains]
         # the literals of each variable, as a bit set over all literals
-        own = [full << offset for full, offset in zip(self.full, self.offsets)]
-        bits = [0] * len(masks)
-        unary = 0
-        true_by = [0] * self.offsets[-1]
-        middle = [0] * len(own)
-        filters = [0] * len(own)
-        records = []
+        own = [full << offset for full, offset in zip(self.full, offsets)]
+        self.bits = bits = [0] * len(compiled)
+        self.unary = 0
+        self.true_by = true_by = [0] * offsets[-1]
+        self.middle = middle = [0] * len(domains)
+        self.filters = filters = [0] * len(domains)
+        self.records = records = []
         bit = 1
-        for ci in sorted(range(len(masks)), key=masks.__getitem__):
+        for ci in sorted(range(len(compiled)), key=lambda ci: compiled[ci][1]):
             bits[ci] = bit
-            scope = scopes[ci]
-            mask = masks[ci]
+            ev, mask, forced, _ = compiled[ci]
+            scope = _depths(mask)
             deep = scope[-1]
             if len(scope) == 1:
-                unary |= bit
-                records.append((compiled[ci], mask, deep, None, 0, {}))
+                self.unary |= bit
+                records.append((ev, mask, deep, None, 0, {}))
             else:
-                getter = itemgetter(*scope[:-1])
-                records.append((compiled[ci], mask, deep, getter, mask ^ (1 << deep), {}))
-                true = forced[ci] & ~own[deep]
+                records.append((ev, mask, deep, itemgetter(*scope[:-1]), mask ^ (1 << deep), {}))
+                true = forced & ~own[deep]
                 while true:
                     low = true & -true
                     true_by[low.bit_length() - 1] |= bit
@@ -324,15 +300,14 @@ class _Instance:
                         middle[depth] |= bit
                 filters[scope[-2]] |= bit
             bit <<= 1
-        return bits, unary, true_by, middle, filters, records
 
     def check(self, active: Optional[Sequence[int]] = None) -> tuple[bool, SolveStats]:
         """Consistency of the active constraints (all by default): a list of
         their indices, or as a tuple the ready pair ``(undecided, refuted)``
-        of their ORed bits (see :attr:`watch`) and refuted-literal sets."""
+        of their ORed ``bits`` and ``refuted`` literal sets."""
         start = time.perf_counter()
         if active is not None and not isinstance(active, tuple):
-            bits, refuted = self.watch[0], self.refuted
+            bits, refuted = self.bits, self.refuted
             active = (
                 reduce(or_, [bits[ci] for ci in active], 0),
                 reduce(or_, [refuted[ci] for ci in active], 0),
@@ -409,16 +384,17 @@ def _search(
     domains = inst.domains
     full = inst.full
     offsets = inst.offsets
-    bits, unary, true_by, middle, filters, records = inst.watch
+    true_by, middle, filters = inst.true_by, inst.middle, inst.filters
+    records = inst.records
     n = len(domains)
     if active is None:
-        active = (1 << len(bits)) - 1, reduce(or_, inst.refuted, 0)
+        active = (1 << len(records)) - 1, reduce(or_, inst.refuted, 0)
     undecided, refuted = active
     live = full[:]
     if not _refute(live, offsets, refuted):
         return 0, 0
     # so a constraint over one variable allows exactly the values left
-    undecided &= ~unary
+    undecided &= ~inst.unary
     assignment: list[Optional[str]] = [None] * n
     reasons = [0] * n
     trail: list[tuple[int, int, int]] = []  # (variable, live, reasons) to restore
@@ -539,17 +515,18 @@ def _search(
 
 
 def _components(
-    cons: int, free: int, scopes: Sequence[int], live: Sequence[int]
+    cons: int, free: int, records: Sequence[tuple], live: Sequence[int]
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """Split the constraints ``cons`` into components linked by shared
-    variables of ``free``. Returns the product of the live domain sizes of
-    the variables of ``free`` that no constraint of ``cons`` touches, and
+    variables of ``free``, reading each scope from its record in
+    ``records``. Returns the product of the live domain sizes of the
+    variables of ``free`` that no constraint of ``cons`` touches, and
     per component its constraints, its variables in ``free`` and its scope,
     all as bit sets."""
     parts = []
     while cons:
         members = cons & -cons
-        scope = scopes[members.bit_length() - 1]
+        scope = records[members.bit_length() - 1][1]
         own = scope & free
         grown = True
         while grown:
@@ -558,7 +535,7 @@ def _components(
             while rest:
                 low = rest & -rest
                 rest ^= low
-                mask = scopes[low.bit_length() - 1]
+                mask = records[low.bit_length() - 1][1]
                 if mask & own:
                     members |= low
                     scope |= mask
@@ -572,7 +549,8 @@ def _components(
 
 def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     """Model counting by dynamic component decomposition (sharpSAT, Cachet)
-    on the search's tables, with an explicit stack.
+    on the instance's ``true_by``, ``middle``, ``filters`` and ``records``,
+    with an explicit stack.
 
     A product multiplies the counts of its components and the live domain
     size of each unassigned variable that no undecided constraint touches.
@@ -592,11 +570,11 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     """
     domains = inst.domains
     offsets = inst.offsets
-    _, unary, true_by, middle, filters, records = inst.watch
+    true_by, middle, filters = inst.true_by, inst.middle, inst.filters
+    records = inst.records
     live = inst.full[:]
     if not _refute(live, offsets, reduce(or_, inst.refuted, 0)):
         return 0, 0
-    scopes = [record[1] for record in records]
     assignment: list[Optional[str]] = [None] * len(domains)
     trail: list[tuple[int, int]] = []  # (variable, live) to restore
     cache: dict[tuple, int] = {}
@@ -608,8 +586,8 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     # the product under its current value: running product and parts left.
     var = untried = sub = mark = key = cons = own = base = 0
     mult = int(cap is not None)
-    undecided = ((1 << len(records)) - 1) & ~unary
-    total, parts = _components(undecided, (1 << len(domains)) - 1, scopes, live)
+    undecided = ((1 << len(records)) - 1) & ~inst.unary
+    total, parts = _components(undecided, (1 << len(domains)) - 1, records, live)
     stack: list[tuple] = []  # each enclosing component, with its product
     while True:
         if total and parts:
@@ -654,7 +632,7 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
         live[var] = low
         # a value that fails counts zero
         total = 1
-        # as in _search, the literal decides what it forces true
+        # _search's step, inlined: a shared one cost 8-10% in both loops
         undecided = cons & ~true_by[offsets[var] + j]
         todo = undecided & middle[var]
         while todo:
@@ -686,7 +664,7 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
                 trail.append((deep, old))
                 live[deep] = new
         if total:
-            total, parts = _components(undecided, own ^ (1 << var), scopes, live)
+            total, parts = _components(undecided, own ^ (1 << var), records, live)
 
 
 def is_consistent(

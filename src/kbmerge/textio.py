@@ -1,4 +1,4 @@
-"""Plain-text knowledge-base format and benchmark CSV output.
+"""Plain-text knowledge-base format.
 
 Grammar (UTF-8, ``#`` line comments, semicolon-terminated declarations):
 
@@ -21,13 +21,9 @@ constraint order, and formula shape.
 """
 from __future__ import annotations
 
-import csv
-import io
 import re
-from dataclasses import astuple, fields
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .bench import BenchRow
 from .errors import ParseError
 from .model import (
     And,
@@ -45,10 +41,6 @@ from .model import (
 )
 
 KEYWORDS = frozenset({"kb", "var", "constraint", "context", "not", "and", "or"})
-
-# the columns of ``write_bench_csv``, in BenchRow's field order
-BENCH_CSV_HEADER = tuple(f.name for f in fields(BenchRow))
-
 
 class Token(NamedTuple):
     kind: str
@@ -326,12 +318,3 @@ def serialize_kb(kb: KnowledgeBase) -> str:
         lines.append(f"  constraint {c.id}: {text};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_bench_csv(rows: Iterable[BenchRow]) -> str:
-    """Render benchmark rows as CSV text under ``BENCH_CSV_HEADER``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BENCH_CSV_HEADER)
-    writer.writerows(astuple(r) for r in rows)
-    return buf.getvalue()

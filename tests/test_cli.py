@@ -1,6 +1,7 @@
 """End-to-end tests driving the command-line interface through main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +22,8 @@ from kbmerge import (
     parse_kb,
     serialize_kb,
 )
+from kbmerge.bench import BENCH_CSV_HEADER
 from kbmerge.cli import main
-from kbmerge.textio import BENCH_CSV_HEADER
 
 US = str(FIXTURES / "ckb_us.kb")
 GER = str(FIXTURES / "ckb_ger.kb")
@@ -95,7 +96,7 @@ def test_solve_prints_assignments(capsys):
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 3
-    kb = parse_kb(open(US).read())
+    kb = parse_kb(Path(US).read_text(encoding="utf-8"))
     names = [v.name for v in kb.variables]
     for line in lines:
         pairs = dict(tok.split("=", 1) for tok in line.split())
@@ -292,7 +293,7 @@ def test_inconsistent_merge_input_exit_code(tmp_path, capsys):
 
 
 def test_domain_mismatch_exit_code_names_variable(tmp_path, capsys):
-    text = open(GER).read().replace("{ white, black }", "{ white, red }")
+    text = Path(GER).read_text(encoding="utf-8").replace("{ white, black }", "{ white, red }")
     path = tmp_path / "recolored.kb"
     path.write_text(text)
     code, _, err = run(capsys, "merge", US, str(path))

@@ -2,7 +2,6 @@ import itertools
 import random
 import string
 import sys
-from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -556,7 +555,7 @@ def test_forward_checking_matches_brute_force():
         assert count_solutions(variables, formulas)[0] == CountResult(len(oracle))
         found = enumerate_solutions(variables, formulas, len(oracle) + 1)
         assert found == lexicographic(variables, oracle), (variables, formulas)
-        filtered += sum(len(memo) for *_, memo in inst.watch[-1])
+        filtered += sum(len(memo) for *_, memo in inst.records)
     assert filtered > 300
 
 
@@ -579,7 +578,7 @@ def test_tautology_on_the_deepest_variable_filters_nothing():
     assert _search(inst, 100) == (24, 8)
     # x = a leaves the first constraint undecided, and its filter keeps all
     # of z's values
-    _, _, deep, _, _, memo = inst.watch[-1][0]
+    _, _, deep, _, _, memo = inst.records[0]
     assert deep == 2
     assert memo == {"a": 0b1111}
 
@@ -595,13 +594,13 @@ def test_a_warm_filter_memo_explores_the_nodes_of_a_cold_one():
         pool = [len(formulas) + rng.randrange(len(formulas)), *range(len(formulas))]
         rng.shuffle(pool)
         cold_ok, cold = inst.check(pool)
-        entries = sum(len(memo) for *_, memo in inst.watch[-1])
+        entries = sum(len(memo) for *_, memo in inst.records)
         warm_ok, warm = inst.check(pool)
         fresh_ok, fresh = _Instance(variables, [pool_formulas[ci] for ci in pool]).check()
         assert cold_ok == warm_ok == fresh_ok
         assert cold.nodes_explored == warm.nodes_explored == fresh.nodes_explored
         # the warm check computed no filter the cold one had not
-        assert sum(len(memo) for *_, memo in inst.watch[-1]) == entries
+        assert sum(len(memo) for *_, memo in inst.records) == entries
         reused += entries
     assert reused > 0
 
@@ -612,7 +611,7 @@ def test_a_warm_check_evaluates_no_constraint():
     kb2c = contextualize(kb2, CTX_VAR, CTX_VALUES[1])
     guarded = [c.formula for c in kb1c.constraints + kb2c.constraints]
     inst = _Instance(align(kb1c, kb2c, CTX_VAR), guarded + [negate(f) for f in guarded])
-    assert max(map(len, inst.scopes)) == 3
+    assert max(mask.bit_count() for _, mask, *_ in inst.records) == 3
     calls = [0]
 
     def counted(ev):
@@ -622,7 +621,7 @@ def test_a_warm_check_evaluates_no_constraint():
 
         return wrapper
 
-    inst.compiled = [counted(ev) for ev in inst.compiled]
+    inst.records = [(counted(ev), *rest) for ev, *rest in inst.records]
     # every guarded constraint and the negation of one of them
     pool = [*range(len(guarded)), len(guarded) + 3]
     cold_ok, cold = inst.check(pool)
@@ -644,18 +643,19 @@ def test_a_literal_decides_what_it_forces_true_below_the_shallowest_variable():
     )
     inst = _Instance(variables, [guarded, Atom("g", AtomOp.EQ, "a"), Atom("y", AtomOp.EQ, "b")])
     seen = []
-    ev = inst.compiled[0]
+    rank = inst.bits[0].bit_length() - 1
+    ev, *rest = inst.records[rank]
 
     def wrapper(a):
         seen.append(tuple(a))
         return ev(a)
 
-    inst.compiled[0] = wrapper
+    inst.records[rank] = (wrapper, *rest)
     ok, stats = inst.check()
     # g = a; x = a empties y's domain; x = b leaves a cube
     assert ok
     assert stats.nodes_explored == 3
-    _, _, deep, _, _, memo = inst.watch[-1][inst.watch[0][0].bit_length() - 1]
+    _, _, deep, _, _, memo = inst.records[rank]
     assert deep == 2
     # x = b forces the constraint true, so its filter of y is never computed
     assert memo == {("a", "a"): 0b01}
@@ -667,16 +667,18 @@ class ShallowestOnly(_Instance):
     variable, the narrower table that the search's results must not depend
     on."""
 
-    @cached_property
-    def watch(self):
-        bits, unary, _, middle, filters, records = _Instance.watch.func(self)
-        table = [0] * self.offsets[-1]
-        for ci, scope in enumerate(self.scopes):
-            if len(scope) > 1:
-                for lit in range(self.offsets[scope[0]], self.offsets[scope[0] + 1]):
-                    if self.forced[ci] >> lit & 1:
-                        table[lit] |= bits[ci]
-        return bits, unary, table, middle, filters, records
+    def __init__(self, variables, constraints):
+        super().__init__(variables, constraints)
+        offsets = self.offsets
+        index = {name: i for i, name in enumerate(self.names)}
+        self.true_by = [0] * offsets[-1]
+        for f, bit in zip(constraints, self.bits):
+            _, mask, forced, _ = _compile(f, index, self.domains, offsets)
+            first = (mask & -mask).bit_length() - 1
+            if mask != 1 << first:
+                for lit in range(offsets[first], offsets[first + 1]):
+                    if forced >> lit & 1:
+                        self.true_by[lit] |= bit
 
 
 def test_deciding_below_the_shallowest_variable_changes_no_result_or_node(monkeypatch):
@@ -707,7 +709,7 @@ def test_deciding_below_the_shallowest_variable_changes_no_result_or_node(monkey
                         enumerate_solutions(variables, formulas, 100),
                     )
                 )
-            entries[cls] += sum(len(memo) for *_, memo in inst.watch[-1])
+            entries[cls] += sum(len(memo) for *_, memo in inst.records)
         assert seen[0] == seen[1], (variables, formulas, pools)
     # the wider table skips filters that the narrower one computes
     assert entries[_Instance] < entries[ShallowestOnly]
