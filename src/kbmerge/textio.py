@@ -17,14 +17,26 @@ Precedence: not > and > or > ``->``; ``->`` is right-associative.
 IDENT is ``[A-Za-z_][A-Za-z0-9_.]*``, so values may not start with a
 digit; keywords (kb, var, constraint, context, not, and, or) are
 reserved. ``parse_kb(serialize_kb(kb))`` preserves variable order,
-constraint order, and formula shape.
+constraint order, and formula shape; ``serialize_kb`` refuses a name it
+could not read back.
+
+Reading takes one ``findall`` over the text. It returns the lexemes as
+plain strings, without the blanks (``[ \t\r\n]``) and comments between
+them. Where no lexeme starts, the scan returns the rest of the text as
+one last lexeme, and that stray character is reported before any parsing.
+The recursive-descent functions read the list by index and tell a lexeme
+by its text: a name starts with an ASCII letter or ``_`` and a string
+with ``"``. Only an error works out a line and column, by scanning again
+up to the lexeme it names.
 """
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Sequence
+import string
+from itertools import islice
+from typing import Callable, Optional
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .model import (
     And,
     Atom,
@@ -42,158 +54,162 @@ from .model import (
 
 KEYWORDS = frozenset({"kb", "var", "constraint", "context", "not", "and", "or"})
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
+_SKIP = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_.]*"
+_LEXEME = re.compile(rf'{_IDENT}|"[^"\n]*"|!=|->|[{{}}();:,=]')
+# One lexeme and the skip after it. Nothing follows the skip, so it never
+# gives back a blank or part of a comment for the stray branch to take.
+_SCAN = re.compile(rf"({_LEXEME.pattern}|(?s:.+)){_SKIP.pattern}")
+_NAME_START = frozenset(string.ascii_letters + "_")
 
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<string>"[^"\n]*")
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
-    | (?P<punct>!=|->|[{}();:,=])
-    """,
-    re.VERBOSE,
-)
+class _Unexpected(Exception):
+    """A syntax error at lexeme ``index``; :func:`_parse` adds its position."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        value = m.group()
-        col = pos - line_start + 1
-        if kind == "ws":
-            if "\n" in value:
-                line += value.count("\n")
-                line_start = pos + value.rindex("\n") + 1
-        elif kind == "comment":
-            pass
-        elif kind == "string":
-            tokens.append(Token("string", value[1:-1], line, col))
-        elif kind == "ident":
-            tokens.append(Token("ident", value, line, col))
+def _shown(lexeme: str) -> str:
+    """How an error message quotes a lexeme: a string without its quotes."""
+    return "'" + lexeme.strip('"') + "'" if lexeme else "end of input"
+
+
+def _expected(lx: list[str], i: int, want: str) -> _Unexpected:
+    return _Unexpected(f"expected {want}, found {_shown(lx[i])}", i)
+
+
+def _expect(lx: list[str], i: int, lexeme: str) -> None:
+    if lx[i] != lexeme:
+        raise _expected(lx, i, f"'{lexeme}'")
+
+
+def _name(lx: list[str], i: int, what: str) -> str:
+    name = lx[i]
+    if name[:1] not in _NAME_START:
+        raise _expected(lx, i, what)
+    if name in KEYWORDS:
+        raise _Unexpected(f"keyword '{name}' cannot be used as {what}", i)
+    return name
+
+
+def _unary(lx: list[str], i: int) -> tuple[Formula, int]:
+    lexeme = lx[i]
+    if lexeme == "not":
+        f, i = _unary(lx, i + 1)
+        return Not(f), i
+    if lexeme == "(":
+        f, i = _formula(lx, i + 1)
+        _expect(lx, i, ")")
+        return f, i + 1
+    var = _name(lx, i, "a variable name")
+    op = lx[i + 1]
+    if op != "=" and op != "!=":
+        raise _expected(lx, i + 1, "'=' or '!='")
+    value = _name(lx, i + 2, "a value")
+    return Atom(var, AtomOp.EQ if op == "=" else AtomOp.NEQ, value), i + 3
+
+
+def _and(lx: list[str], i: int) -> tuple[Formula, int]:
+    f, i = _unary(lx, i)
+    while lx[i] == "and":
+        right, i = _unary(lx, i + 1)
+        f = And(f, right)
+    return f, i
+
+
+def _or(lx: list[str], i: int) -> tuple[Formula, int]:
+    f, i = _and(lx, i)
+    while lx[i] == "or":
+        right, i = _and(lx, i + 1)
+        f = Or(f, right)
+    return f, i
+
+
+def _formula(lx: list[str], i: int) -> tuple[Formula, int]:
+    left, i = _or(lx, i)
+    if lx[i] == "->":
+        right, i = _formula(lx, i + 1)
+        return Implies(left, right), i
+    return left, i
+
+
+def _kb(lx: list[str], i: int) -> tuple[KnowledgeBase, int]:
+    _expect(lx, i, "kb")
+    if lx[i + 1][:1] != '"':
+        raise _expected(lx, i + 1, "a quoted knowledge-base name")
+    name = lx[i + 1][1:-1]
+    _expect(lx, i + 2, "{")
+    i += 3
+    context: Optional[tuple[str, str]] = None
+    variables: list[Variable] = []
+    constraints: list[Constraint] = []
+    while (lexeme := lx[i]) != "}":
+        if lexeme == "context":
+            var = _name(lx, i + 1, "a context variable name")
+            _expect(lx, i + 2, "=")
+            val = _name(lx, i + 3, "a context value")
+            _expect(lx, i + 4, ";")
+            if context is not None:
+                raise _Unexpected("duplicate context declaration", i)
+            context = (var, val)
+            i += 5
+        elif lexeme == "var":
+            var = _name(lx, i + 1, "a variable name")
+            _expect(lx, i + 2, ":")
+            _expect(lx, i + 3, "{")
+            values = [_name(lx, i + 4, "a domain value")]
+            i += 5
+            while lx[i] == ",":
+                values.append(_name(lx, i + 1, "a domain value"))
+                i += 2
+            _expect(lx, i, "}")
+            _expect(lx, i + 1, ";")
+            variables.append(Variable(var, tuple(values)))
+            i += 2
+        elif lexeme == "constraint":
+            cid = _name(lx, i + 1, "a constraint id")
+            _expect(lx, i + 2, ":")
+            f, i = _formula(lx, i + 3)
+            _expect(lx, i, ";")
+            constraints.append(Constraint(cid, f, provenance=name))
+            i += 1
         else:
-            tokens.append(Token(value, value, line, col))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, n - line_start + 1))
-    return tokens
+            raise _expected(lx, i, "'context', 'var' or 'constraint'")
+    kb = KnowledgeBase(name, tuple(variables), tuple(constraints), context)
+    return kb, i + 1
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
-    def error(self, want: str) -> ParseError:
-        """The error for finding the next token where ``want`` belongs."""
-        tok = self.peek()
-        found = "end of input" if tok.kind == "eof" else f"'{tok.value}'"
-        return ParseError(f"expected {want}, found {found}", tok.line, tok.col)
-
-    def expect(self, kind: str, what: Optional[str] = None) -> Token:
-        if self.peek().kind != kind:
-            raise self.error(what or f"'{kind}'")
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
-            raise self.error(f"'{word}'")
-        return self.advance()
-
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing '{tok.value}'", tok.line, tok.col)
-
-    def expect_name(self, what: str) -> Token:
-        tok = self.expect("ident", what)
-        if tok.value in KEYWORDS:
-            raise ParseError(
-                f"keyword '{tok.value}' cannot be used as {what}", tok.line, tok.col
-            )
-        return tok
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == word
+def _position(text: str, index: int) -> tuple[int, int]:
+    """Line and column of lexeme ``index``; past the last one, of the end."""
+    scan = _SCAN.finditer(text, _SKIP.match(text).end())
+    found = next(islice(scan, index, None), None)
+    pos = len(text) if found is None else found.start()
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _parse_atom(p: _Parser) -> Atom:
-    var = p.expect_name("a variable name")
-    tok = p.peek()
-    if tok.kind not in ("=", "!="):
-        raise p.error("'=' or '!='")
-    p.advance()
-    value = p.expect_name("a value")
-    op = AtomOp.EQ if tok.kind == "=" else AtomOp.NEQ
-    return Atom(var.value, op, value.value)
+def _parse(text: str, rule: Callable[[list[str], int], tuple]):
+    """Scan ``text`` and read all of it with ``rule``.
 
-
-def _parse_unary(p: _Parser) -> Formula:
-    if p.at_keyword("not"):
-        p.advance()
-        return Not(_parse_unary(p))
-    if p.peek().kind == "(":
-        p.advance()
-        f = _parse_formula(p)
-        p.expect(")")
-        return f
-    return _parse_atom(p)
-
-
-def _parse_and(p: _Parser) -> Formula:
-    f = _parse_unary(p)
-    while p.at_keyword("and"):
-        p.advance()
-        f = And(f, _parse_unary(p))
-    return f
-
-
-def _parse_or(p: _Parser) -> Formula:
-    f = _parse_and(p)
-    while p.at_keyword("or"):
-        p.advance()
-        f = Or(f, _parse_and(p))
-    return f
-
-
-def _parse_formula(p: _Parser) -> Formula:
-    left = _parse_or(p)
-    if p.peek().kind == "->":
-        p.advance()
-        return Implies(left, _parse_formula(p))
-    return left
+    The lexeme list ends in ``""``, which no rule takes, for the end of input.
+    """
+    lx = _SCAN.findall(text, _SKIP.match(text).end())
+    try:
+        if lx and not _LEXEME.fullmatch(lx[-1]):
+            raise _Unexpected(f"unexpected character {lx[-1][0]!r}", len(lx) - 1)
+        lx.append("")
+        result, i = rule(lx, 0)
+        if lx[i]:
+            raise _Unexpected(f"unexpected trailing {_shown(lx[i])}", i)
+    except _Unexpected as err:
+        raise ParseError(str(err), *_position(text, err.index)) from None
+    return result
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a bare formula (no surrounding kb document)."""
-    p = _Parser(_tokenize(text))
-    f = _parse_formula(p)
-    p.expect_end()
-    return f
+    return _parse(text, _formula)
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -203,55 +219,7 @@ def parse_kb(text: str) -> KnowledgeBase:
     contextualized follows from its formula and the declared context (see
     :func:`kbmerge.model.is_contextualized`); nothing is stored for it.
     """
-    p = _Parser(_tokenize(text))
-    p.expect_keyword("kb")
-    name = p.expect("string", "a quoted knowledge-base name")
-    p.expect("{")
-
-    context: Optional[tuple[str, str]] = None
-    variables: list[Variable] = []
-    constraints: list[Constraint] = []
-    while p.peek().kind != "}":
-        tok = p.peek()
-        if p.at_keyword("context"):
-            p.advance()
-            var = p.expect_name("a context variable name")
-            p.expect("=")
-            val = p.expect_name("a context value")
-            p.expect(";")
-            if context is not None:
-                raise ParseError("duplicate context declaration", tok.line, tok.col)
-            context = (var.value, val.value)
-        elif p.at_keyword("var"):
-            p.advance()
-            var = p.expect_name("a variable name")
-            p.expect(":")
-            p.expect("{")
-            values = [p.expect_name("a domain value").value]
-            while p.peek().kind == ",":
-                p.advance()
-                values.append(p.expect_name("a domain value").value)
-            p.expect("}")
-            p.expect(";")
-            variables.append(Variable(var.value, tuple(values)))
-        elif p.at_keyword("constraint"):
-            p.advance()
-            cid = p.expect_name("a constraint id")
-            p.expect(":")
-            f = _parse_formula(p)
-            p.expect(";")
-            constraints.append(Constraint(cid.value, f, provenance=name.value))
-        else:
-            raise p.error("'context', 'var' or 'constraint'")
-    p.expect("}")
-    p.expect_end()
-
-    kb = KnowledgeBase(
-        name=name.value,
-        variables=tuple(variables),
-        constraints=tuple(constraints),
-        context=context,
-    )
+    kb = _parse(text, _kb)
     validate_kb(kb)
     return kb
 
@@ -306,8 +274,40 @@ def _format_constraint_formula(f: Formula, context: Optional[tuple[str, str]]) -
     return format_formula(f)
 
 
+_NAMES = re.compile(rf"(?:{_IDENT}\n)*")
+
+
+def _check_names(kb: KnowledgeBase) -> None:
+    """Raise ValidationError for the first name :func:`parse_kb` could not read."""
+    if '"' in kb.name or "\n" in kb.name:
+        raise ValidationError(
+            f"cannot serialize knowledge-base name {kb.name!r}: it holds '\"' or a line break"
+        )
+    names = [*(kb.context or ())]
+    for v in kb.variables:
+        names.append(v.name)
+        names += v.domain
+    names += [c.id for c in kb.constraints]
+    # one match over all of them; a name holding a line break breaks the count
+    text = "\n".join([*names, ""])
+    readable = _NAMES.fullmatch(text) and text.count("\n") == len(names)
+    if readable and KEYWORDS.isdisjoint(names):
+        return
+    bad = next(
+        n for n in names if n in KEYWORDS or "\n" in n or not _NAMES.fullmatch(n + "\n")
+    )
+    raise ValidationError(
+        f"cannot serialize {bad!r}: a variable, value or constraint id must match"
+        f" {_IDENT} and not be a keyword"
+    )
+
+
 def serialize_kb(kb: KnowledgeBase) -> str:
-    """Render a knowledge base in the kb file grammar (canonical layout)."""
+    """Render a knowledge base in the kb file grammar (canonical layout).
+
+    Raises ValidationError for a name the grammar could not read back.
+    """
+    _check_names(kb)
     lines = [f'kb "{kb.name}" {{']
     if kb.context is not None:
         lines.append(f"  context {kb.context[0]} = {kb.context[1]};")

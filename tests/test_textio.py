@@ -1,26 +1,38 @@
+import re
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbmerge import (
     And,
     Atom,
     AtomOp,
+    Constraint,
     Implies,
+    KbError,
+    KnowledgeBase,
     Not,
     Or,
     ParseError,
     SynthConfig,
     ValidationError,
+    Variable,
     format_formula,
     is_contextualized,
     parse_kb,
     serialize_kb,
     synthesize_pair,
+    validate_kb,
     write_bench_csv,
 )
 from kbmerge.bench import BenchRow
 from kbmerge.textio import parse_formula
 
 from pathlib import Path
+
+from conftest import STRATEGY_VARS, formula_strategy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -149,6 +161,293 @@ def test_rejects_trailing_garbage():
         parse_kb('kb "t" { var x : { a }; } kb "u" { }')
 
 
+# Each malformed input's exact error: type, message, line and column. The whole
+# text is scanned before parsing, so a stray character is reported even where a
+# syntax error comes earlier; a duplicate domain value is caught as its
+# declaration is read, before a later syntax error.
+PINNED_ERRORS = [
+    pytest.param(
+        parse_kb,
+        'kb "t" {\n  var x : { a };\n  constraint c1 x = a;\n}',
+        (ParseError, "3:17: expected ':', found 'x'", 3, 17),
+        id="kb-missing-colon",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a }; constraint c: x = a & x = a; }',
+        (ParseError, "1:45: unexpected character '&'", 1, 45),
+        id="kb-ampersand",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" {\n  var é : { a };\n}',
+        (ParseError, "2:7: unexpected character 'é'", 2, 7),
+        id="kb-non-ascii",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t { var x : { a }; }',
+        (ParseError, '1:4: unexpected character \'"\'', 1, 4),
+        id="kb-unterminated-string",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t\n" { }',
+        (ParseError, '1:4: unexpected character \'"\'', 1, 4),
+        id="kb-string-across-lines",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb t { }',
+        (ParseError, "1:4: expected a quoted knowledge-base name, found 't'", 1, 4),
+        id="kb-unquoted-name",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" "u" { }',
+        (ParseError, "1:8: expected '{', found 'u'", 1, 8),
+        id="kb-quoted-value",
+    ),
+    pytest.param(
+        parse_kb,
+        '',
+        (ParseError, "1:1: expected 'kb', found end of input", 1, 1),
+        id="kb-empty",
+    ),
+    pytest.param(
+        parse_kb,
+        '  \n\t# only a comment\n',
+        (ParseError, "3:1: expected 'kb', found end of input", 3, 1),
+        id="kb-blank",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a }; # no closing brace',
+        (ParseError, "1:43: expected 'context', 'var' or 'constraint', found end of input", 1, 43),
+        id="kb-comment-at-end",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a, }; }',
+        (ParseError, "1:23: expected a domain value, found '}'", 1, 23),
+        id="kb-trailing-comma",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a };\n constraint c: (x = a; }',
+        (ParseError, "2:22: expected ')', found ';'", 2, 22),
+        id="kb-open-paren",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a }; constraint c: x = a -> ; }',
+        (ParseError, "1:48: expected a variable name, found ';'", 1, 48),
+        id="kb-dangling-implies",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a }; constraint c: x == a; }',
+        (ParseError, "1:42: expected a value, found '='", 1, 42),
+        id="kb-double-equals",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var not : { a }; }',
+        (ParseError, "1:14: keyword 'not' cannot be used as a variable name", 1, 14),
+        id="kb-keyword-name",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a, or }; }',
+        (ParseError, "1:23: keyword 'or' cannot be used as a domain value", 1, 23),
+        id="kb-keyword-value",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" {\n  context x = a;\n  context x = a;\n  var x : { a };\n}',
+        (ParseError, '3:3: duplicate context declaration', 3, 3),
+        id="kb-duplicate-context",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a }; } kb "u" { }',
+        (ParseError, "1:27: unexpected trailing 'kb'", 1, 27),
+        id="kb-trailing-kb",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a }; } "u"',
+        (ParseError, "1:27: unexpected trailing 'u'", 1, 27),
+        id="kb-trailing-string",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" {\r\n\tvar x : { a };\r\n\t\tconstraint c1 x = a;\r\n}',
+        (ParseError, "3:17: expected ':', found 'x'", 3, 17),
+        id="kb-crlf-tabs",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb t { var x : { a };\n constraint c: x = a -> y ! b; }',
+        (ParseError, "2:27: unexpected character '!'", 2, 27),
+        id="kb-error-then-stray",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a }; constraint c: x = a - x = a; }',
+        (ParseError, "1:45: unexpected character '-'", 1, 45),
+        id="kb-lone-minus",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { 1a }; }',
+        (ParseError, "1:20: unexpected character '1'", 1, 20),
+        id="kb-digit-value",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { variable x : { a }; }',
+        (ParseError, "1:10: expected 'context', 'var' or 'constraint', found 'variable'", 1, 10),
+        id="kb-bad-declaration",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a }',
+        (ParseError, "1:23: expected ';', found end of input", 1, 23),
+        id="kb-missing-close",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" { var x : { a, a }; constraint c1 x = a; }',
+        (ValidationError, "variable 'x' has duplicate domain values", None, None),
+        id="kb-duplicate-value-before-syntax-error",
+    ),
+    pytest.param(
+        parse_kb,
+        'kb "t" {\n\x0c}',
+        (ParseError, "2:1: unexpected character '\\x0c'", 2, 1),
+        id="kb-form-feed-is-no-blank",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = a & y = b',
+        (ParseError, "1:7: unexpected character '&'", 1, 7),
+        id="formula-ampersand",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = é',
+        (ParseError, "1:5: unexpected character 'é'", 1, 5),
+        id="formula-non-ascii",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = "a',
+        (ParseError, '1:5: unexpected character \'"\'', 1, 5),
+        id="formula-unterminated-string",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = "a"',
+        (ParseError, "1:5: expected a value, found 'a'", 1, 5),
+        id="formula-string-value",
+    ),
+    pytest.param(
+        parse_formula,
+        '',
+        (ParseError, '1:1: expected a variable name, found end of input', 1, 1),
+        id="formula-empty",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = a and # no right operand',
+        (ParseError, '1:29: expected a variable name, found end of input', 1, 29),
+        id="formula-comment-at-end",
+    ),
+    pytest.param(
+        parse_formula,
+        '(x = a',
+        (ParseError, "1:7: expected ')', found end of input", 1, 7),
+        id="formula-open-paren",
+    ),
+    pytest.param(
+        parse_formula,
+        '(x = a;',
+        (ParseError, "1:7: expected ')', found ';'", 1, 7),
+        id="formula-open-paren-semicolon",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = a -> ',
+        (ParseError, '1:10: expected a variable name, found end of input', 1, 10),
+        id="formula-dangling-implies",
+    ),
+    pytest.param(
+        parse_formula,
+        'x == a',
+        (ParseError, "1:4: expected a value, found '='", 1, 4),
+        id="formula-double-equals",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = and',
+        (ParseError, "1:5: keyword 'and' cannot be used as a value", 1, 5),
+        id="formula-keyword-value",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = a or or = b',
+        (ParseError, "1:10: keyword 'or' cannot be used as a variable name", 1, 10),
+        id="formula-keyword-variable",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = a y = b',
+        (ParseError, "1:7: unexpected trailing 'y'", 1, 7),
+        id="formula-trailing",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = a kb "u" { }',
+        (ParseError, "1:7: unexpected trailing 'kb'", 1, 7),
+        id="formula-trailing-kb",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = a\r\n\tand\r\n\t\t= b',
+        (ParseError, "3:3: expected a variable name, found '='", 3, 3),
+        id="formula-crlf-tabs",
+    ),
+    pytest.param(
+        parse_formula,
+        'x = -> y ! b',
+        (ParseError, "1:10: unexpected character '!'", 1, 10),
+        id="formula-error-then-stray",
+    ),
+    pytest.param(
+        parse_formula,
+        'not x',
+        (ParseError, "1:6: expected '=' or '!=', found end of input", 1, 6),
+        id="formula-missing-operator",
+    ),
+    pytest.param(
+        parse_formula,
+        "x = a\xa0and y = b",
+        (ParseError, "1:6: unexpected character '\\xa0'", 1, 6),
+        id="formula-no-break-space-is-no-blank",
+    ),
+]
+
+
+@pytest.mark.parametrize("parse, text, want", PINNED_ERRORS)
+def test_malformed_input_raises_its_pinned_error(parse, text, want):
+    with pytest.raises(KbError) as info:
+        parse(text)
+    err = info.value
+    got = (type(err), str(err), getattr(err, "line", None), getattr(err, "column", None))
+    assert got == want
+
+
 def test_rejects_undeclared_variable():
     with pytest.raises(ValidationError, match="undeclared variable 'y'"):
         parse_kb('kb "t" { var x : { a }; constraint c: y = a; }')
@@ -238,6 +537,95 @@ def test_serializes_contextualized_guard_with_parenthesized_body(car_pair):
 def test_serializes_union_country_domain(car_merged):
     merged, _ = car_merged
     assert "var country : { US, GER };" in serialize_kb(merged)
+
+
+def test_serialize_refuses_names_it_could_not_read_back():
+    # a valid KB whose name, values and constraint id the grammar cannot read
+    kb = KnowledgeBase(
+        'a"b',
+        (Variable("x", ("1a", "or")),),
+        (Constraint("not", Atom("x", AtomOp.EQ, "1a")),),
+    )
+    validate_kb(kb)
+    with pytest.raises(ValidationError, match="knowledge-base name 'a\"b'"):
+        serialize_kb(kb)
+    with pytest.raises(ValidationError, match="knowledge-base name 'a\\\\nb'"):
+        serialize_kb(replace(kb, name="a\nb"))
+    kb = replace(kb, name="ab")
+    # then the first unreadable name in text order
+    with pytest.raises(ValidationError, match="cannot serialize '1a'"):
+        serialize_kb(kb)
+    not_a1 = Constraint("not", Atom("x", AtomOp.EQ, "a1"))
+    kb = replace(kb, variables=(Variable("x", ("a1", "or")),), constraints=(not_a1,))
+    with pytest.raises(ValidationError, match="cannot serialize 'or'"):
+        serialize_kb(kb)
+    kb = replace(kb, variables=(Variable("x", ("a1", "b")),))
+    with pytest.raises(ValidationError, match="cannot serialize 'not'"):
+        serialize_kb(kb)
+    for name in ("x y", "a\nb", ""):
+        with pytest.raises(ValidationError, match="cannot serialize"):
+            serialize_kb(KnowledgeBase("t", (Variable(name, ("a",)),)))
+    # a keyword with more after it is a name
+    kb = replace(kb, constraints=(Constraint("or.x", Atom("x", AtomOp.EQ, "a1")),))
+    assert _structurally_equal(parse_kb(serialize_kb(kb)), kb)
+
+
+# --- noise between lexemes ----------------------------------------------------
+
+# The canonical text's lexemes, found without the module's scanner: strings,
+# runs of name characters, the two-character operators, any other character.
+_CANONICAL_LEXEMES = re.compile(r'"[^"]*"|[A-Za-z0-9_.]+|!=|->|\S')
+_WORD = re.compile(r"[A-Za-z0-9_.]+")
+# Blanks, line ends and comments; a comment may hold any character but a line
+# break, even a quote, a '#' or a character no lexeme starts with.
+_NOISE = st.sampled_from(
+    ["", " ", "\t", "\n", "\r\n", "\t\r\n  ", "#\n", '# "x é & {\r\n', " #x#\n\t"]
+)
+
+
+def _synthesized_kb(seed: int) -> KnowledgeBase:
+    # the configurations of test_round_trip_on_synthesized_kbs
+    cfg = SynthConfig(
+        n_constraints=6 + seed % 7,
+        context_share=(seed % 11) / 10.0,
+        seed=seed,
+        n_vars=4,
+        domain_size=3,
+    )
+    return synthesize_pair(cfg)[seed % 2]
+
+
+@st.composite
+def _noise_kbs(draw):
+    if draw(st.booleans()):
+        return _synthesized_kb(draw(st.integers(0, 49)))
+    formulas = draw(st.lists(formula_strategy, max_size=4))
+    return KnowledgeBase(
+        "k",
+        STRATEGY_VARS,
+        tuple(Constraint(f"c{i}", f, provenance="k") for i, f in enumerate(formulas)),
+        draw(st.sampled_from([None, ("x", "a")])),
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kb=_noise_kbs(), data=st.data())
+def test_noise_between_lexemes_reads_the_same_kb(kb, data):
+    text = serialize_kb(kb)
+    clean = parse_kb(text)
+    assert _structurally_equal(clean, kb)
+    lexemes = _CANONICAL_LEXEMES.findall(text)
+    noise = data.draw(
+        st.lists(_NOISE, min_size=len(lexemes) + 1, max_size=len(lexemes) + 1)
+    )
+    parts = [noise[0]]
+    for k, lexeme in enumerate(lexemes):
+        gap = noise[k + 1]
+        after = lexemes[k + 1] if k + 1 < len(lexemes) else ""
+        if not gap and _WORD.fullmatch(lexeme) and _WORD.fullmatch(after):
+            gap = " "  # two names need a blank between them
+        parts += [lexeme, gap]
+    assert parse_kb("".join(parts)) == clean
 
 
 def test_format_formula_minimal_parens():
