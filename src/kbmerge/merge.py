@@ -290,18 +290,17 @@ def ckb_merge(
     n = len(ckb_prime)
 
     # One instance serves every check of the merge. Input constraint i sits
-    # at GUARDED + i (c'_i), BARE + i (c_i), NOT_BARE + i (not c_i) and
-    # NOT_GUARDED + i (not c'_i); PIN + k pins the context value of source
-    # k. A check is handed its pool as the pair (undecided, refuted) of
-    # ORed bits and refuted literals, so no check walks its pool.
-    GUARDED, BARE, NOT_BARE, NOT_GUARDED, PIN = 0, n, 2 * n, 3 * n, 4 * n
+    # at GUARDED + i (c'_i), BARE + i (c_i) and NOT_BARE + i (not c_i); PIN + k
+    # pins the context value of source k, so not c'_i is c_i's pin with not c_i.
+    # A check is handed its pool as the pair (undecided, refuted) of ORed
+    # bits and refuted literals, so no check walks its pool.
+    GUARDED, BARE, NOT_BARE, PIN = 0, n, 2 * n, 3 * n
     tb = time.perf_counter()
     inst = _Instance(
         variables,
         [c.formula for c in ckb_prime]
         + [c.formula for c in bares]
         + [negate(c.formula) for c in bares]
-        + [negate(c.formula) for c in ckb_prime]
         + [Atom(ctx_var, AtomOp.EQ, ctx_val1), Atom(ctx_var, AtomOp.EQ, ctx_val2)],
     )
     build_ms = (time.perf_counter() - tb) * 1000.0
@@ -310,11 +309,11 @@ def ckb_merge(
     records: list[CheckRecord] = []
 
     def check(
-        phase: str, cid: Optional[str], pool: tuple[int, int], extra: int
+        phase: str, cid: Optional[str], pool: tuple[int, int], extra: tuple[int, int]
     ) -> bool:
         """Run one check of the shared instance, over the ORed ``pool`` and
-        the constraint ``extra`` (a pin or a negation), and record it."""
-        ok, stats = inst.check((pool[0] | bits[extra], pool[1] | refuted[extra]))
+        the ``extra`` pair (a pin or a negation), and record it."""
+        ok, stats = inst.check((pool[0] | extra[0], pool[1] | extra[1]))
         records.append(
             CheckRecord(phase, cid, ok, stats.nodes_explored, stats.elapsed_ms)
         )
@@ -325,8 +324,13 @@ def ckb_merge(
     # the context variable pinned to that value.
     n1 = len(renamed1)
     sources = ((kb1c, range(BARE, BARE + n1)), (kb2c, range(BARE + n1, BARE + n)))
+    pins = [(bits[PIN + k], refuted[PIN + k]) for k in (0, 1)]
     for k, (kb, members) in enumerate(sources):
-        if not check("input", None, _suffix_ors(bits, refuted, members)[0], PIN + k):
+        undecided = false = 0
+        for ci in members:
+            undecided |= bits[ci]
+            false |= refuted[ci]
+        if not check("input", None, (undecided, false), pins[k]):
             raise InconsistentInputError(
                 f"knowledge base '{kb.name}' is inconsistent"
             )
@@ -334,9 +338,9 @@ def ckb_merge(
     decontextualized: list[str] = []
     kept_contextualized: list[str] = []
     merged: list[Constraint] = []
-    # instance indices of each merged constraint and of its negation
+    # the instance index of each merged constraint, and the pair of its negation
     own: list[int] = []
-    negation: list[int] = []
+    negation: list[tuple[int, int]] = []
 
     t0 = time.perf_counter()
     # the inputs from i on, the current one included, exactly as in the
@@ -346,15 +350,17 @@ def ckb_merge(
     for i, guarded in enumerate(ckb_prime):
         undecided, false = unprocessed[i]
         pool = (undecided | done, false | done_false)
-        if not check("1", guarded.id, pool, NOT_BARE + i):
+        not_bare = (bits[NOT_BARE + i], refuted[NOT_BARE + i])
+        if not check("1", guarded.id, pool, not_bare):
             merged.append(bares[i])
             own.append(BARE + i)
-            negation.append(NOT_BARE + i)
+            negation.append(not_bare)
             decontextualized.append(guarded.id)
         else:
             merged.append(guarded)
             own.append(GUARDED + i)
-            negation.append(NOT_GUARDED + i)
+            pin = pins[i >= n1]  # the pin of c_i's source
+            negation.append((not_bare[0] | pin[0], not_bare[1] | pin[1]))
             kept_contextualized.append(guarded.id)
         done |= bits[own[-1]]
         done_false |= refuted[own[-1]]

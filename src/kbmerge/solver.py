@@ -232,12 +232,12 @@ class _Instance:
     """Validated, compiled search instance.
 
     Built once, an instance can answer many consistency checks, each over
-    a subset of its constraints (see :meth:`check`): the assumption-style
-    incremental interface of MiniSat, without learning. Compiling validates
-    each formula; a bad atom raises the :class:`ValidationError` of
-    :func:`kbmerge.model.validate_formula`. A check on a shared instance
-    explores exactly the nodes of a fresh instance built from its active
-    constraints.
+    a subset of its constraints handed as one bit pair (see :meth:`check`):
+    the assumption-style incremental interface of MiniSat, without learning.
+    Compiling validates each formula; a bad atom raises the
+    :class:`ValidationError` of :func:`kbmerge.model.validate_formula`. A
+    check on a shared instance explores exactly the nodes of a fresh
+    instance built from its active constraints.
 
     The tables are int bit sets over constraints. A constraint's bit is its
     rank in a stable sort of the constraints by scope; what it does to the
@@ -301,17 +301,10 @@ class _Instance:
                 filters[scope[-2]] |= bit
             bit <<= 1
 
-    def check(self, active: Optional[Sequence[int]] = None) -> tuple[bool, SolveStats]:
-        """Consistency of the active constraints (all by default): a list of
-        their indices, or as a tuple the ready pair ``(undecided, refuted)``
-        of their ORed ``bits`` and ``refuted`` literal sets."""
+    def check(self, active: Optional[tuple[int, int]] = None) -> tuple[bool, SolveStats]:
+        """Consistency of the constraints whose ORed ``bits`` and ``refuted``
+        literal sets make the pair ``active``, all of them by default."""
         start = time.perf_counter()
-        if active is not None and not isinstance(active, tuple):
-            bits, refuted = self.bits, self.refuted
-            active = (
-                reduce(or_, [bits[ci] for ci in active], 0),
-                reduce(or_, [refuted[ci] for ci in active], 0),
-            )
         count, nodes = _search(self, 0, active)
         elapsed = (time.perf_counter() - start) * 1000.0
         return count > 0, SolveStats(nodes_explored=nodes, elapsed_ms=elapsed)

@@ -641,6 +641,13 @@ def test_each_merge_check_matches_its_explicit_pool(car_pair):
                 record.consistent,
                 record.nodes,
             )
+        # a phase-2 check of a kept guarded constraint hands the search its
+        # source's pin and its negated body, where the pool above negates
+        # the guarded formula itself
+        assert any(
+            r.phase == "2" and r.constraint_id in report.kept_contextualized_ids
+            for r in report.checks
+        )
 
 
 def test_merges_and_counts_keep_their_pinned_outputs_and_search_trees():
@@ -672,15 +679,19 @@ def test_each_merge_builds_one_solver_instance(car_pair, monkeypatch):
     built = []
     original = solver._Instance.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
+    def counting_init(self, variables, constraints):
+        built.append(len(constraints))
+        original(self, variables, constraints)
 
     monkeypatch.setattr(solver._Instance, "__init__", counting_init)
     for kb1c, kb2c in [car_pair, *synthesized_pairs()]:
         built.clear()
         ckb_merge(kb1c, kb2c)
         assert len(built) == 1
+        # each input's guarded form, bare body and negated body, and a pin
+        # per source: a guarded negation is its pin with the negated body
+        n = len(kb1c.constraints) + len(kb2c.constraints)
+        assert built[0] == 3 * n + 2
 
 
 def test_merge_report_solver_work_is_deterministic(car_pair):

@@ -559,6 +559,16 @@ def test_forward_checking_matches_brute_force():
     assert filtered > 300
 
 
+def active_pair(inst, indices):
+    """The pair ``(undecided, refuted)`` that hands ``inst.check`` the
+    constraints at ``indices``."""
+    undecided = refuted = 0
+    for ci in indices:
+        undecided |= inst.bits[ci]
+        refuted |= inst.refuted[ci]
+    return undecided, refuted
+
+
 def test_tautology_on_the_deepest_variable_filters_nothing():
     variables = (
         Variable("x", ("a", "b")),
@@ -593,9 +603,9 @@ def test_a_warm_filter_memo_explores_the_nodes_of_a_cold_one():
         # one negation and every constraint, in a random order
         pool = [len(formulas) + rng.randrange(len(formulas)), *range(len(formulas))]
         rng.shuffle(pool)
-        cold_ok, cold = inst.check(pool)
+        cold_ok, cold = inst.check(active_pair(inst, pool))
         entries = sum(len(memo) for *_, memo in inst.records)
-        warm_ok, warm = inst.check(pool)
+        warm_ok, warm = inst.check(active_pair(inst, pool))
         fresh_ok, fresh = _Instance(variables, [pool_formulas[ci] for ci in pool]).check()
         assert cold_ok == warm_ok == fresh_ok
         assert cold.nodes_explored == warm.nodes_explored == fresh.nodes_explored
@@ -624,10 +634,10 @@ def test_a_warm_check_evaluates_no_constraint():
     inst.records = [(counted(ev), *rest) for ev, *rest in inst.records]
     # every guarded constraint and the negation of one of them
     pool = [*range(len(guarded)), len(guarded) + 3]
-    cold_ok, cold = inst.check(pool)
+    cold_ok, cold = inst.check(active_pair(inst, pool))
     assert calls[0] > 0
     calls[0] = 0
-    warm_ok, warm = inst.check(pool)
+    warm_ok, warm = inst.check(active_pair(inst, pool))
     assert (cold_ok, cold.nodes_explored) == (warm_ok, warm.nodes_explored)
     assert warm.nodes_explored > 0
     # literals decide the constraints they force true, and every filter
@@ -694,7 +704,7 @@ def test_deciding_below_the_shallowest_variable_changes_no_result_or_node(monkey
         seen = []
         for cls in (_Instance, ShallowestOnly):
             inst = cls(variables, pool_formulas)
-            checks = [inst.check(pool) for pool in pools]
+            checks = [inst.check(active_pair(inst, pool)) for pool in pools]
             with monkeypatch.context() as patched:
                 patched.setattr(solver, "_Instance", cls)
                 ok, stats = is_consistent(variables, formulas)
@@ -723,7 +733,7 @@ def test_a_shared_instance_searches_like_a_fresh_one_in_any_order():
         inst = _Instance(variables, pool_formulas)
         for _ in range(4):
             active = rng.sample(range(len(pool_formulas)), rng.randint(1, len(pool_formulas)))
-            shared_ok, shared = inst.check(active)
+            shared_ok, shared = inst.check(active_pair(inst, active))
             rng.shuffle(active)
             fresh_ok, fresh = _Instance(variables, [pool_formulas[ci] for ci in active]).check()
             assert shared_ok == fresh_ok, (variables, formulas, active)
