@@ -1,13 +1,13 @@
 """Consistency-based merging of contextualized knowledge bases.
 
 The pipeline: each source KB is contextualized (every constraint guarded
-by its context atom), the variable sets are aligned, and the two-phase
-merge runs. Phase 1 tries to drop each guard: if asserting the negated
-bare constraint against everything else is unsatisfiable, the guard is
-not needed and the constraint is added decontextualized, otherwise the
-guarded form is kept. Phase 2 removes constraints that the rest of the
-merged KB already implies. Both phases preserve the union of the two
-source solution spaces.
+by its context atom), the variable sets are aligned, and the merge proves
+each source consistent and runs its two phases. Phase 1 tries to drop
+each guard: if asserting the negated bare constraint against everything
+else is unsatisfiable, the guard is not needed and the constraint is
+added decontextualized, otherwise the guarded form is kept. Phase 2
+removes constraints that the rest of the merged KB already implies. Both
+phases preserve the union of the two source solution spaces.
 """
 from __future__ import annotations
 
@@ -88,9 +88,10 @@ def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBas
     The context variable must either be declared with the singleton domain
     {ctx_val} or be absent, in which case it is appended with that domain.
     Under a singleton context domain every guard is vacuously true on all
-    in-context assignments, so the solution space is unchanged. The KB
-    must be consistent; one already contextualized on ``(ctx_var, ctx_val)``
-    is returned unchanged, so contextualizing twice is the same as once.
+    in-context assignments, so the solution space is unchanged. A KB
+    already contextualized on ``(ctx_var, ctx_val)`` is returned unchanged,
+    so contextualizing twice is the same as once. It runs no search:
+    ``ckb_merge`` proves each source consistent.
 
     Only the input is validated: the output adds a context variable that
     is new or already declared with the singleton domain, keeps every id,
@@ -103,10 +104,6 @@ def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBas
             f"context variable '{ctx_var}' must have the singleton domain "
             f"{{{ctx_val}}} in '{kb.name}', found {{{', '.join(declared.domain)}}}"
         )
-
-    ok, _ = is_consistent(kb.variables, kb.formulas())
-    if not ok:
-        raise InconsistentInputError(f"knowledge base '{kb.name}' is inconsistent")
 
     context = (ctx_var, ctx_val)
     if kb.context == context and all(
@@ -246,18 +243,21 @@ def ckb_merge(
 ) -> tuple[KnowledgeBase, MergeReport]:
     """Merge two contextualized, individually consistent knowledge bases.
 
-    Phase 1 walks the concatenated input constraints in file order. For
-    each guarded c' with bare body c, it checks {not c} against the still
-    unprocessed inputs (c' included, exactly as in the two-phase pseudocode)
-    plus the output built so far; unsatisfiable means the guard carries no
-    information and c joins the output decontextualized, otherwise c' is
-    kept guarded. Phase 2 walks the output in insertion order and deletes
-    any constraint whose negation is unsatisfiable with the rest; deletions
-    are visible to the remaining checks. Every check, including the two
-    input-consistency checks, runs on one solver instance built up front,
-    which is handed each check's pool as its ORed constraint bits and
-    refuted literals, kept as suffix ORs over the constraints still to come
-    and running ORs over those already merged or kept.
+    Two input checks come first, the only proof that each source is
+    consistent; InconsistentInputError names a source that is not. Phase 1
+    walks the concatenated input constraints in file order. For each guarded
+    c' with bare body c, it checks {not c} against the still unprocessed
+    inputs (c' included, exactly as in the two-phase pseudocode) plus the
+    output built so far, and pins the context to the other source's value,
+    which loses no solution since c' keeps not c out of c's own context.
+    Unsatisfiable means the guard carries no information and c joins the
+    output decontextualized, otherwise c' is kept guarded. Phase 2 walks the
+    output in insertion order and deletes any constraint whose negation is
+    unsatisfiable with the rest; deletions are visible to the remaining
+    checks. Every check runs on one solver instance built up front, handed
+    each check's pool as its ORed constraint bits and refuted literals, kept
+    as suffix ORs over the constraints to come and running ORs over those
+    already merged or kept.
 
     Returns the merged KB over the aligned variables (context domain is the
     union of the two context values) and a MergeReport. The merged KB has
@@ -291,9 +291,10 @@ def ckb_merge(
 
     # One instance serves every check of the merge. Input constraint i sits
     # at GUARDED + i (c'_i), BARE + i (c_i) and NOT_BARE + i (not c_i); PIN + k
-    # pins the context value of source k, so not c'_i is c_i's pin with not c_i.
-    # A check is handed its pool as the pair (undecided, refuted) of ORed
-    # bits and refuted literals, so no check walks its pool.
+    # pins the context value of source k, so not c'_i is c_i's pin with not c_i;
+    # a phase-1 pool holds the other source's pin besides c'_i. A check is
+    # handed its pool as the pair (undecided, refuted) of ORed bits and
+    # refuted literals, so no check walks its pool.
     GUARDED, BARE, NOT_BARE, PIN = 0, n, 2 * n, 3 * n
     tb = time.perf_counter()
     inst = _Instance(
@@ -319,9 +320,9 @@ def ckb_merge(
         )
         return ok
 
-    # Each source's context domain is its singleton value, which makes its
-    # guards vacuous: the source is consistent iff its bare bodies are, with
-    # the context variable pinned to that value.
+    # The only consistency proof of the sources: a source's singleton context
+    # domain makes its guards vacuous, so it is consistent iff its bare bodies
+    # are, with the context variable pinned to its value.
     n1 = len(renamed1)
     sources = ((kb1c, range(BARE, BARE + n1)), (kb2c, range(BARE + n1, BARE + n)))
     pins = [(bits[PIN + k], refuted[PIN + k]) for k in (0, 1)]
@@ -331,9 +332,7 @@ def ckb_merge(
             undecided |= bits[ci]
             false |= refuted[ci]
         if not check("input", None, (undecided, false), pins[k]):
-            raise InconsistentInputError(
-                f"knowledge base '{kb.name}' is inconsistent"
-            )
+            raise InconsistentInputError(f"knowledge base '{kb.name}' is inconsistent")
 
     decontextualized: list[str] = []
     kept_contextualized: list[str] = []
@@ -349,7 +348,8 @@ def ckb_merge(
     done = done_false = 0
     for i, guarded in enumerate(ckb_prime):
         undecided, false = unprocessed[i]
-        pool = (undecided | done, false | done_false)
+        pin, other = pins[i >= n1], pins[i < n1]  # c_i's source, the other one
+        pool = (undecided | done | other[0], false | done_false | other[1])
         not_bare = (bits[NOT_BARE + i], refuted[NOT_BARE + i])
         if not check("1", guarded.id, pool, not_bare):
             merged.append(bares[i])
@@ -359,7 +359,6 @@ def ckb_merge(
         else:
             merged.append(guarded)
             own.append(GUARDED + i)
-            pin = pins[i >= n1]  # the pin of c_i's source
             negation.append((not_bare[0] | pin[0], not_bare[1] | pin[1]))
             kept_contextualized.append(guarded.id)
         done |= bits[own[-1]]

@@ -287,9 +287,20 @@ def test_inconsistent_merge_input_exit_code(tmp_path, capsys):
         "  constraint c2: fuel != electro;\n"
         "}\n"
     )
+    # dead.kb's fuel domain is not GER's: alignment, which runs before the
+    # merge's input checks, rejects it first and names the variable
+    code, _, err = run(capsys, "merge", str(path), GER)
+    assert code == 1
+    assert "fuel" in err
+    # aligned with GER, but c1us already rules out hybrid fuel: the merge's
+    # input check, the one consistency proof, names the source
+    text = Path(US).read_text(encoding="utf-8")
+    end = text.rindex("}")
+    path = tmp_path / "us_dead.kb"
+    path.write_text(text[:end] + "  constraint c4us: fuel = hybrid;\n" + text[end:])
     code, _, err = run(capsys, "merge", str(path), GER)
     assert code == 2
-    assert "dead" in err
+    assert "CKB_us" in err
 
 
 def test_domain_mismatch_exit_code_names_variable(tmp_path, capsys):

@@ -57,15 +57,17 @@ def test_contextualize_guards_every_constraint(kb_us):
     assert all(is_contextualized(c.formula, out.context) for c in out.constraints)
 
 
-def test_contextualize_is_idempotent(kb_us):
+def test_contextualize_is_idempotent(kb_us, kb_ger):
     once = contextualize(kb_us, "country", "US")
     assert contextualize(once, "country", "US") is once
-    # an already guarded KB still has its consistency checked
+    # an already guarded KB comes back as it is, consistent or not: the
+    # merge's input check is the one consistency proof, and it names the KB
     # c1us already rules out hybrid fuel
     hybrid = Implies(Atom("country", AtomOp.EQ, "US"), Atom("fuel", AtomOp.EQ, "hybrid"))
     dead = replace(once, constraints=once.constraints + (Constraint("c4us", hybrid),))
+    assert contextualize(dead, "country", "US") is dead
     with pytest.raises(InconsistentInputError, match="CKB_us"):
-        contextualize(dead, "country", "US")
+        ckb_merge(dead, contextualize(kb_ger, "country", "GER"))
 
 
 def test_contextualize_preserves_solution_space(kb_us):
@@ -93,13 +95,20 @@ def test_contextualize_rejects_widened_context_domain():
         contextualize(kb, "market", "EU")
 
 
-def test_contextualize_rejects_inconsistent_kb():
+def test_contextualize_guards_an_inconsistent_kb_that_the_merge_rejects():
     kb = parse_kb(
         'kb "bad" { var x : { a, b }; constraint c1: x = a;'
         " constraint c2: x != a; }"
     )
+    # contextualize runs no search; the merge's input check names the KB
+    bad = contextualize(kb, "market", "EU")
+    assert bad.context == ("market", "EU")
+    assert all(is_contextualized(c.formula, bad.context) for c in bad.constraints)
+    other = contextualize(parse_kb('kb "other" { var x : { a, b }; }'), "market", "US")
     with pytest.raises(InconsistentInputError, match="bad"):
-        contextualize(kb, "market", "EU")
+        ckb_merge(bad, other)
+    with pytest.raises(InconsistentInputError, match="bad"):
+        ckb_merge(other, bad)
 
 
 def _raw_kbs():
@@ -561,16 +570,22 @@ def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
     return out, ids, tuple(nodes)
 
 
-def synthesized_pairs():
-    """Contextualized synthesized pairs at n = 30 and 60, two orders each."""
+def raw_synthesized_pairs():
+    """Synthesized pairs at n = 30 and 60, two orders each, not yet guarded."""
     for n in (30, 60):
         kb1, kb2 = synthesize_pair(SynthConfig(n_constraints=n, context_share=0.3, seed=n))
         for order in range(2):
             rng = random.Random(order)
-            yield (
-                contextualize(_shuffled(kb1, rng), CTX_VAR, CTX_VALUES[0]),
-                contextualize(_shuffled(kb2, rng), CTX_VAR, CTX_VALUES[1]),
-            )
+            yield _shuffled(kb1, rng), _shuffled(kb2, rng)
+
+
+def synthesized_pairs():
+    """The pairs of ``raw_synthesized_pairs``, contextualized."""
+    for kb1, kb2 in raw_synthesized_pairs():
+        yield (
+            contextualize(kb1, CTX_VAR, CTX_VALUES[0]),
+            contextualize(kb2, CTX_VAR, CTX_VALUES[1]),
+        )
 
 
 def test_merge_matches_pool_per_check_reference(car_pair):
@@ -585,9 +600,11 @@ def test_merge_matches_pool_per_check_reference(car_pair):
             report.kept_contextualized_ids,
             report.removed_redundant_ids,
         ) == want_ids
-        # each check activates its pool in pool order, so it searches the
-        # same tree as an instance built from that pool alone
-        assert (report.nodes_phase1, report.nodes_phase2) == want_nodes
+        # each phase-2 check activates its pool in pool order, so it searches
+        # the same tree as an instance built from that pool alone; a phase-1
+        # check also pins the other context value, which the pseudocode's
+        # pool does not (see explicit_pools)
+        assert report.nodes_phase2 == want_nodes[1]
 
 
 def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
@@ -596,9 +613,10 @@ def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
     Built as in ``reference_merge``, with the verdicts of ``report`` deciding
     what each phase adds or removes: the input checks pin the source's
     context value under its bare bodies; a phase-1 check pools the
-    unprocessed guarded inputs, the merged constraints so far and the
-    negated bare body; a phase-2 check pools the merged constraints still
-    kept but the tested one, and its negation.
+    unprocessed guarded inputs, the merged constraints so far, the negated
+    bare body and, last, the pin of the other source's context value; a
+    phase-2 check pools the merged constraints still kept but the tested
+    one, and its negation.
     """
     ctx_var = kb1c.context[0]
     renamed1, renamed2 = _rename_clashes(kb1c, kb2c)
@@ -615,7 +633,9 @@ def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
     merged = []
     for i, guarded in enumerate(ckb_prime):
         pool = [c.formula for c in ckb_prime[i:]] + [c.formula for c in merged]
-        pools.append(("1", guarded.id, pool + [negate(bares[i].formula)]))
+        other = (kb2c if i < len(renamed1) else kb1c).context[1]
+        pin = Atom(ctx_var, AtomOp.EQ, other)
+        pools.append(("1", guarded.id, pool + [negate(bares[i].formula), pin]))
         merged.append(guarded if next(verdicts) else bares[i])
     kept = list(merged)
     for c in merged:
@@ -641,6 +661,10 @@ def test_each_merge_check_matches_its_explicit_pool(car_pair):
                 record.consistent,
                 record.nodes,
             )
+            if phase == "1":
+                # the pool holds c'_i, so the pin of the other context value
+                # removes no solution: the pseudocode's pool has the verdict
+                assert is_consistent(variables, pool[:-1])[0] == ok
         # a phase-2 check of a kept guarded constraint hands the search its
         # source's pin and its negated body, where the pool above negates
         # the guarded formula itself
@@ -671,11 +695,11 @@ def test_merges_and_counts_keep_their_pinned_outputs_and_search_trees():
         )
         result, stats = count_solutions(merged.variables, merged.formulas())
         counts.update(repr((result.count, stats.nodes_explored)).encode())
-    assert merges.hexdigest()[:16] == "ef0b2278627b110b"
+    assert merges.hexdigest()[:16] == "409c1664d046477f"
     assert counts.hexdigest()[:16] == "6f1db5f1128d4bf4"
 
 
-def test_each_merge_builds_one_solver_instance(car_pair, monkeypatch):
+def test_each_merge_builds_one_solver_instance(kb_us, kb_ger, monkeypatch):
     built = []
     original = solver._Instance.__init__
 
@@ -684,14 +708,17 @@ def test_each_merge_builds_one_solver_instance(car_pair, monkeypatch):
         original(self, variables, constraints)
 
     monkeypatch.setattr(solver._Instance, "__init__", counting_init)
-    for kb1c, kb2c in [car_pair, *synthesized_pairs()]:
+    for kb1, kb2 in [(kb_us, kb_ger), *raw_synthesized_pairs()]:
         built.clear()
+        # a whole merge op, from the raw sources: contextualize searches
+        # nothing, so the merge's instance is the op's only one
+        kb1c = contextualize(kb1, kb1.context[0], kb1.context[1])
+        kb2c = contextualize(kb2, kb2.context[0], kb2.context[1])
         ckb_merge(kb1c, kb2c)
-        assert len(built) == 1
         # each input's guarded form, bare body and negated body, and a pin
         # per source: a guarded negation is its pin with the negated body
-        n = len(kb1c.constraints) + len(kb2c.constraints)
-        assert built[0] == 3 * n + 2
+        n = len(kb1.constraints) + len(kb2.constraints)
+        assert built == [3 * n + 2]
 
 
 def test_merge_report_solver_work_is_deterministic(car_pair):
