@@ -14,7 +14,10 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from functools import reduce
+from itertools import accumulate
+from operator import or_
+from typing import NamedTuple, Optional
 
 from .errors import (
     AlignmentError,
@@ -88,10 +91,11 @@ def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBas
     The context variable must either be declared with the singleton domain
     {ctx_val} or be absent, in which case it is appended with that domain.
     Under a singleton context domain every guard is vacuously true on all
-    in-context assignments, so the solution space is unchanged. A KB
-    already contextualized on ``(ctx_var, ctx_val)`` is returned unchanged,
-    so contextualizing twice is the same as once. It runs no search:
-    ``ckb_merge`` proves each source consistent.
+    in-context assignments, so the solution space is unchanged. A
+    constraint already guarded by ``ctx_var = ctx_val`` is left as it is,
+    and a KB already contextualized on ``(ctx_var, ctx_val)`` is returned
+    unchanged, so contextualizing twice is the same as once. It runs no
+    search: ``ckb_merge`` proves each source consistent.
 
     Only the input is validated: the output adds a context variable that
     is new or already declared with the singleton domain, keeps every id,
@@ -106,16 +110,16 @@ def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBas
         )
 
     context = (ctx_var, ctx_val)
-    if kb.context == context and all(
-        is_contextualized(c.formula, context) for c in kb.constraints
-    ):
+    guarded = [is_contextualized(c.formula, context) for c in kb.constraints]
+    if kb.context == context and all(guarded):
         return kb
     variables = kb.variables
     if declared is None:
         variables += (Variable(ctx_var, (ctx_val,)),)
     guard = Atom(ctx_var, AtomOp.EQ, ctx_val)
     constraints = tuple(
-        Constraint(c.id, Implies(guard, c.formula), c.provenance) for c in kb.constraints
+        c if already else Constraint(c.id, Implies(guard, c.formula), c.provenance)
+        for c, already in zip(kb.constraints, guarded)
     )
     return KnowledgeBase(kb.name, variables, constraints, context)
 
@@ -203,19 +207,9 @@ def _rename_clashes(
     return renamed1, renamed2
 
 
-def _suffix_ors(
-    bits: list[int], refuted: list[int], indices: Sequence[int]
-) -> list[tuple[int, int]]:
-    """Entry ``k`` ORs the constraint bits and the refuted-literal sets of
-    the instance constraints ``indices[k:]``; the last entry is (0, 0)."""
-    out = [(0, 0)]
-    undecided = false = 0
-    for ci in reversed(indices):
-        undecided |= bits[ci]
-        false |= refuted[ci]
-        out.append((undecided, false))
-    out.reverse()
-    return out
+def _suffix_ors(masks: list[int]) -> list[int]:
+    """Entry ``k`` ORs ``masks[k:]``; the last entry is 0."""
+    return list(accumulate(reversed(masks), or_, initial=0))[::-1]
 
 
 def _require_contextualized(kb: KnowledgeBase) -> tuple[str, str]:
@@ -255,9 +249,9 @@ def ckb_merge(
     output in insertion order and deletes any constraint whose negation is
     unsatisfiable with the rest; deletions are visible to the remaining
     checks. Every check runs on one solver instance built up front, handed
-    each check's pool as its ORed constraint bits and refuted literals, kept
-    as suffix ORs over the constraints to come and running ORs over those
-    already merged or kept.
+    each check's pool as one int, the OR of its constraints' instance masks,
+    kept as suffix ORs over the constraints to come and running ORs over
+    those already merged or kept.
 
     Returns the merged KB over the aligned variables (context domain is the
     union of the two context values) and a MergeReport. The merged KB has
@@ -289,13 +283,12 @@ def ckb_merge(
     ]
     n = len(ckb_prime)
 
-    # One instance serves every check of the merge. Input constraint i sits
-    # at GUARDED + i (c'_i), BARE + i (c_i) and NOT_BARE + i (not c_i); PIN + k
-    # pins the context value of source k, so not c'_i is c_i's pin with not c_i;
-    # a phase-1 pool holds the other source's pin besides c'_i. A check is
-    # handed its pool as the pair (undecided, refuted) of ORed bits and
-    # refuted literals, so no check walks its pool.
-    GUARDED, BARE, NOT_BARE, PIN = 0, n, 2 * n, 3 * n
+    # One instance serves every check of the merge, and a check is handed its
+    # pool as the OR of the instance masks of its constraints, so no check
+    # walks its pool. Input constraint i has the masks guarded[i] (c'_i),
+    # bare[i] (c_i) and not_bare[i] (not c_i); pins[k] pins the context value
+    # of source k, so not c'_i is c_i's pin with not c_i; a phase-1 pool holds
+    # the other source's pin besides c'_i.
     tb = time.perf_counter()
     inst = _Instance(
         variables,
@@ -305,16 +298,16 @@ def ckb_merge(
         + [Atom(ctx_var, AtomOp.EQ, ctx_val1), Atom(ctx_var, AtomOp.EQ, ctx_val2)],
     )
     build_ms = (time.perf_counter() - tb) * 1000.0
-    bits, refuted = inst.bits, inst.refuted
+    masks = inst.masks
+    guarded, bare, not_bare = masks[:n], masks[n : 2 * n], masks[2 * n : 3 * n]
+    pins = masks[3 * n :]
 
     records: list[CheckRecord] = []
 
-    def check(
-        phase: str, cid: Optional[str], pool: tuple[int, int], extra: tuple[int, int]
-    ) -> bool:
-        """Run one check of the shared instance, over the ORed ``pool`` and
-        the ``extra`` pair (a pin or a negation), and record it."""
-        ok, stats = inst.check((pool[0] | extra[0], pool[1] | extra[1]))
+    def check(phase: str, cid: Optional[str], pool: int) -> bool:
+        """Run one check of the shared instance over the ORed ``pool``, and
+        record it."""
+        ok, stats = inst.check(pool)
         records.append(
             CheckRecord(phase, cid, ok, stats.nodes_explored, stats.elapsed_ms)
         )
@@ -324,61 +317,48 @@ def ckb_merge(
     # domain makes its guards vacuous, so it is consistent iff its bare bodies
     # are, with the context variable pinned to its value.
     n1 = len(renamed1)
-    sources = ((kb1c, range(BARE, BARE + n1)), (kb2c, range(BARE + n1, BARE + n)))
-    pins = [(bits[PIN + k], refuted[PIN + k]) for k in (0, 1)]
-    for k, (kb, members) in enumerate(sources):
-        undecided = false = 0
-        for ci in members:
-            undecided |= bits[ci]
-            false |= refuted[ci]
-        if not check("input", None, (undecided, false), pins[k]):
+    for kb, members, pin in ((kb1c, bare[:n1], pins[0]), (kb2c, bare[n1:], pins[1])):
+        if not check("input", None, reduce(or_, members, pin)):
             raise InconsistentInputError(f"knowledge base '{kb.name}' is inconsistent")
 
     decontextualized: list[str] = []
     kept_contextualized: list[str] = []
     merged: list[Constraint] = []
-    # the instance index of each merged constraint, and the pair of its negation
+    # the mask of each merged constraint, and that of its negation
     own: list[int] = []
-    negation: list[tuple[int, int]] = []
+    negation: list[int] = []
 
     t0 = time.perf_counter()
     # the inputs from i on, the current one included, exactly as in the
-    # pseudocode, and the ORs of the merged constraints so far
-    unprocessed = _suffix_ors(bits, refuted, range(GUARDED, GUARDED + n))
-    done = done_false = 0
-    for i, guarded in enumerate(ckb_prime):
-        undecided, false = unprocessed[i]
+    # pseudocode, and the OR of the merged constraints so far
+    unprocessed = _suffix_ors(guarded)
+    done = 0
+    for i, c in enumerate(ckb_prime):
         pin, other = pins[i >= n1], pins[i < n1]  # c_i's source, the other one
-        pool = (undecided | done | other[0], false | done_false | other[1])
-        not_bare = (bits[NOT_BARE + i], refuted[NOT_BARE + i])
-        if not check("1", guarded.id, pool, not_bare):
+        if not check("1", c.id, unprocessed[i] | done | other | not_bare[i]):
             merged.append(bares[i])
-            own.append(BARE + i)
-            negation.append(not_bare)
-            decontextualized.append(guarded.id)
+            own.append(bare[i])
+            negation.append(not_bare[i])
+            decontextualized.append(c.id)
         else:
-            merged.append(guarded)
-            own.append(GUARDED + i)
-            negation.append((not_bare[0] | pin[0], not_bare[1] | pin[1]))
-            kept_contextualized.append(guarded.id)
-        done |= bits[own[-1]]
-        done_false |= refuted[own[-1]]
+            merged.append(c)
+            own.append(guarded[i])
+            negation.append(not_bare[i] | pin)
+            kept_contextualized.append(c.id)
+        done |= own[-1]
     t1 = time.perf_counter()
 
-    # the merged constraints after j, and the ORs of those kept before it
-    later = _suffix_ors(bits, refuted, own)
-    done = done_false = 0
+    # the merged constraints after j, and the OR of those kept before it
+    later = _suffix_ors(own)
+    done = 0
     kept: list[Constraint] = []
     removed: list[str] = []
     for j, c in enumerate(merged):
-        undecided, false = later[j + 1]
-        pool = (done | undecided, done_false | false)
-        if not check("2", c.id, pool, negation[j]):
+        if not check("2", c.id, done | later[j + 1] | negation[j]):
             removed.append(c.id)
         else:
             kept.append(c)
-            done |= bits[own[j]]
-            done_false |= refuted[own[j]]
+            done |= own[j]
     t2 = time.perf_counter()
 
     # valid by construction: the aligned variables declare every atom of

@@ -15,8 +15,9 @@ otherwise, and there, if still undecided, it filters its deepest variable
 down to the values it allows; a false constraint or an emptied domain
 fails the value. That verdict and filter depend only on the values of the
 rest of its scope, so an instance memoises both for every check and count
-it answers. A set of constraints is one int bit set, and live domains are
-restored from an undo trail.
+it answers. A set of constraints is one int, their bits with the literals
+that refute one of them on their own above, and live domains are restored
+from an undo trail.
 
 Consistency and enumeration share one search, forward checking with
 conflict-directed backjumping (FC-CBJ, Prosser 1993; no learning, no
@@ -232,8 +233,8 @@ class _Instance:
     """Validated, compiled search instance.
 
     Built once, an instance can answer many consistency checks, each over
-    a subset of its constraints handed as one bit pair (see :meth:`check`):
-    the assumption-style incremental interface of MiniSat, without learning.
+    a subset of its constraints handed as the OR of their ``masks``: the
+    assumption-style incremental interface of MiniSat, without learning.
     Compiling validates each formula; a bad atom raises the
     :class:`ValidationError` of :func:`kbmerge.model.validate_formula`. A
     check on a shared instance explores exactly the nodes of a fresh
@@ -243,19 +244,19 @@ class _Instance:
     rank in a stable sort of the constraints by scope; what it does to the
     search depends only on its scope and verdict, so a search that visits
     set bits from the low end does not depend on the constraint order.
-    ``bits`` holds each constraint's bit and ``refuted`` the literals that
-    refute it on their own (see :func:`_compile`), numbered by
-    :func:`_literal_offsets`; ``unary`` the constraints over one variable,
-    which the root settles; ``true_by``, per literal, those of two or more
-    variables that it forces true where its variable is not their deepest;
-    ``middle``, per depth, those of four or more variables evaluated there,
-    strictly between their shallowest and second-deepest variables; and
-    ``filters``, per depth, those that filter there, at their second-deepest
-    variable. ``records`` holds per bit the constraint's closure, scope,
-    deepest variable, a getter of the values of the rest of its scope, that
-    rest, and the memo from those values to its verdict and filter (see
-    :func:`_allowed`), so a filter met again, in any check or count, costs
-    one dictionary lookup and no evaluation.
+    ``masks`` holds per constraint ``refuted << m | bit``: its bit and,
+    above all ``m`` bits, the literals that refute it on their own (see
+    :func:`_compile`), numbered by :func:`_literal_offsets`; ``unary`` the
+    constraints over one variable, which the root settles; ``true_by``, per
+    literal, those of two or more variables that it forces true where its
+    variable is not their deepest; ``middle``, per depth, those of four or
+    more variables evaluated there, strictly between their shallowest and
+    second-deepest variables; and ``filters``, per depth, those that filter
+    there, at their second-deepest variable. ``records`` holds per bit the
+    constraint's closure, scope, deepest variable, a getter of the values of
+    the rest of its scope, that rest, and the memo from those values to its
+    verdict and filter (see :func:`_allowed`), so a filter met again, in any
+    check or count, costs one dictionary lookup and no evaluation.
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
@@ -267,22 +268,21 @@ class _Instance:
         self.offsets = offsets = _literal_offsets(domains)
         memo: dict[int, tuple[Callable, int, int, int]] = {}
         compiled = [_compile(f, index, domains, offsets, memo) for f in constraints]
-        # the literals that refute each constraint on their own
-        self.refuted = [false for _, _, _, false in compiled]
+        m = len(compiled)
         # all values of each variable, as a bit set over its value indices
         self.full = [(1 << len(domain)) - 1 for domain in domains]
         # the literals of each variable, as a bit set over all literals
         own = [full << offset for full, offset in zip(self.full, offsets)]
-        self.bits = bits = [0] * len(compiled)
+        self.masks = masks = [0] * m
         self.unary = 0
         self.true_by = true_by = [0] * offsets[-1]
         self.middle = middle = [0] * len(domains)
         self.filters = filters = [0] * len(domains)
         self.records = records = []
         bit = 1
-        for ci in sorted(range(len(compiled)), key=lambda ci: compiled[ci][1]):
-            bits[ci] = bit
-            ev, mask, forced, _ = compiled[ci]
+        for ci in sorted(range(m), key=lambda ci: compiled[ci][1]):
+            ev, mask, forced, refuted = compiled[ci]
+            masks[ci] = refuted << m | bit
             scope = _depths(mask)
             deep = scope[-1]
             if len(scope) == 1:
@@ -301,9 +301,9 @@ class _Instance:
                 filters[scope[-2]] |= bit
             bit <<= 1
 
-    def check(self, active: Optional[tuple[int, int]] = None) -> tuple[bool, SolveStats]:
-        """Consistency of the constraints whose ORed ``bits`` and ``refuted``
-        literal sets make the pair ``active``, all of them by default."""
+    def check(self, active: Optional[int] = None) -> tuple[bool, SolveStats]:
+        """Consistency of the constraints whose ORed ``masks`` make
+        ``active``, all of them by default."""
         start = time.perf_counter()
         count, nodes = _search(self, 0, active)
         elapsed = (time.perf_counter() - start) * 1000.0
@@ -346,22 +346,23 @@ def _allowed(
 def _search(
     inst: _Instance,
     cap: int,
-    active: Optional[tuple[int, int]] = None,
+    active: Optional[int] = None,
     on_cube: Optional[Callable[[list[Optional[str]], list[int], int], None]] = None,
 ) -> tuple[int, int]:
     """Forward checking with conflict-directed backjumping (FC-CBJ, Prosser
     1993) over all solutions, with an explicit stack.
 
-    ``active`` is the check's pair ``(undecided, refuted)`` (see
-    :meth:`_Instance.check`), every constraint when omitted. Each level
-    saves the undecided constraints on entry and restores them for each of
-    its values. Besides its live domain, each variable has a reason set:
-    the past variables whose filters narrowed it. A false constraint fails
-    a value with its past scope as the conflict, an emptied domain with
-    that variable's reasons, and a false constraint fails it even after a
-    wipe-out at the same depth. Bits are visited from the low end, so a
-    search over an activated subset explores exactly the nodes of an
-    instance built from that subset, whatever the order of either.
+    ``active`` is an OR of the instance's ``masks``, all of them when
+    omitted: its low ``m`` bits are the constraints and the rest the
+    literals the root removes. Each level saves the undecided constraints on
+    entry and restores them for each of its values. Besides its live domain,
+    each variable has a reason set: the past variables whose filters
+    narrowed it. A false constraint fails a value with its past scope as the
+    conflict, an emptied domain with that variable's reasons, and a false
+    constraint fails it even after a wipe-out at the same depth. Bits are
+    visited from the low end, so a search over an activated subset explores
+    exactly the nodes of an instance built from that subset, whatever the
+    order of either.
 
     Once no active constraint is undecided at depth ``d``, the assignment
     prefix and the live domains from ``d`` on form a cube of solutions: the
@@ -380,11 +381,12 @@ def _search(
     true_by, middle, filters = inst.true_by, inst.middle, inst.filters
     records = inst.records
     n = len(domains)
+    m = len(records)
     if active is None:
-        active = (1 << len(records)) - 1, reduce(or_, inst.refuted, 0)
-    undecided, refuted = active
+        active = reduce(or_, inst.masks, 0)
+    undecided = active & ((1 << m) - 1)
     live = full[:]
-    if not _refute(live, offsets, refuted):
+    if not _refute(live, offsets, active >> m):
         return 0, 0
     # so a constraint over one variable allows exactly the values left
     undecided &= ~inst.unary
@@ -566,7 +568,7 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     true_by, middle, filters = inst.true_by, inst.middle, inst.filters
     records = inst.records
     live = inst.full[:]
-    if not _refute(live, offsets, reduce(or_, inst.refuted, 0)):
+    if not _refute(live, offsets, reduce(or_, inst.masks, 0) >> len(records)):
         return 0, 0
     assignment: list[Optional[str]] = [None] * len(domains)
     trail: list[tuple[int, int]] = []  # (variable, live) to restore

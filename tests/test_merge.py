@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 from kbmerge import (
     AlignmentError,
     GenerationError,
@@ -68,6 +68,29 @@ def test_contextualize_is_idempotent(kb_us, kb_ger):
     assert contextualize(dead, "country", "US") is dead
     with pytest.raises(InconsistentInputError, match="CKB_us"):
         ckb_merge(dead, contextualize(kb_ger, "country", "GER"))
+
+
+def test_contextualize_leaves_an_already_guarded_constraint_as_it_is(kb_us, kb_ger):
+    text = (FIXTURES / "ckb_us.kb").read_text(encoding="utf-8")
+    mixed = parse_kb(text.replace("c1us: fuel", "c1us: country = US -> fuel"))
+    assert is_contextualized(mixed.constraints[0].formula, mixed.context)
+    ger = contextualize(kb_ger, "country", "GER")
+    runs = [
+        ckb_merge(contextualize(kb, "country", "US"), ger) for kb in (kb_us, mixed)
+    ]
+    # c1us is guarded once, so the merge keeps it contextualized either way
+    (clean, clean_report), (merged, report) = runs
+    assert serialize_kb(merged) == serialize_kb(clean)
+    assert (
+        report.decontextualized_ids,
+        report.kept_contextualized_ids,
+        report.removed_redundant_ids,
+    ) == (
+        clean_report.decontextualized_ids,
+        clean_report.kept_contextualized_ids,
+        clean_report.removed_redundant_ids,
+    )
+    assert "c1us" in report.kept_contextualized_ids
 
 
 def test_contextualize_preserves_solution_space(kb_us):

@@ -129,8 +129,11 @@ def test_no_solution_holds_a_refuted_literal():
         variables, formulas = random_instance(rng)
         inst = _Instance(variables, formulas)
         solutions = brute_force_solutions(variables, formulas)
-        for bits in inst.refuted:
-            refuted = _literal_set(bits, variables)
+        m = len(inst.masks)
+        # the low parts are m distinct single bits, covering (1 << m) - 1
+        assert sorted(mask & -mask for mask in inst.masks) == [1 << k for k in range(m)]
+        for mask in inst.masks:
+            refuted = _literal_set(mask >> m, variables)
             refuted_total += len(refuted)
             assert not any(refuted & s for s in solutions), (variables, formulas)
     assert refuted_total > 100
@@ -559,14 +562,12 @@ def test_forward_checking_matches_brute_force():
     assert filtered > 300
 
 
-def active_pair(inst, indices):
-    """The pair ``(undecided, refuted)`` that hands ``inst.check`` the
-    constraints at ``indices``."""
-    undecided = refuted = 0
+def active_mask(inst, indices):
+    """The int that hands ``inst.check`` the constraints at ``indices``."""
+    active = 0
     for ci in indices:
-        undecided |= inst.bits[ci]
-        refuted |= inst.refuted[ci]
-    return undecided, refuted
+        active |= inst.masks[ci]
+    return active
 
 
 def test_tautology_on_the_deepest_variable_filters_nothing():
@@ -603,9 +604,9 @@ def test_a_warm_filter_memo_explores_the_nodes_of_a_cold_one():
         # one negation and every constraint, in a random order
         pool = [len(formulas) + rng.randrange(len(formulas)), *range(len(formulas))]
         rng.shuffle(pool)
-        cold_ok, cold = inst.check(active_pair(inst, pool))
+        cold_ok, cold = inst.check(active_mask(inst, pool))
         entries = sum(len(memo) for *_, memo in inst.records)
-        warm_ok, warm = inst.check(active_pair(inst, pool))
+        warm_ok, warm = inst.check(active_mask(inst, pool))
         fresh_ok, fresh = _Instance(variables, [pool_formulas[ci] for ci in pool]).check()
         assert cold_ok == warm_ok == fresh_ok
         assert cold.nodes_explored == warm.nodes_explored == fresh.nodes_explored
@@ -634,10 +635,10 @@ def test_a_warm_check_evaluates_no_constraint():
     inst.records = [(counted(ev), *rest) for ev, *rest in inst.records]
     # every guarded constraint and the negation of one of them
     pool = [*range(len(guarded)), len(guarded) + 3]
-    cold_ok, cold = inst.check(active_pair(inst, pool))
+    cold_ok, cold = inst.check(active_mask(inst, pool))
     assert calls[0] > 0
     calls[0] = 0
-    warm_ok, warm = inst.check(active_pair(inst, pool))
+    warm_ok, warm = inst.check(active_mask(inst, pool))
     assert (cold_ok, cold.nodes_explored) == (warm_ok, warm.nodes_explored)
     assert warm.nodes_explored > 0
     # literals decide the constraints they force true, and every filter
@@ -653,7 +654,7 @@ def test_a_literal_decides_what_it_forces_true_below_the_shallowest_variable():
     )
     inst = _Instance(variables, [guarded, Atom("g", AtomOp.EQ, "a"), Atom("y", AtomOp.EQ, "b")])
     seen = []
-    rank = inst.bits[0].bit_length() - 1
+    rank = (inst.masks[0] & -inst.masks[0]).bit_length() - 1
     ev, *rest = inst.records[rank]
 
     def wrapper(a):
@@ -682,7 +683,8 @@ class ShallowestOnly(_Instance):
         offsets = self.offsets
         index = {name: i for i, name in enumerate(self.names)}
         self.true_by = [0] * offsets[-1]
-        for f, bit in zip(constraints, self.bits):
+        for f, own in zip(constraints, self.masks):
+            bit = own & -own
             _, mask, forced, _ = _compile(f, index, self.domains, offsets)
             first = (mask & -mask).bit_length() - 1
             if mask != 1 << first:
@@ -704,7 +706,7 @@ def test_deciding_below_the_shallowest_variable_changes_no_result_or_node(monkey
         seen = []
         for cls in (_Instance, ShallowestOnly):
             inst = cls(variables, pool_formulas)
-            checks = [inst.check(active_pair(inst, pool)) for pool in pools]
+            checks = [inst.check(active_mask(inst, pool)) for pool in pools]
             with monkeypatch.context() as patched:
                 patched.setattr(solver, "_Instance", cls)
                 ok, stats = is_consistent(variables, formulas)
@@ -733,7 +735,7 @@ def test_a_shared_instance_searches_like_a_fresh_one_in_any_order():
         inst = _Instance(variables, pool_formulas)
         for _ in range(4):
             active = rng.sample(range(len(pool_formulas)), rng.randint(1, len(pool_formulas)))
-            shared_ok, shared = inst.check(active_pair(inst, active))
+            shared_ok, shared = inst.check(active_mask(inst, active))
             rng.shuffle(active)
             fresh_ok, fresh = _Instance(variables, [pool_formulas[ci] for ci in active]).check()
             assert shared_ok == fresh_ok, (variables, formulas, active)
