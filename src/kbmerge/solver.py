@@ -24,10 +24,11 @@ conflict-directed backjumping (FC-CBJ, Prosser 1993; no learning, no
 restarts). Once every constraint is decided, the assignment prefix and the
 live domains of the remaining variables form a cube of solutions.
 Consistency stops at the first cube; enumeration expands cubes in domain
-order, so its output stays lexicographic. Counting splits the undecided
-constraints into components that share no unassigned variable, multiplies
-their counts, and caches each component's count for the rest of the call
-(dynamic decomposition, as in the model counters sharpSAT and Cachet).
+order until it holds as many solutions as asked, so its output stays
+lexicographic. Counting splits the undecided constraints into components
+that share no unassigned variable, multiplies their counts, and caches each
+component's count for the rest of the call (dynamic decomposition, as in
+the model counters sharpSAT and Cachet).
 
 Both keep their frames on explicit stacks, so no number of variables meets
 Python's recursion limit. Each inlines the same assignment step on purpose:
@@ -305,9 +306,9 @@ class _Instance:
         """Consistency of the constraints whose ORed ``masks`` make
         ``active``, all of them by default."""
         start = time.perf_counter()
-        count, nodes = _search(self, 0, active)
+        cubes, nodes = _search(self, active)
         elapsed = (time.perf_counter() - start) * 1000.0
-        return count > 0, SolveStats(nodes_explored=nodes, elapsed_ms=elapsed)
+        return cubes > 0, SolveStats(nodes_explored=nodes, elapsed_ms=elapsed)
 
 
 def _refute(live: list[int], offsets: Sequence[int], refuted: int) -> bool:
@@ -345,9 +346,8 @@ def _allowed(
 
 def _search(
     inst: _Instance,
-    cap: int,
     active: Optional[int] = None,
-    on_cube: Optional[Callable[[list[Optional[str]], list[int], int], None]] = None,
+    on_cube: Optional[Callable[[list[Optional[str]], list[int], int], bool]] = None,
 ) -> tuple[int, int]:
     """Forward checking with conflict-directed backjumping (FC-CBJ, Prosser
     1993) over all solutions, with an explicit stack.
@@ -365,15 +365,15 @@ def _search(
     order of either.
 
     Once no active constraint is undecided at depth ``d``, the assignment
-    prefix and the live domains from ``d`` on form a cube of solutions: the
-    count grows by its size and ``on_cube(assignment, live, d)`` is called
-    when given. The search stops as soon as the count exceeds ``cap``.
-    Returns the count and the node count (values tried). A level whose
-    subtree held a solution backtracks chronologically; any other exhausted
-    level jumps to the deepest variable in its conflict set and the reasons
-    of its own domain, which keeps backjumping sound when every solution is
-    wanted (Chen & van Beek, JAIR 2001). An empty conflict set proves that
-    no solution exists.
+    prefix and the live domains from ``d`` on form a cube of solutions. The
+    search stops at the first cube when ``on_cube`` is omitted; otherwise it
+    calls ``on_cube(assignment, live, d)`` and stops once that returns True.
+    Returns the number of cubes met and the node count (values tried). A
+    level whose subtree held a cube backtracks chronologically; any other
+    exhausted level jumps to the deepest variable in its conflict set and
+    the reasons of its own domain, which keeps backjumping sound when every
+    solution is wanted (Chen & van Beek, JAIR 2001). An empty conflict set
+    proves that no solution exists.
     """
     domains = inst.domains
     full = inst.full
@@ -394,32 +394,27 @@ def _search(
     reasons = [0] * n
     trail: list[tuple[int, int, int]] = []  # (variable, live, reasons) to restore
 
-    # per level: live values not yet tried, conflict set, count on entry,
-    # trail mark and undecided constraints on entry
+    # per level: live values not yet tried, conflict set, cubes met on
+    # entry, trail mark and undecided constraints on entry
     untried = [0] * n
     conflict = [0] * n
     entry = [0] * n
     trail_mark = [0] * n
     saved = [0] * n
-    count = nodes = 0
+    cubes = nodes = 0
     depth = 0
     fresh = True
     while True:
         if fresh:
             if not undecided:
-                size = 1
-                for d in range(depth, n):
-                    size *= live[d].bit_count()
-                count += size
-                if on_cube is not None:
-                    on_cube(assignment, live, depth)
-                if count > cap or depth == 0:
+                cubes += 1
+                if on_cube is None or on_cube(assignment, live, depth) or depth == 0:
                     break
                 depth -= 1
             else:
                 untried[depth] = live[depth]
                 conflict[depth] = 0
-                entry[depth] = count
+                entry[depth] = cubes
                 trail_mark[depth] = len(trail)
                 saved[depth] = undecided
         # undo what the previous value at this depth left behind
@@ -490,7 +485,7 @@ def _search(
             continue
         # every live value of this depth is tried
         assignment[depth] = None
-        if count != entry[depth]:
+        if cubes != entry[depth]:
             back = depth - 1
             carried = 0
         else:
@@ -506,7 +501,7 @@ def _search(
         depth = back
         conflict[depth] |= carried
         fresh = False
-    return count, nodes
+    return cubes, nodes
 
 
 def _components(
@@ -698,7 +693,7 @@ def enumerate_solutions(
     inst = _Instance(variables, constraints)
     out: list[dict[str, str]] = []
 
-    def expand(assignment: list[Optional[str]], live: list[int], depth: int) -> None:
+    def expand(assignment: list[Optional[str]], live: list[int], depth: int) -> bool:
         prefix = assignment[:depth]
         completions = itertools.product(
             *(
@@ -710,10 +705,11 @@ def enumerate_solutions(
         for tail in completions:
             out.append(dict(zip(inst.names, prefix + list(tail))))
             if len(out) == limit:
-                return
+                return True
+        return False
 
     if limit > 0:
-        _search(inst, limit - 1, on_cube=expand)
+        _search(inst, on_cube=expand)
     return out
 
 

@@ -7,13 +7,12 @@ Grammar (UTF-8, ``#`` line comments, semicolon-terminated declarations):
     contextdecl := "context" IDENT "=" IDENT ";"
     vardecl     := "var" IDENT ":" "{" IDENT ("," IDENT)* "}" ";"
     constraintdecl := "constraint" IDENT ":" formula ";"
-    formula     := orexpr ("->" formula)?
-    orexpr      := andexpr ("or" andexpr)*
-    andexpr     := unary ("and" unary)*
+    formula     := unary (("and" | "or" | "->") unary)*
     unary       := "not" unary | "(" formula ")" | atom
     atom        := IDENT ("=" | "!=") IDENT
 
-Precedence: not > and > or > ``->``; ``->`` is right-associative.
+Precedence: not > and > or > ``->``; ``and`` and ``or`` fold left and
+``->`` is right-associative.
 IDENT is ``[A-Za-z_][A-Za-z0-9_.]*``, so values may not start with a
 digit; keywords (kb, var, constraint, context, not, and, or) are
 reserved. ``parse_kb(serialize_kb(kb))`` preserves variable order,
@@ -24,10 +23,12 @@ Reading takes one ``findall`` over the text. It returns the lexemes as
 plain strings, without the blanks (``[ \t\r\n]``) and comments between
 them. Where no lexeme starts, the scan returns the rest of the text as
 one last lexeme, and that stray character is reported before any parsing.
-The recursive-descent functions read the list by index and tell a lexeme
-by its text: a name starts with an ASCII letter or ``_`` and a string
-with ``"``. Only an error works out a line and column, by scanning again
-up to the lexeme it names.
+The parser reads the list by index and tells a lexeme by its text: a name
+starts with an ASCII letter or ``_`` and a string with ``"``. Only an
+error works out a line and column, by scanning again up to the lexeme it
+names. One table, ``_BINARY``, gives each binary connective its lexeme,
+precedence and associativity: the parser climbs precedence from it (Pratt
+1973) and the printer parenthesizes from it.
 """
 from __future__ import annotations
 
@@ -53,6 +54,11 @@ from .model import (
 )
 
 KEYWORDS = frozenset({"kb", "var", "constraint", "context", "not", "and", "or"})
+
+# Each binary connective: its lexeme, its precedence (higher binds tighter)
+# and whether it is right-associative. ``not`` binds tighter than all three.
+_BINARY = {And: ("and", 3, False), Or: ("or", 2, False), Implies: ("->", 1, True)}
+_BY_LEXEME = {lexeme: (node, prec, right) for node, (lexeme, prec, right) in _BINARY.items()}
 
 _SKIP = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*")
 _IDENT = r"[A-Za-z_][A-Za-z0-9_.]*"
@@ -111,28 +117,14 @@ def _unary(lx: list[str], i: int) -> tuple[Formula, int]:
     return Atom(var, AtomOp.EQ if op == "=" else AtomOp.NEQ, value), i + 3
 
 
-def _and(lx: list[str], i: int) -> tuple[Formula, int]:
+def _formula(lx: list[str], i: int, floor: int = 1) -> tuple[Formula, int]:
+    """A formula whose binary connectives all bind at least ``floor``."""
     f, i = _unary(lx, i)
-    while lx[i] == "and":
-        right, i = _unary(lx, i + 1)
-        f = And(f, right)
+    while (op := _BY_LEXEME.get(lx[i])) is not None and op[1] >= floor:
+        node, prec, right = op
+        operand, i = _formula(lx, i + 1, prec if right else prec + 1)
+        f = node(f, operand)
     return f, i
-
-
-def _or(lx: list[str], i: int) -> tuple[Formula, int]:
-    f, i = _and(lx, i)
-    while lx[i] == "or":
-        right, i = _and(lx, i + 1)
-        f = Or(f, right)
-    return f, i
-
-
-def _formula(lx: list[str], i: int) -> tuple[Formula, int]:
-    left, i = _or(lx, i)
-    if lx[i] == "->":
-        right, i = _formula(lx, i + 1)
-        return Implies(left, right), i
-    return left, i
 
 
 def _kb(lx: list[str], i: int) -> tuple[KnowledgeBase, int]:
@@ -224,8 +216,8 @@ def parse_kb(text: str) -> KnowledgeBase:
     return kb
 
 
-# Precedence ranks for minimal-parenthesis printing; higher binds tighter.
-_ATOM, _NOT, _AND, _OR, _IMPLIES = 5, 4, 3, 2, 1
+# Precedence of the unary forms, above every binary connective's.
+_ATOM, _NOT = 5, 4
 
 
 def _fmt(f: Formula) -> tuple[str, int]:
@@ -236,30 +228,19 @@ def _fmt(f: Formula) -> tuple[str, int]:
         if p < _NOT:
             txt = f"({txt})"
         return f"not {txt}", _NOT
-    if isinstance(f, And):
-        lt, lp = _fmt(f.left)
-        if lp < _AND:
-            lt = f"({lt})"
-        rt, rp = _fmt(f.right)
-        # right operand of a left-fold must bind tighter
-        if rp < _NOT:
-            rt = f"({rt})"
-        return f"{lt} and {rt}", _AND
-    if isinstance(f, Or):
-        lt, lp = _fmt(f.left)
-        if lp < _OR:
-            lt = f"({lt})"
-        rt, rp = _fmt(f.right)
-        if rp < _AND:
-            rt = f"({rt})"
-        return f"{lt} or {rt}", _OR
-    if isinstance(f, Implies):
-        lt, lp = _fmt(f.left)
-        if lp < _OR:
-            lt = f"({lt})"
-        rt, _ = _fmt(f.right)  # right-associative, never needs parens
-        return f"{lt} -> {rt}", _IMPLIES
-    raise TypeError(f"not a formula node: {f!r}")
+    op = _BINARY.get(type(f))
+    if op is None:
+        raise TypeError(f"not a formula node: {f!r}")
+    lexeme, prec, right = op
+    # the operand on the associative side may bind as loosely as ``f``,
+    # the other must bind tighter
+    lt, lp = _fmt(f.left)
+    if lp < prec + right:
+        lt = f"({lt})"
+    rt, rp = _fmt(f.right)
+    if rp < prec + (not right):
+        rt = f"({rt})"
+    return f"{lt} {lexeme} {rt}", prec
 
 
 def format_formula(f: Formula) -> str:

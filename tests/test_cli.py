@@ -357,6 +357,12 @@ def _chain_kb(path):
     path.write_text(f'kb "chain" {{ {decls} {chain} }}')
 
 
+def _parenthesized_kb(path):
+    # one constraint inside 300 parentheses
+    body = "(" * 300 + "x = a" + ")" * 300
+    path.write_text(f'kb "nested" {{ var x : {{ a, b }}; constraint c1: {body}; }}')
+
+
 WIDE_SOLUTION = " ".join(f"x{i}=a" for i in range(1500)) + "\n"
 
 
@@ -372,8 +378,13 @@ WIDE_SOLUTION = " ".join(f"x{i}=a" for i in range(1500)) + "\n"
         (_wide_kb, ["solve", "--limit", "1"], (0, WIDE_SOLUTION)),
         # the counter keeps its frames on an explicit stack
         (_chain_kb, ["count"], (0, "1501\n")),
+        # the parser climbs two frames per level of parentheses
+        (_parenthesized_kb, ["check"], (0, "consistent\n")),
     ],
-    ids=["deep-count", "wide-check", "wide-count-cap", "wide-solve", "chain-count"],
+    ids=[
+        "deep-count", "wide-check", "wide-count-cap", "wide-solve", "chain-count",
+        "parenthesized-check",
+    ],
 )
 def test_too_deep_input_exit_code(make, argv, want, tmp_path, capsys):
     path = tmp_path / "big.kb"

@@ -641,6 +641,86 @@ def test_format_formula_minimal_parens():
     assert format_formula(Not(Atom("x", AtomOp.NEQ, "a"))) == "not x != a"
 
 
+_X, _Y, _Z = Atom("x", AtomOp.EQ, "a"), Atom("y", AtomOp.EQ, "b"), Atom("z", AtomOp.NEQ, "c")
+_INNER = {
+    "atom": _Y,
+    "not": Not(_Y),
+    "and": And(_Y, _Z),
+    "or": Or(_Y, _Z),
+    "implies": Implies(_Y, _Z),
+}
+_OUTER = {"and": And, "or": Or, "implies": Implies}
+
+
+@pytest.mark.parametrize(
+    "outer, side, inner, text",
+    [
+        ("and", "left", "atom", "y = b and x = a"),
+        ("and", "left", "not", "not y = b and x = a"),
+        ("and", "left", "and", "y = b and z != c and x = a"),
+        ("and", "left", "or", "(y = b or z != c) and x = a"),
+        ("and", "left", "implies", "(y = b -> z != c) and x = a"),
+        ("and", "right", "atom", "x = a and y = b"),
+        ("and", "right", "not", "x = a and not y = b"),
+        ("and", "right", "and", "x = a and (y = b and z != c)"),
+        ("and", "right", "or", "x = a and (y = b or z != c)"),
+        ("and", "right", "implies", "x = a and (y = b -> z != c)"),
+        ("or", "left", "atom", "y = b or x = a"),
+        ("or", "left", "not", "not y = b or x = a"),
+        ("or", "left", "and", "y = b and z != c or x = a"),
+        ("or", "left", "or", "y = b or z != c or x = a"),
+        ("or", "left", "implies", "(y = b -> z != c) or x = a"),
+        ("or", "right", "atom", "x = a or y = b"),
+        ("or", "right", "not", "x = a or not y = b"),
+        ("or", "right", "and", "x = a or y = b and z != c"),
+        ("or", "right", "or", "x = a or (y = b or z != c)"),
+        ("or", "right", "implies", "x = a or (y = b -> z != c)"),
+        ("implies", "left", "atom", "y = b -> x = a"),
+        ("implies", "left", "not", "not y = b -> x = a"),
+        ("implies", "left", "and", "y = b and z != c -> x = a"),
+        ("implies", "left", "or", "y = b or z != c -> x = a"),
+        ("implies", "left", "implies", "(y = b -> z != c) -> x = a"),
+        ("implies", "right", "atom", "x = a -> y = b"),
+        ("implies", "right", "not", "x = a -> not y = b"),
+        ("implies", "right", "and", "x = a -> y = b and z != c"),
+        ("implies", "right", "or", "x = a -> y = b or z != c"),
+        ("implies", "right", "implies", "x = a -> y = b -> z != c"),
+    ],
+)
+def test_each_operand_position_prints_its_pinned_text(outer, side, inner, text):
+    node, f = _OUTER[outer], _INNER[inner]
+    tree = node(f, _X) if side == "left" else node(_X, f)
+    assert format_formula(tree) == text
+    assert parse_formula(text) == tree
+
+
+def _trees(depth):
+    """Formula trees of at most ``depth`` connectives from root to leaf."""
+    atoms = st.sampled_from([_X, _Y, _Z, Atom("x", AtomOp.NEQ, "b")])
+    if depth == 0:
+        return atoms
+    child = _trees(depth - 1)
+    return st.one_of(
+        atoms,
+        st.builds(Not, child),
+        st.builds(And, child, child),
+        st.builds(Or, child, child),
+        st.builds(Implies, child, child),
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(f=_trees(6))
+def test_printed_formula_parses_back_to_its_tree(f):
+    assert parse_formula(format_formula(f)) == f
+
+
+def test_deeply_parenthesized_formula_parses():
+    # each level of parentheses costs the parser a fixed number of frames
+    text = "(" * 300 + "x = a" + ")" * 300
+    assert parse_formula(text) == Atom("x", AtomOp.EQ, "a")
+
+
 # --- CSV --------------------------------------------------------------------
 
 CSV_HEADER = "kb_id,n_constraints,context_share_pct,trial,merge_ms,solve_ms,checks_phase1,checks_phase2"
