@@ -36,7 +36,6 @@ from .model import (
     Variable,
     is_contextualized,
     negate,
-    strip_context,
     validate_kb,
 )
 from .solver import _Instance, count_solutions, is_consistent
@@ -178,33 +177,31 @@ def _check_shared_variables(
 _IDENT_SAFE = re.compile(r"[^A-Za-z0-9_.]")
 
 
-def _rename_clashes(
-    kb1: KnowledgeBase, kb2: KnowledgeBase
-) -> tuple[list[Constraint], list[Constraint]]:
-    """Give the ids shared by both sources a provenance suffix on each side.
+def _merged_ids(kb1c: KnowledgeBase, kb2c: KnowledgeBase) -> list[str]:
+    """The merged id of every input constraint, kb1c's first.
 
-    A suffixed id can meet an id that either source already holds; that
-    raises ValidationError naming it, since the merged ids must be unique.
+    An id that both sources hold gets a suffix on each side: its provenance,
+    or else its KB name, made safe; if the two are equal, its context value,
+    made safe. A suffixed id that meets another id raises ValidationError
+    naming it, since the merged ids must be unique.
     """
-    clashes = {c.id for c in kb1.constraints} & {c.id for c in kb2.constraints}
-
-    def rename(kb: KnowledgeBase) -> list[Constraint]:
-        out = []
+    sides = [(kb, {c.id: c for c in kb.constraints}) for kb in (kb1c, kb2c)]
+    ids = []
+    for k, (kb, _) in enumerate(sides):
+        other_kb, other = sides[1 - k]
         for c in kb.constraints:
-            if c.id in clashes:
-                tag = _IDENT_SAFE.sub("_", c.provenance or kb.name)
-                c = Constraint(f"{c.id}.{tag}", c.formula, c.provenance)
-            out.append(c)
-        return out
-
-    renamed1, renamed2 = rename(kb1), rename(kb2)
-    if clashes:
-        seen: set[str] = set()
-        for c in renamed1 + renamed2:
-            if c.id in seen:
-                raise ValidationError(f"duplicate constraint id '{c.id}'")
-            seen.add(c.id)
-    return renamed1, renamed2
+            twin = other.get(c.id)
+            if twin is None:
+                ids.append(c.id)
+                continue
+            tag = _IDENT_SAFE.sub("_", c.provenance or kb.name)
+            if tag == _IDENT_SAFE.sub("_", twin.provenance or other_kb.name):
+                tag = _IDENT_SAFE.sub("_", kb.context[1])
+            ids.append(f"{c.id}.{tag}")
+    if len(set(ids)) < len(ids):
+        duplicate = next(cid for k, cid in enumerate(ids) if cid in ids[:k])
+        raise ValidationError(f"duplicate constraint id '{duplicate}'")
+    return ids
 
 
 def _suffix_ors(masks: list[int]) -> list[int]:
@@ -256,7 +253,8 @@ def ckb_merge(
     Returns the merged KB over the aligned variables (context domain is the
     union of the two context values) and a MergeReport. The merged KB has
     no single context, so its ``context`` is empty: the guards that survive
-    inside the formulas no longer count as contextualized.
+    inside the formulas no longer count as contextualized. Only a
+    decontextualized or renamed output is a new Constraint.
     """
     validate_kb(kb1c)
     validate_kb(kb2c)
@@ -276,12 +274,11 @@ def ckb_merge(
     ctx_var = ctx_var1
     variables = align(kb1c, kb2c, ctx_var)
 
-    renamed1, renamed2 = _rename_clashes(kb1c, kb2c)
-    ckb_prime = renamed1 + renamed2
-    bares = [strip_context(c, kb1c.context) for c in renamed1] + [
-        strip_context(c, kb2c.context) for c in renamed2
-    ]
-    n = len(ckb_prime)
+    ids = _merged_ids(kb1c, kb2c)
+    inputs = kb1c.constraints + kb2c.constraints
+    # _require_contextualized proved every input a guard over its body
+    bodies = [c.formula.right for c in inputs]
+    n, n1 = len(inputs), len(kb1c.constraints)
 
     # One instance serves every check of the merge, and a check is handed its
     # pool as the OR of the instance masks of its constraints, so no check
@@ -292,9 +289,9 @@ def ckb_merge(
     tb = time.perf_counter()
     inst = _Instance(
         variables,
-        [c.formula for c in ckb_prime]
-        + [c.formula for c in bares]
-        + [negate(c.formula) for c in bares]
+        [c.formula for c in inputs]
+        + bodies
+        + [negate(body) for body in bodies]
         + [Atom(ctx_var, AtomOp.EQ, ctx_val1), Atom(ctx_var, AtomOp.EQ, ctx_val2)],
     )
     build_ms = (time.perf_counter() - tb) * 1000.0
@@ -307,24 +304,21 @@ def ckb_merge(
     def check(phase: str, cid: Optional[str], pool: int) -> bool:
         """Run one check of the shared instance over the ORed ``pool``, and
         record it."""
-        ok, stats = inst.check(pool)
-        records.append(
-            CheckRecord(phase, cid, ok, stats.nodes_explored, stats.elapsed_ms)
-        )
-        return ok
+        result = inst.check(pool)
+        records.append(CheckRecord(phase, cid, *result))
+        return result[0]
 
     # The only consistency proof of the sources: a source's singleton context
     # domain makes its guards vacuous, so it is consistent iff its bare bodies
     # are, with the context variable pinned to its value.
-    n1 = len(renamed1)
     for kb, members, pin in ((kb1c, bare[:n1], pins[0]), (kb2c, bare[n1:], pins[1])):
         if not check("input", None, reduce(or_, members, pin)):
             raise InconsistentInputError(f"knowledge base '{kb.name}' is inconsistent")
 
     decontextualized: list[str] = []
     kept_contextualized: list[str] = []
-    merged: list[Constraint] = []
-    # the mask of each merged constraint, and that of its negation
+    # per input: its merged formula, the mask of that and of its negation
+    formulas: list[Formula] = []
     own: list[int] = []
     negation: list[int] = []
 
@@ -333,18 +327,18 @@ def ckb_merge(
     # pseudocode, and the OR of the merged constraints so far
     unprocessed = _suffix_ors(guarded)
     done = 0
-    for i, c in enumerate(ckb_prime):
+    for i in range(n):
         pin, other = pins[i >= n1], pins[i < n1]  # c_i's source, the other one
-        if not check("1", c.id, unprocessed[i] | done | other | not_bare[i]):
-            merged.append(bares[i])
+        if not check("1", ids[i], unprocessed[i] | done | other | not_bare[i]):
+            formulas.append(bodies[i])
             own.append(bare[i])
             negation.append(not_bare[i])
-            decontextualized.append(c.id)
+            decontextualized.append(ids[i])
         else:
-            merged.append(c)
+            formulas.append(inputs[i].formula)
             own.append(guarded[i])
             negation.append(not_bare[i] | pin)
-            kept_contextualized.append(c.id)
+            kept_contextualized.append(ids[i])
         done |= own[-1]
     t1 = time.perf_counter()
 
@@ -353,16 +347,19 @@ def ckb_merge(
     done = 0
     kept: list[Constraint] = []
     removed: list[str] = []
-    for j, c in enumerate(merged):
-        if not check("2", c.id, done | later[j + 1] | negation[j]):
-            removed.append(c.id)
+    for j, c in enumerate(inputs):
+        if not check("2", ids[j], done | later[j + 1] | negation[j]):
+            removed.append(ids[j])
         else:
+            # an input that keeps its id and guarded formula is its output
+            if ids[j] != c.id or formulas[j] is not c.formula:
+                c = Constraint(ids[j], formulas[j], c.provenance)
             kept.append(c)
             done |= own[j]
     t2 = time.perf_counter()
 
     # valid by construction: the aligned variables declare every atom of
-    # the inputs, and _rename_clashes leaves the ids unique
+    # the inputs, and _merged_ids leaves the ids unique
     out = KnowledgeBase(
         name=f"{kb1c.name}+{kb2c.name}",
         variables=variables,

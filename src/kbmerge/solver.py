@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
@@ -302,26 +301,26 @@ class _Instance:
                 filters[scope[-2]] |= bit
             bit <<= 1
 
-    def check(self, active: Optional[int] = None) -> tuple[bool, SolveStats]:
+    def check(self, active: Optional[int] = None) -> tuple[bool, int, float]:
         """Consistency of the constraints whose ORed ``masks`` make
-        ``active``, all of them by default."""
+        ``active``, all of them by default, as plain values: the verdict,
+        the nodes explored and the search time in milliseconds."""
         start = time.perf_counter()
         cubes, nodes = _search(self, active)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return cubes > 0, SolveStats(nodes_explored=nodes, elapsed_ms=elapsed)
+        return cubes > 0, nodes, (time.perf_counter() - start) * 1000.0
 
 
 def _refute(live: list[int], offsets: Sequence[int], refuted: int) -> bool:
     """Node consistency: remove the ``refuted`` literals, which refute a
-    constraint on their own, from the live domains. Returns False once a
-    domain is left empty, which proves that no solution exists."""
-    while refuted:
-        d = bisect_right(offsets, (refuted & -refuted).bit_length() - 1) - 1
-        cut = (refuted >> offsets[d]) & live[d]
-        refuted ^= cut << offsets[d]
-        live[d] ^= cut
-        if not live[d]:
-            return False
+    constraint on their own, from the live domains, one variable at a time
+    with one shift and one AND. Returns False at the first domain left
+    empty, which proves that no solution exists."""
+    for d, values in enumerate(live):
+        cut = refuted >> offsets[d] & values
+        if cut:
+            if cut == values:
+                return False
+            live[d] = values ^ cut
     return True
 
 
@@ -661,7 +660,8 @@ def is_consistent(
     variables: Sequence[Variable], constraints: Sequence[Formula]
 ) -> tuple[bool, SolveStats]:
     """True iff at least one total assignment satisfies all constraints."""
-    return _Instance(variables, constraints).check()
+    ok, nodes, elapsed = _Instance(variables, constraints).check()
+    return ok, SolveStats(nodes_explored=nodes, elapsed_ms=elapsed)
 
 
 def count_solutions(

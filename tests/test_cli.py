@@ -329,6 +329,21 @@ def test_merge_renamed_id_clash_exit_code(tmp_path, capsys):
     assert "duplicate constraint id 'r.kb2'" in err
 
 
+def test_merge_of_two_sources_with_the_same_name(tmp_path, capsys):
+    text = 'kb "car" {\n  var fuel : { gas, hybrid };\n  constraint c1: fuel != %s;\n}\n'
+    left = tmp_path / "a.kb"
+    left.write_text(text % "hybrid")
+    right = tmp_path / "b.kb"
+    right.write_text(text % "gas")
+    # both c1 carry the tag car, so the context values suffix them
+    code, out, _ = run(
+        capsys, "merge", str(left), str(right),
+        "--ctx-var", "country", "--ctx-val1", "US", "--ctx-val2", "GER",
+    )
+    assert code == 0
+    assert "c1.US:" in out and "c1.GER:" in out
+
+
 def test_merge_without_any_context_declaration(tmp_path, capsys):
     path = tmp_path / "plain.kb"
     path.write_text('kb "plain" {\n  var x : { a, b };\n}\n')

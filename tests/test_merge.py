@@ -35,7 +35,7 @@ from kbmerge import (
 )
 from kbmerge import solver
 from kbmerge.bench import _shuffled
-from kbmerge.merge import _rename_clashes
+from kbmerge.merge import _merged_ids
 from kbmerge.synth import CTX_VALUES, CTX_VAR, SynthConfig
 
 ELECTRO_BODY = Implies(
@@ -362,6 +362,23 @@ def test_merge_rejects_renamed_ids_that_clash(kb1_constraints, monkeypatch):
     assert built == []
 
 
+SAME_NAME_KB = 'kb "%s" { var fuel : { gas, hybrid }; constraint c1: fuel != %s; }'
+
+
+@pytest.mark.parametrize("names", [("car", "car"), ("x y", "x-y")])
+def test_merge_suffixes_ids_with_equal_tags_by_context_value(names):
+    # both tags of c1 are the same, car or x_y, so each side's context value
+    # tells them apart
+    kb1 = contextualize(parse_kb(SAME_NAME_KB % (names[0], "hybrid")), "country", "US")
+    kb2 = contextualize(parse_kb(SAME_NAME_KB % (names[1], "gas")), "country", "GER")
+    merged, report = ckb_merge(kb1, kb2)
+    assert [c.id for c in merged.constraints] == ["c1.US", "c1.GER"]
+    assert report.kept_contextualized_ids == ("c1.US", "c1.GER")
+    assert [c.formula for c in merged.constraints] == [
+        c.formula for c in kb1.constraints + kb2.constraints
+    ]
+
+
 # --- ckb_merge preconditions ---------------------------------------------------
 
 
@@ -553,6 +570,13 @@ def test_merge_preserves_union_semantics_on_random_pairs():
 # --- one solver instance per merge ---------------------------------------------
 
 
+def _renamed(kb1c: KnowledgeBase, kb2c: KnowledgeBase) -> list[Constraint]:
+    """The input constraints of both sources, kb1c's first, under their
+    merged ids."""
+    inputs = kb1c.constraints + kb2c.constraints
+    return [replace(c, id=cid) for c, cid in zip(inputs, _merged_ids(kb1c, kb2c))]
+
+
 def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
     """The two-phase merge with a fresh solver instance per check.
 
@@ -562,13 +586,13 @@ def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
     """
     ctx_var = kb1c.context[0]
     variables = align(kb1c, kb2c, ctx_var)
-    renamed1, renamed2 = _rename_clashes(kb1c, kb2c)
-    ckb_prime = renamed1 + renamed2
+    renamed = _renamed(kb1c, kb2c)
+    n1 = len(kb1c.constraints)
     decontextualized, kept_contextualized, merged = [], [], []
     nodes = [0, 0]
-    for i, guarded in enumerate(ckb_prime):
-        bare = strip_context(guarded, (kb1c if i < len(renamed1) else kb2c).context)
-        pool = [c.formula for c in ckb_prime[i:]] + [c.formula for c in merged]
+    for i, guarded in enumerate(renamed):
+        bare = strip_context(guarded, (kb1c if i < n1 else kb2c).context)
+        pool = [c.formula for c in renamed[i:]] + [c.formula for c in merged]
         ok, stats = is_consistent(variables, pool + [negate(bare.formula)])
         nodes[0] += stats.nodes_explored
         if not ok:
@@ -642,21 +666,22 @@ def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
     one, and its negation.
     """
     ctx_var = kb1c.context[0]
-    renamed1, renamed2 = _rename_clashes(kb1c, kb2c)
-    ckb_prime = renamed1 + renamed2
-    bares = [strip_context(c, kb1c.context) for c in renamed1] + [
-        strip_context(c, kb2c.context) for c in renamed2
+    renamed = _renamed(kb1c, kb2c)
+    n1 = len(kb1c.constraints)
+    bares = [
+        strip_context(c, (kb1c if i < n1 else kb2c).context)
+        for i, c in enumerate(renamed)
     ]
     verdicts = iter(r.consistent for r in report.checks)
     pools = []
-    for kb, members in ((kb1c, bares[: len(renamed1)]), (kb2c, bares[len(renamed1) :])):
+    for kb, members in ((kb1c, bares[:n1]), (kb2c, bares[n1:])):
         pin = Atom(ctx_var, AtomOp.EQ, kb.context[1])
         pools.append(("input", None, [c.formula for c in members] + [pin]))
         next(verdicts)
     merged = []
-    for i, guarded in enumerate(ckb_prime):
-        pool = [c.formula for c in ckb_prime[i:]] + [c.formula for c in merged]
-        other = (kb2c if i < len(renamed1) else kb1c).context[1]
+    for i, guarded in enumerate(renamed):
+        pool = [c.formula for c in renamed[i:]] + [c.formula for c in merged]
+        other = (kb2c if i < n1 else kb1c).context[1]
         pin = Atom(ctx_var, AtomOp.EQ, other)
         pools.append(("1", guarded.id, pool + [negate(bares[i].formula), pin]))
         merged.append(guarded if next(verdicts) else bares[i])
@@ -695,6 +720,27 @@ def test_each_merge_check_matches_its_explicit_pool(car_pair):
             r.phase == "2" and r.constraint_id in report.kept_contextualized_ids
             for r in report.checks
         )
+
+
+def test_merge_outputs_reuse_their_inputs(car_pair):
+    # an output that keeps its input's id and formula is that input, and a
+    # decontextualized one holds its input's body itself
+    for kb1c, kb2c in [car_pair, *synthesized_pairs()]:
+        merged, report = ckb_merge(kb1c, kb2c)
+        by_id = dict(zip(_merged_ids(kb1c, kb2c), kb1c.constraints + kb2c.constraints))
+        decontextualized = set(report.decontextualized_ids)
+        reused = bodies = 0
+        for c in merged.constraints:
+            source = by_id[c.id]
+            if c.id in decontextualized:
+                assert c.formula is source.formula.right
+                bodies += 1
+            elif c.id == source.id:
+                assert c is source
+                reused += 1
+            else:
+                assert c.formula is source.formula
+        assert reused and bodies
 
 
 def test_merges_and_counts_keep_their_pinned_outputs_and_search_trees():

@@ -39,7 +39,7 @@ from kbmerge import (
 )
 from kbmerge import solver
 from kbmerge.model import validate_formula
-from kbmerge.solver import _compile, _Instance, _literal_offsets, _search
+from kbmerge.solver import _compile, _Instance, _literal_offsets, _refute, _search
 from kbmerge.synth import CTX_VALUES, CTX_VAR
 from kleene import Tri, free_vars, partial_eval
 
@@ -536,6 +536,30 @@ def fc_instance(rng):
     return variables, formulas
 
 
+def test_root_refutation_cuts_each_variables_own_literals():
+    rng = random.Random(1977)
+    outcomes = set()
+    for _ in range(300):
+        variables, formulas = fc_instance(rng)
+        inst = _Instance(variables, formulas)
+        offsets = inst.offsets
+        density = rng.uniform(0.05, 0.6)
+        refuted = sum(
+            1 << k for k in range(offsets[-1]) if rng.random() < density
+        )
+        want = [
+            full & ~(refuted >> offsets[d]) for d, full in enumerate(inst.full)
+        ]
+        live = inst.full[:]
+        ok = _refute(live, offsets, refuted)
+        assert ok == all(want), (variables, refuted)
+        # it stops at the first emptied domain, having cut every one before it
+        stop = len(want) if ok else want.index(0)
+        assert live[:stop] == want[:stop], (variables, refuted)
+        outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
 def lexicographic(variables, solutions):
     """Oracle solutions in declaration order, values in domain order."""
     rank = [{value: j for j, value in enumerate(v.domain)} for v in variables]
@@ -565,7 +589,7 @@ def test_forward_checking_matches_brute_force():
         variables, formulas = fc_instance(rng)
         oracle = brute_force_solutions(variables, formulas)
         inst = _Instance(variables, formulas)
-        ok, _ = inst.check()
+        ok, _, _ = inst.check()
         assert ok == bool(oracle), (variables, formulas)
         # the cubes of live domains the search meets add up to the solutions
         assert cube_sizes(inst) == len(oracle), (variables, formulas)
@@ -619,12 +643,12 @@ def test_a_warm_filter_memo_explores_the_nodes_of_a_cold_one():
         # one negation and every constraint, in a random order
         pool = [len(formulas) + rng.randrange(len(formulas)), *range(len(formulas))]
         rng.shuffle(pool)
-        cold_ok, cold = inst.check(active_mask(inst, pool))
+        cold_ok, cold_nodes, _ = inst.check(active_mask(inst, pool))
         entries = sum(len(memo) for *_, memo in inst.records)
-        warm_ok, warm = inst.check(active_mask(inst, pool))
-        fresh_ok, fresh = _Instance(variables, [pool_formulas[ci] for ci in pool]).check()
+        warm_ok, warm_nodes, _ = inst.check(active_mask(inst, pool))
+        fresh_ok, fresh_nodes, _ = _Instance(variables, [pool_formulas[ci] for ci in pool]).check()
         assert cold_ok == warm_ok == fresh_ok
-        assert cold.nodes_explored == warm.nodes_explored == fresh.nodes_explored
+        assert cold_nodes == warm_nodes == fresh_nodes
         # the warm check computed no filter the cold one had not
         assert sum(len(memo) for *_, memo in inst.records) == entries
         reused += entries
@@ -650,12 +674,12 @@ def test_a_warm_check_evaluates_no_constraint():
     inst.records = [(counted(ev), *rest) for ev, *rest in inst.records]
     # every guarded constraint and the negation of one of them
     pool = [*range(len(guarded)), len(guarded) + 3]
-    cold_ok, cold = inst.check(active_mask(inst, pool))
+    cold_ok, cold_nodes, _ = inst.check(active_mask(inst, pool))
     assert calls[0] > 0
     calls[0] = 0
-    warm_ok, warm = inst.check(active_mask(inst, pool))
-    assert (cold_ok, cold.nodes_explored) == (warm_ok, warm.nodes_explored)
-    assert warm.nodes_explored > 0
+    warm_ok, warm_nodes, _ = inst.check(active_mask(inst, pool))
+    assert (cold_ok, cold_nodes) == (warm_ok, warm_nodes)
+    assert warm_nodes > 0
     # literals decide the constraints they force true, and every filter
     # comes from the memo with its verdict
     assert calls[0] == 0
@@ -677,10 +701,10 @@ def test_a_literal_decides_what_it_forces_true_below_the_shallowest_variable():
         return ev(a)
 
     inst.records[rank] = (wrapper, *rest)
-    ok, stats = inst.check()
+    ok, nodes, _ = inst.check()
     # g = a; x = a empties y's domain; x = b leaves a cube
     assert ok
-    assert stats.nodes_explored == 3
+    assert nodes == 3
     _, _, deep, _, _, memo = inst.records[rank]
     assert deep == 2
     # x = b forces the constraint true, so its filter of y is never computed
@@ -729,7 +753,7 @@ def test_deciding_below_the_shallowest_variable_changes_no_result_or_node(monkey
                 caps = (0, count.count // 2)
                 seen.append(
                     (
-                        [(verdict, s.nodes_explored) for verdict, s in checks],
+                        [(verdict, nodes) for verdict, nodes, _ in checks],
                         (ok, stats.nodes_explored),
                         (count, count_stats.nodes_explored),
                         [count_solutions(variables, formulas, cap)[0] for cap in caps],
@@ -750,11 +774,13 @@ def test_a_shared_instance_searches_like_a_fresh_one_in_any_order():
         inst = _Instance(variables, pool_formulas)
         for _ in range(4):
             active = rng.sample(range(len(pool_formulas)), rng.randint(1, len(pool_formulas)))
-            shared_ok, shared = inst.check(active_mask(inst, active))
+            shared_ok, shared_nodes, _ = inst.check(active_mask(inst, active))
             rng.shuffle(active)
-            fresh_ok, fresh = _Instance(variables, [pool_formulas[ci] for ci in active]).check()
+            fresh_ok, fresh_nodes, _ = _Instance(
+                variables, [pool_formulas[ci] for ci in active]
+            ).check()
             assert shared_ok == fresh_ok, (variables, formulas, active)
-            assert shared.nodes_explored == fresh.nodes_explored, (variables, formulas, active)
+            assert shared_nodes == fresh_nodes, (variables, formulas, active)
 
 
 def test_consistency_and_enumeration_of_a_wide_kb():
