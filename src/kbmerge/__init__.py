@@ -45,7 +45,6 @@ from .model import (
     evaluate,
     is_contextualized,
     negate,
-    strip_context,
     validate_kb,
 )
 from .solver import (
@@ -107,7 +106,6 @@ __all__ = [
     "parse_kb",
     "run_benchmark",
     "serialize_kb",
-    "strip_context",
     "synthesize_pair",
     "validate_kb",
     "write_bench_csv",

@@ -133,14 +133,12 @@ def align(
     and value order, with the context variable's domain replaced by the
     union of the two context domains (kb1 values first).
     """
-    table1 = kb1.variables_by_name()
-    table2 = kb2.variables_by_name()
+    table1, table2 = _check_shared_variables(kb1, kb2, ctx_var)
     if ctx_var not in table1 or ctx_var not in table2:
         missing = kb1.name if ctx_var not in table1 else kb2.name
         raise AlignmentError(
             ctx_var, f"context variable not declared in '{missing}'"
         )
-    _check_shared_variables(kb1, kb2, ctx_var)
 
     dom1 = table1[ctx_var].domain
     dom2 = table2[ctx_var].domain
@@ -152,9 +150,10 @@ def align(
 
 def _check_shared_variables(
     kb1: KnowledgeBase, kb2: KnowledgeBase, ctx_var: Optional[str]
-) -> None:
+) -> tuple[dict[str, Variable], dict[str, Variable]]:
     """Every variable but ``ctx_var`` is declared in both KBs, with the same
-    domain as a set; raises AlignmentError naming the first that is not."""
+    domain as a set; raises AlignmentError naming the first that is not.
+    Returns the two KBs' variables by name."""
     table1 = kb1.variables_by_name()
     table2 = kb2.variables_by_name()
     for v in kb1.variables:
@@ -172,6 +171,20 @@ def _check_shared_variables(
     for v in kb2.variables:
         if v.name != ctx_var and v.name not in table1:
             raise AlignmentError(v.name, f"not declared in '{kb1.name}'")
+    return table1, table2
+
+
+def _context_var(kb1: KnowledgeBase, kb2: KnowledgeBase) -> Optional[str]:
+    """The context variable that two KBs declare, either of which may declare
+    none; None if neither does. Raises AlignmentError if they differ."""
+    ctx1, ctx2 = (kb.context[0] if kb.context else None for kb in (kb1, kb2))
+    if ctx1 is not None and ctx2 is not None and ctx1 != ctx2:
+        raise AlignmentError(
+            ctx1,
+            f"context variables differ: '{ctx1}' in '{kb1.name}' vs "
+            f"'{ctx2}' in '{kb2.name}'",
+        )
+    return ctx2 if ctx1 is None else ctx1
 
 
 _IDENT_SAFE = re.compile(r"[^A-Za-z0-9_.]")
@@ -210,23 +223,15 @@ def _suffix_ors(masks: list[int]) -> list[int]:
 
 
 def _require_contextualized(kb: KnowledgeBase) -> tuple[str, str]:
+    """Prove ``kb`` a merge source, a KB that :func:`contextualize` returns
+    unchanged: valid, with a singleton context domain and every constraint
+    guarded. Returns its context pair."""
     if kb.context is None:
-        raise NotContextualizedError(
-            f"knowledge base '{kb.name}' declares no context"
-        )
-    ctx_var, ctx_val = kb.context
-    domain = kb.variables_by_name()[ctx_var].domain
-    if domain != (ctx_val,):
-        raise NotContextualizedError(
-            f"context variable '{ctx_var}' of '{kb.name}' must have the "
-            f"singleton domain {{{ctx_val}}}"
-        )
-    for c in kb.constraints:
-        if not is_contextualized(c.formula, kb.context):
-            raise NotContextualizedError(
-                f"constraint '{c.id}' of '{kb.name}' is not contextualized"
-            )
-    return ctx_var, ctx_val
+        raise NotContextualizedError(f"knowledge base '{kb.name}' declares no context")
+    if contextualize(kb, *kb.context) is not kb:
+        c = next(c for c in kb.constraints if not is_contextualized(c.formula, kb.context))
+        raise NotContextualizedError(f"constraint '{c.id}' of '{kb.name}' is not contextualized")
+    return kb.context
 
 
 def ckb_merge(
@@ -234,8 +239,10 @@ def ckb_merge(
 ) -> tuple[KnowledgeBase, MergeReport]:
     """Merge two contextualized, individually consistent knowledge bases.
 
-    Two input checks come first, the only proof that each source is
-    consistent; InconsistentInputError names a source that is not. Phase 1
+    Each source must be a KB that :func:`contextualize` returns unchanged,
+    and the two must share their context variable. Two input checks come
+    first, the only proof that each source is consistent;
+    InconsistentInputError names a source that is not. Phase 1
     walks the concatenated input constraints in file order. For each guarded
     c' with bare body c, it checks {not c} against the still unprocessed
     inputs (c' included, exactly as in the two-phase pseudocode) plus the
@@ -256,22 +263,14 @@ def ckb_merge(
     inside the formulas no longer count as contextualized. Only a
     decontextualized or renamed output is a new Constraint.
     """
-    validate_kb(kb1c)
-    validate_kb(kb2c)
-    ctx_var1, ctx_val1 = _require_contextualized(kb1c)
-    ctx_var2, ctx_val2 = _require_contextualized(kb2c)
-    if ctx_var1 != ctx_var2:
-        raise AlignmentError(
-            ctx_var1,
-            f"context variables differ: '{ctx_var1}' in '{kb1c.name}' vs "
-            f"'{ctx_var2}' in '{kb2c.name}'",
-        )
+    ctx_val1 = _require_contextualized(kb1c)[1]
+    ctx_val2 = _require_contextualized(kb2c)[1]
+    ctx_var = _context_var(kb1c, kb2c)
     if ctx_val1 == ctx_val2:
         raise ValidationError(
             f"both sources use the same context value '{ctx_val1}'; "
             f"nothing distinguishes them"
         )
-    ctx_var = ctx_var1
     variables = align(kb1c, kb2c, ctx_var)
 
     ids = _merged_ids(kb1c, kb2c)
@@ -414,13 +413,7 @@ def intersection_count(kb1: KnowledgeBase, kb2: KnowledgeBase) -> int:
     """
     validate_kb(kb1)
     validate_kb(kb2)
-    ctx1 = kb1.context[0] if kb1.context else None
-    ctx2 = kb2.context[0] if kb2.context else None
-    if ctx1 and ctx2 and ctx1 != ctx2:
-        raise AlignmentError(
-            ctx1, f"context variables differ: '{ctx1}' vs '{ctx2}'"
-        )
-    ctx_var = ctx1 or ctx2
+    ctx_var = _context_var(kb1, kb2)
     # the context variable may be missing from an uncontextualized side
     _check_shared_variables(kb1, kb2, ctx_var)
     shared = [v for v in kb1.variables if v.name != ctx_var]

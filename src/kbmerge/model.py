@@ -1,8 +1,8 @@
 """Core domain types: variables, formulas, constraints, knowledge bases.
 
 All types are immutable after construction and safe to share between
-threads. Structural operations (negation, evaluation, guard stripping)
-live here; satisfiability queries live in :mod:`kbmerge.solver`.
+threads. Structural operations (negation, evaluation, validation) live
+here; satisfiability queries live in :mod:`kbmerge.solver`.
 """
 from __future__ import annotations
 
@@ -10,11 +10,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import (
-    NotContextualizedError,
-    UnassignedVariableError,
-    ValidationError,
-)
+from .errors import UnassignedVariableError, ValidationError
 
 Assignment = Mapping[str, str]
 
@@ -50,22 +46,30 @@ class Not:
     child: "Formula"
 
 
+def _connective_hash(self) -> int:
+    """Hash a connective with its type, so And(a, b) and Or(a, b) differ."""
+    return hash((type(self), self.left, self.right))
+
+
 @dataclass(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
+    __hash__ = _connective_hash
 
 
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
+    __hash__ = _connective_hash
 
 
 @dataclass(frozen=True)
 class Implies:
     left: "Formula"
     right: "Formula"
+    __hash__ = _connective_hash
 
 
 Formula = Union[Atom, Not, And, Or, Implies]
@@ -115,9 +119,10 @@ def evaluate(f: Formula, assignment: Assignment) -> bool:
 
     Raises UnassignedVariableError if any variable occurring in ``f`` is
     missing from ``assignment``; both operands of binary nodes are always
-    visited so the check is exhaustive.
+    visited so the check is exhaustive. A malformed node raises the
+    ValidationError of :func:`not_a_formula`.
     """
-    if isinstance(f, Atom):
+    if isinstance(f, Atom) and isinstance(f.op, AtomOp):
         try:
             value = assignment[f.var]
         except KeyError:
@@ -125,19 +130,20 @@ def evaluate(f: Formula, assignment: Assignment) -> bool:
         return value == f.value if f.op is AtomOp.EQ else value != f.value
     if isinstance(f, Not):
         return not evaluate(f.child, assignment)
+    # bitwise on bools: both operands are evaluated, the left one first
     if isinstance(f, And):
-        left = evaluate(f.left, assignment)
-        right = evaluate(f.right, assignment)
-        return left and right
+        return evaluate(f.left, assignment) & evaluate(f.right, assignment)
     if isinstance(f, Or):
-        left = evaluate(f.left, assignment)
-        right = evaluate(f.right, assignment)
-        return left or right
+        return evaluate(f.left, assignment) | evaluate(f.right, assignment)
     if isinstance(f, Implies):
-        left = evaluate(f.left, assignment)
-        right = evaluate(f.right, assignment)
-        return (not left) or right
-    raise TypeError(f"not a formula node: {f!r}")
+        return (not evaluate(f.left, assignment)) | evaluate(f.right, assignment)
+    raise not_a_formula(f)
+
+
+def not_a_formula(f: object) -> ValidationError:
+    """The error for ``f``, which is not a formula node: none of the five
+    node types, or an atom whose ``op`` is not an :class:`AtomOp`."""
+    return ValidationError(f"not a formula node: {f!r}")
 
 
 def is_contextualized(f: Formula, context: Optional[tuple[str, str]]) -> bool:
@@ -157,20 +163,6 @@ def is_contextualized(f: Formula, context: Optional[tuple[str, str]]) -> bool:
     )
 
 
-def strip_context(c: Constraint, context: tuple[str, str]) -> Constraint:
-    """Drop the guard of a constraint contextualized under ``context``.
-
-    Returns a constraint with the same id and provenance whose formula is
-    the guard's body.
-    """
-    if not is_contextualized(c.formula, context):
-        raise NotContextualizedError(
-            f"constraint '{c.id}' is not contextualized on "
-            f"'{context[0]} = {context[1]}'"
-        )
-    return Constraint(c.id, c.formula.right, c.provenance)
-
-
 def validate_variables(variables: Iterable[Variable]) -> dict[str, Variable]:
     """Check variable names are unique; return the name lookup table."""
     table: dict[str, Variable] = {}
@@ -181,23 +173,24 @@ def validate_variables(variables: Iterable[Variable]) -> dict[str, Variable]:
     return table
 
 
-def validate_formula(f: Formula, table: Mapping[str, Variable], where: str = "") -> None:
-    """Check every atom references a declared variable and in-domain value."""
-    suffix = f" in {where}" if where else ""
+def validate_formula(f: Formula, table: Mapping[str, Variable]) -> None:
+    """Check that ``f`` is well formed and that every atom references a
+    declared variable and a value of its domain."""
     if isinstance(f, Atom):
         var = table.get(f.var)
         if var is None:
-            raise ValidationError(f"undeclared variable '{f.var}'{suffix}")
+            raise ValidationError(f"undeclared variable '{f.var}'")
         if f.value not in var.domain:
-            raise ValidationError(
-                f"value '{f.value}' is not in the domain of '{f.var}'{suffix}"
-            )
-        return
-    if isinstance(f, Not):
-        validate_formula(f.child, table, where)
-        return
-    validate_formula(f.left, table, where)
-    validate_formula(f.right, table, where)
+            raise ValidationError(f"value '{f.value}' is not in the domain of '{f.var}'")
+        if not isinstance(f.op, AtomOp):
+            raise not_a_formula(f)
+    elif isinstance(f, Not):
+        validate_formula(f.child, table)
+    elif isinstance(f, (And, Or, Implies)):
+        validate_formula(f.left, table)
+        validate_formula(f.right, table)
+    else:
+        raise not_a_formula(f)
 
 
 def validate_kb(kb: KnowledgeBase) -> None:
@@ -219,4 +212,7 @@ def validate_kb(kb: KnowledgeBase) -> None:
         if c.id in seen_ids:
             raise ValidationError(f"duplicate constraint id '{c.id}'")
         seen_ids.add(c.id)
-        validate_formula(c.formula, table, where=f"constraint '{c.id}'")
+        try:
+            validate_formula(c.formula, table)
+        except ValidationError as err:
+            raise ValidationError(f"{err} in constraint '{c.id}'") from None

@@ -64,6 +64,7 @@ from .model import (
     Or,
     Variable,
     evaluate,
+    not_a_formula,
     validate_formula,
     validate_variables,
 )
@@ -127,7 +128,9 @@ def _compile(
 
     An atom over an undeclared variable or a value outside its variable's
     domain raises :class:`ValidationError` with the message of
-    :func:`kbmerge.model.validate_formula`.
+    :func:`kbmerge.model.validate_formula`, and so does a malformed node:
+    one that is none of the five node types, or an atom whose ``op`` is not
+    an :class:`AtomOp` (see :func:`kbmerge.model.not_a_formula`).
     """
     if memo is None:
         memo = {}
@@ -156,19 +159,21 @@ def _compile(
             def ev(a, i=i, v=v):
                 x = a[i]
                 return None if x is None else x == v
-        else:
+        elif f.op is AtomOp.NEQ:
             true, false = every ^ bit, bit
 
             def ev(a, i=i, v=v):
                 x = a[i]
                 return None if x is None else x != v
+        else:
+            raise not_a_formula(f)
     elif isinstance(f, Not):
         child, mask, false, true = _compile(f.child, index, domains, offsets, memo)
 
         def ev(a, child=child):
             r = child(a)
             return None if r is None else not r
-    else:
+    elif isinstance(f, (And, Or, Implies)):
         left, left_mask, left_true, left_false = _compile(
             f.left, index, domains, offsets, memo
         )
@@ -215,6 +220,8 @@ def _compile(
                 if x is True and y is False:
                     return False
                 return None
+    else:
+        raise not_a_formula(f)
     memo[key] = done = (ev, mask, true, false)
     return done
 
@@ -235,8 +242,8 @@ class _Instance:
     Built once, an instance can answer many consistency checks, each over
     a subset of its constraints handed as the OR of their ``masks``: the
     assumption-style incremental interface of MiniSat, without learning.
-    Compiling validates each formula; a bad atom raises the
-    :class:`ValidationError` of :func:`kbmerge.model.validate_formula`. A
+    Compiling validates each formula; a bad atom or a malformed node raises
+    the :class:`ValidationError` of :func:`kbmerge.model.validate_formula`. A
     check on a shared instance explores exactly the nodes of a fresh
     instance built from its active constraints.
 

@@ -50,6 +50,7 @@ from .model import (
     Or,
     Variable,
     is_contextualized,
+    not_a_formula,
     validate_kb,
 )
 
@@ -221,7 +222,7 @@ _ATOM, _NOT = 5, 4
 
 
 def _fmt(f: Formula) -> tuple[str, int]:
-    if isinstance(f, Atom):
+    if isinstance(f, Atom) and isinstance(f.op, AtomOp):
         return f"{f.var} {f.op.value} {f.value}", _ATOM
     if isinstance(f, Not):
         txt, p = _fmt(f.child)
@@ -230,7 +231,7 @@ def _fmt(f: Formula) -> tuple[str, int]:
         return f"not {txt}", _NOT
     op = _BINARY.get(type(f))
     if op is None:
-        raise TypeError(f"not a formula node: {f!r}")
+        raise not_a_formula(f)
     lexeme, prec, right = op
     # the operand on the associative side may bind as loosely as ``f``,
     # the other must bind tighter

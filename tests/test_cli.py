@@ -303,6 +303,18 @@ def test_inconsistent_merge_input_exit_code(tmp_path, capsys):
     assert "CKB_us" in err
 
 
+def test_widened_context_domain_exit_code(tmp_path, capsys):
+    text = Path(US).read_text(encoding="utf-8").replace("{ US }", "{ US, GER }")
+    path = tmp_path / "widened.kb"
+    path.write_text(text)
+    code, _, err = run(capsys, "merge", str(path), GER)
+    assert code == 1
+    assert err == (
+        "error: context variable 'country' must have the singleton domain {US} "
+        "in 'CKB_us', found {US, GER}\n"
+    )
+
+
 def test_domain_mismatch_exit_code_names_variable(tmp_path, capsys):
     text = Path(GER).read_text(encoding="utf-8").replace("{ white, black }", "{ white, red }")
     path = tmp_path / "recolored.kb"

@@ -29,7 +29,6 @@ from kbmerge import (
     negate,
     parse_kb,
     serialize_kb,
-    strip_context,
     synthesize_pair,
     validate_kb,
 )
@@ -387,6 +386,62 @@ def test_merge_rejects_uncontextualized_inputs(kb_us, kb_ger):
         ckb_merge(kb_us, kb_ger)
 
 
+def test_merge_rejects_a_source_with_no_context_or_an_unguarded_constraint(car_pair):
+    us, ger = car_pair
+    with pytest.raises(
+        NotContextualizedError, match=r"^knowledge base 'CKB_us' declares no context$"
+    ):
+        ckb_merge(replace(us, context=None), ger)
+    # c2us loses its guard: contextualize would guard it, so us is no source
+    unguarded = replace(
+        us,
+        constraints=tuple(
+            Constraint(c.id, c.formula.right, c.provenance) if c.id == "c2us" else c
+            for c in us.constraints
+        ),
+    )
+    with pytest.raises(
+        NotContextualizedError, match=r"^constraint 'c2us' of 'CKB_us' is not contextualized$"
+    ):
+        ckb_merge(ger, unguarded)
+
+
+def test_merge_rejects_a_source_with_a_widened_context_domain(car_pair):
+    us, ger = car_pair
+    widened = replace(
+        us,
+        variables=tuple(
+            Variable("country", ("US", "GER")) if v.name == "country" else v
+            for v in us.variables
+        ),
+    )
+    # the singleton rule is contextualize's, and so is the message
+    with pytest.raises(ValidationError) as err:
+        ckb_merge(widened, ger)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == (
+        "context variable 'country' must have the singleton domain {US} in "
+        "'CKB_us', found {US, GER}"
+    )
+    with pytest.raises(ValidationError) as direct:
+        contextualize(widened, "country", "US")
+    assert str(direct.value) == str(err.value)
+    assert err.value.exit_code == 1
+
+
+def test_merge_rejects_different_context_variables(car_pair, kb_ger):
+    us, _ = car_pair
+    text = serialize_kb(contextualize(kb_ger, "country", "GER"))
+    market = parse_kb(text.replace("country", "market"))
+    want = (
+        "variable 'country': context variables differ: 'country' in 'CKB_us' "
+        "vs 'market' in 'CKB_ger'"
+    )
+    with pytest.raises(AlignmentError) as err:
+        ckb_merge(us, market)
+    assert str(err.value) == want
+
+
 def test_merge_rejects_same_context_value(kb_us):
     a = contextualize(kb_us, "country", "US")
     with pytest.raises(ValidationError, match="same context value"):
@@ -464,7 +519,7 @@ def test_lone_constraint_is_not_redundant():
 def test_second_decontextualized_copy_is_redundant(kb_union):
     # the phase-1 picture of the car merge: both electro constraints bare
     constraints = tuple(
-        strip_context(c, ("country", c.formula.left.value))
+        Constraint(c.id, c.formula.right, c.provenance)
         if c.id in ("c2us", "c2ger")
         else c
         for c in kb_union.constraints
@@ -501,10 +556,13 @@ def test_intersection_with_unconstrained_side(kb_us, kb_ger):
 
 
 def test_intersection_rejects_context_variable_mismatch(kb_us, kb_ger):
-    from kbmerge import serialize_kb
-
     renamed = parse_kb(serialize_kb(kb_ger).replace("country", "market"))
-    with pytest.raises(AlignmentError):
+    # the message of ckb_merge, naming both KBs
+    with pytest.raises(
+        AlignmentError,
+        match=r"^variable 'country': context variables differ: 'country' in 'CKB_us' "
+        r"vs 'market' in 'CKB_ger'$",
+    ):
         intersection_count(kb_us, renamed)
 
 
@@ -587,11 +645,10 @@ def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
     ctx_var = kb1c.context[0]
     variables = align(kb1c, kb2c, ctx_var)
     renamed = _renamed(kb1c, kb2c)
-    n1 = len(kb1c.constraints)
     decontextualized, kept_contextualized, merged = [], [], []
     nodes = [0, 0]
     for i, guarded in enumerate(renamed):
-        bare = strip_context(guarded, (kb1c if i < n1 else kb2c).context)
+        bare = Constraint(guarded.id, guarded.formula.right, guarded.provenance)
         pool = [c.formula for c in renamed[i:]] + [c.formula for c in merged]
         ok, stats = is_consistent(variables, pool + [negate(bare.formula)])
         nodes[0] += stats.nodes_explored
@@ -668,10 +725,7 @@ def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
     ctx_var = kb1c.context[0]
     renamed = _renamed(kb1c, kb2c)
     n1 = len(kb1c.constraints)
-    bares = [
-        strip_context(c, (kb1c if i < n1 else kb2c).context)
-        for i, c in enumerate(renamed)
-    ]
+    bares = [Constraint(c.id, c.formula.right, c.provenance) for c in renamed]
     verdicts = iter(r.consistent for r in report.checks)
     pools = []
     for kb, members in ((kb1c, bares[:n1]), (kb2c, bares[n1:])):

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 
 from kbmerge import (
@@ -8,15 +11,20 @@ from kbmerge import (
     Implies,
     KnowledgeBase,
     Not,
-    NotContextualizedError,
     Or,
     UnassignedVariableError,
     ValidationError,
     Variable,
+    brute_force_solutions,
+    ckb_merge,
+    contextualize,
+    count_solutions,
+    enumerate_solutions,
     evaluate,
+    format_formula,
+    is_consistent,
     is_contextualized,
     negate,
-    strip_context,
     validate_kb,
 )
 from kleene import free_vars
@@ -65,6 +73,18 @@ def test_evaluate_is_strict_about_missing_variables():
     assert err.value.variable == "missing"
 
 
+def test_connectives_stay_distinct():
+    # the same operands under different connectives are different formulas,
+    # so neither equality nor the hash may depend on the operands alone
+    a, b = Atom("x", AtomOp.EQ, "a"), Atom("y", AtomOp.NEQ, "b")
+    nodes = [And(a, b), Or(a, b), Implies(a, b)]
+    for p, q in itertools.combinations(nodes, 2):
+        assert p != q
+        assert hash(p) != hash(q)
+    assert And(a, b) == And(a, b) and hash(And(a, b)) == hash(And(a, b))
+    assert len(set(nodes)) == 3
+
+
 def test_negate_wraps_without_simplifying():
     f = Not(Atom("x", AtomOp.EQ, "a"))
     assert negate(f) == Not(f)
@@ -83,32 +103,6 @@ def test_is_context_guarded():
     # a negated guard atom does not count as a guard
     wrong = Implies(Atom("country", AtomOp.NEQ, "US"), NO_COUPLING_FOR_ELECTRO)
     assert not is_contextualized(wrong, ("country", "US"))
-
-
-def test_strip_context_round_trip():
-    guarded = Constraint(
-        id="c2us",
-        formula=Implies(Atom("country", AtomOp.EQ, "US"), NO_COUPLING_FOR_ELECTRO),
-        provenance="CKB_us",
-    )
-    bare = strip_context(guarded, ("country", "US"))
-    assert bare.formula == NO_COUPLING_FOR_ELECTRO
-    assert bare.id == "c2us"
-    assert bare.provenance == "CKB_us"
-    assert not is_contextualized(bare.formula, ("country", "US"))
-
-
-def test_strip_context_rejects_unguarded():
-    plain = Constraint(id="c", formula=NO_COUPLING_FOR_ELECTRO)
-    with pytest.raises(NotContextualizedError):
-        strip_context(plain, ("country", "US"))
-    # a guard on another value of the context variable does not count
-    guarded = Constraint(
-        id="c",
-        formula=Implies(Atom("country", AtomOp.EQ, "GER"), NO_COUPLING_FOR_ELECTRO),
-    )
-    with pytest.raises(NotContextualizedError):
-        strip_context(guarded, ("country", "US"))
 
 
 def _kb(variables, constraints, context=None):
@@ -157,3 +151,43 @@ def test_validate_kb_rejects_bad_context_declaration():
     with pytest.raises(ValidationError, match="bad context"):
         validate_kb(_kb((FUEL,), (), context=("fuel", "coal")))
 
+
+
+X = Variable("x", ("a", "b"))
+US = Atom("country", AtomOp.EQ, "US")
+
+
+def _holding(formula, context=None):
+    """A KB over x, and the context variable if ``context`` is given, whose
+    one constraint c1 is ``formula``."""
+    variables = (X,) if context is None else (X, Variable(context[0], (context[1],)))
+    return KnowledgeBase("bad", variables, (Constraint("c1", formula),), context)
+
+
+MALFORMED_ENTRY_POINTS = {
+    "validate_kb": lambda f: validate_kb(_holding(f)),
+    "is_consistent": lambda f: is_consistent((X,), [f]),
+    "count_solutions": lambda f: count_solutions((X,), [f]),
+    "enumerate_solutions": lambda f: enumerate_solutions((X,), [f], 10),
+    "brute_force_solutions": lambda f: brute_force_solutions((X,), [f]),
+    "contextualize": lambda f: contextualize(_holding(f), "country", "US"),
+    "ckb_merge": lambda f: ckb_merge(
+        _holding(Implies(US, f), ("country", "US")),
+        contextualize(KnowledgeBase("good", (X,)), "country", "GER"),
+    ),
+    "evaluate": lambda f: evaluate(f, {"x": "a"}),
+    "format_formula": format_formula,
+}
+
+
+@pytest.mark.parametrize("entry", list(MALFORMED_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "bad",
+    [None, "x = a", Atom("x", "=", "a")],
+    ids=["none", "string", "atom-with-a-str-op"],
+)
+def test_malformed_formulas_raise_validation_error(bad, entry):
+    # below a valid atom: an atom whose op is the string "=" is no x != a
+    formula = And(Atom("x", AtomOp.EQ, "a"), bad)
+    with pytest.raises(ValidationError, match=f"^not a formula node: {re.escape(repr(bad))}"):
+        MALFORMED_ENTRY_POINTS[entry](formula)
