@@ -36,6 +36,7 @@ from .model import (
     Variable,
     is_contextualized,
     negate,
+    require_constraint,
     validate_kb,
 )
 from .solver import _Instance, count_solutions, is_consistent
@@ -228,7 +229,12 @@ def _require_contextualized(kb: KnowledgeBase) -> tuple[str, str]:
     guarded. Returns its context pair."""
     if kb.context is None:
         raise NotContextualizedError(f"knowledge base '{kb.name}' declares no context")
-    if contextualize(kb, *kb.context) is not kb:
+    try:
+        ctx_var, ctx_val = kb.context
+    except (TypeError, ValueError):
+        validate_kb(kb)  # raises: the context is no pair
+        raise
+    if contextualize(kb, ctx_var, ctx_val) is not kb:
         c = next(c for c in kb.constraints if not is_contextualized(c.formula, kb.context))
         raise NotContextualizedError(f"constraint '{c.id}' of '{kb.name}' is not contextualized")
     return kb.context
@@ -385,6 +391,7 @@ def ckb_merge(
 
 def is_redundant(kb: KnowledgeBase, c: Constraint) -> bool:
     """True iff the rest of the KB is inconsistent with the negation of c."""
+    require_constraint(c)
     if c not in kb.constraints:
         raise ConstraintNotFoundError(
             f"constraint '{c.id}' is not part of '{kb.name}'"

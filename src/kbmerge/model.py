@@ -22,12 +22,22 @@ class AtomOp(enum.Enum):
 
 @dataclass(frozen=True)
 class Variable:
-    """An enumerated finite-domain variable. Domain order is significant."""
+    """An enumerated finite-domain variable: a string name and a non-empty
+    tuple of distinct string values. Domain order is significant."""
 
     name: str
     domain: tuple[str, ...]
 
     def __post_init__(self):
+        if not (
+            isinstance(self.name, str)
+            and isinstance(self.domain, tuple)
+            and all(isinstance(value, str) for value in self.domain)
+        ):
+            raise ValidationError(
+                f"variable {self.name!r} needs a string name and a tuple of string"
+                f" values, got {self.domain!r}"
+            )
         if not self.domain:
             raise ValidationError(f"variable '{self.name}' has an empty domain")
         if len(set(self.domain)) != len(self.domain):
@@ -146,6 +156,13 @@ def not_a_formula(f: object) -> ValidationError:
     return ValidationError(f"not a formula node: {f!r}")
 
 
+def require_constraint(c: object) -> None:
+    """Raise ValidationError unless ``c`` is a :class:`Constraint` with a
+    string id."""
+    if not isinstance(c, Constraint) or not isinstance(c.id, str):
+        raise ValidationError(f"not a constraint with a string id: {c!r}")
+
+
 def is_contextualized(f: Formula, context: Optional[tuple[str, str]]) -> bool:
     """True iff ``f`` is ``Implies(Atom(ctx_var = ctx_val), body)`` for the
     context pair ``(ctx_var, ctx_val)``; never true without a context.
@@ -164,9 +181,12 @@ def is_contextualized(f: Formula, context: Optional[tuple[str, str]]) -> bool:
 
 
 def validate_variables(variables: Iterable[Variable]) -> dict[str, Variable]:
-    """Check variable names are unique; return the name lookup table."""
+    """Check that every entry is a Variable and that names are unique;
+    return the name lookup table."""
     table: dict[str, Variable] = {}
     for v in variables:
+        if not isinstance(v, Variable):
+            raise ValidationError(f"not a variable: {v!r}")
         if v.name in table:
             raise ValidationError(f"variable '{v.name}' declared twice")
         table[v.name] = v
@@ -177,7 +197,7 @@ def validate_formula(f: Formula, table: Mapping[str, Variable]) -> None:
     """Check that ``f`` is well formed and that every atom references a
     declared variable and a value of its domain."""
     if isinstance(f, Atom):
-        var = table.get(f.var)
+        var = table.get(f.var) if isinstance(f.var, str) else None
         if var is None:
             raise ValidationError(f"undeclared variable '{f.var}'")
         if f.value not in var.domain:
@@ -197,8 +217,13 @@ def validate_kb(kb: KnowledgeBase) -> None:
     """Enforce all knowledge-base invariants; raise ValidationError on breach."""
     table = validate_variables(kb.variables)
     if kb.context is not None:
-        ctx_var, ctx_val = kb.context
-        var = table.get(ctx_var)
+        try:
+            ctx_var, ctx_val = kb.context
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"bad context declaration: {kb.context!r} is not a (variable, value) pair"
+            ) from None
+        var = table.get(ctx_var) if isinstance(ctx_var, str) else None
         if var is None:
             raise ValidationError(
                 f"bad context declaration: variable '{ctx_var}' is not declared"
@@ -209,6 +234,7 @@ def validate_kb(kb: KnowledgeBase) -> None:
             )
     seen_ids: set[str] = set()
     for c in kb.constraints:
+        require_constraint(c)
         if c.id in seen_ids:
             raise ValidationError(f"duplicate constraint id '{c.id}'")
         seen_ids.add(c.id)

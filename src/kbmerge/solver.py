@@ -6,8 +6,9 @@ orders: variables in declaration order, values in domain order. Before the
 first branch, each active constraint removes from the live domains the
 literals ``x = v`` that refute it on their own, with no other variable
 assigned (node consistency, Mackworth 1977): the negation of
-``x = a -> y != b`` fixes both ``x`` and ``y`` at the root. So at its
-shallowest variable a constraint is never false. At any variable but its
+``x = a -> y != b`` fixes both ``x`` and ``y`` at the root, and a
+constraint over one variable is settled there. So at its shallowest
+variable a constraint is never false. At any variable but its
 deepest, a literal that forces the constraint true on its own decides it
 with no evaluation, as Chaff (Moskewicz et al. 2001) stops visiting a
 satisfied clause. Up to its second-deepest variable it is evaluated
@@ -15,9 +16,11 @@ otherwise, and there, if still undecided, it filters its deepest variable
 down to the values it allows; a false constraint or an emptied domain
 fails the value. That verdict and filter depend only on the values of the
 rest of its scope, so an instance memoises both for every check and count
-it answers. A set of constraints is one int, their bits with the literals
-that refute one of them on their own above, and live domains are restored
-from an undo trail.
+it answers. A set of constraints is one int: the bits of those over two
+or more variables, and above them the literals that refute one of them on
+their own. Live domains are restored from an undo trail. Formulas compile
+to closures of Kleene's strong three-valued logic, one closure for every
+binary connective (``_KLEENE``).
 
 Consistency and enumeration share one search, forward checking with
 conflict-directed backjumping (FC-CBJ, Prosser 1993; no learning, no
@@ -73,6 +76,10 @@ BRUTE_FORCE_GUARD = 10**7
 
 FrozenAssignment = frozenset[tuple[str, str]]
 
+# Per binary connective (Kleene's strong three-valued logic): the value of
+# the left operand that decides it, and the verdict that value gives.
+_KLEENE = {And: (False, False), Or: (True, True), Implies: (False, True)}
+
 
 @dataclass(frozen=True)
 class SolveStats:
@@ -114,17 +121,18 @@ def _compile(
 ) -> tuple[Callable, int, int, int]:
     """Compile a formula into a closure over a positional assignment list.
 
-    The closure returns True or False when every completion of the
-    partial assignment (None marks an unassigned slot) forces that value,
-    and None otherwise: three-valued Kleene evaluation, which tests check
-    against a reference evaluator and the brute-force oracle. Returns the
+    The closure returns True or False when every completion of the partial
+    assignment (None marks an unassigned slot) forces that value, and None
+    otherwise: three-valued Kleene evaluation, which tests check against a
+    reference evaluator and the brute-force oracle; one closure serves every
+    binary connective, with its constants from ``_KLEENE``. Returns the
     closure, the formula's scope as a bit set over the positions of
     ``index``, and two sets of literals, numbered by ``offsets`` over the
     values ``domains`` holds per position (see :func:`_literal_offsets`):
-    those that force the formula true and those that force it false
-    (refute it) when their variable is the only one assigned. ``memo``
-    maps ``id(node)`` to all four, so a subformula shared by several
-    formulas compiles once; the caller keeps every memoised node alive.
+    those that force the formula true and those that force it false (refute
+    it) when their variable is the only one assigned. ``memo`` maps
+    ``id(node)`` to all four, so a subformula shared by several formulas
+    compiles once; the caller keeps every memoised node alive.
 
     An atom over an undeclared variable or a value outside its variable's
     domain raises :class:`ValidationError` with the message of
@@ -139,7 +147,7 @@ def _compile(
     if done is not None:
         return done
     if isinstance(f, Atom):
-        i = index.get(f.var)
+        i = index.get(f.var) if isinstance(f.var, str) else None
         if i is None:
             raise ValidationError(f"undeclared variable '{f.var}'")
         v = f.value
@@ -173,7 +181,12 @@ def _compile(
         def ev(a, child=child):
             r = child(a)
             return None if r is None else not r
-    elif isinstance(f, (And, Or, Implies)):
+    else:
+        # the first connective in the MRO: validate_formula accepts a subclass
+        kleene = next(filter(None, map(_KLEENE.get, type(f).__mro__)), None)
+        if kleene is None:
+            raise not_a_formula(f)
+        stop, give = kleene
         left, left_mask, left_true, left_false = _compile(
             f.left, index, domains, offsets, memo
         )
@@ -181,47 +194,21 @@ def _compile(
             f.right, index, domains, offsets, memo
         )
         mask = left_mask | right_mask
-        if isinstance(f, And):
+        if stop is not give:  # an implication is ``not left or right``:
+            left_true, left_false = left_false, left_true
+        if give:
+            true, false = left_true | right_true, left_false & right_false
+        else:
             true, false = left_true & right_true, left_false | right_false
 
-            def ev(a, left=left, right=right):
-                x = left(a)
-                if x is False:
-                    return False
-                y = right(a)
-                if y is False:
-                    return False
-                if x is True and y is True:
-                    return True
-                return None
-        elif isinstance(f, Or):
-            true, false = left_true | right_true, left_false & right_false
-
-            def ev(a, left=left, right=right):
-                x = left(a)
-                if x is True:
-                    return True
-                y = right(a)
-                if y is True:
-                    return True
-                if x is False and y is False:
-                    return False
-                return None
-        else:
-            true, false = left_false | right_true, left_true & right_false
-
-            def ev(a, left=left, right=right):
-                x = left(a)
-                if x is False:
-                    return True
-                y = right(a)
-                if y is True:
-                    return True
-                if x is True and y is False:
-                    return False
-                return None
-    else:
-        raise not_a_formula(f)
+        def ev(a, left=left, right=right, stop=stop, give=give):
+            x = left(a)
+            if x is stop:
+                return give
+            y = right(a)
+            if y is give:
+                return give
+            return None if x is None or y is None else not give
     memo[key] = done = (ev, mask, true, false)
     return done
 
@@ -247,23 +234,25 @@ class _Instance:
     check on a shared instance explores exactly the nodes of a fresh
     instance built from its active constraints.
 
-    The tables are int bit sets over constraints. A constraint's bit is its
-    rank in a stable sort of the constraints by scope; what it does to the
-    search depends only on its scope and verdict, so a search that visits
-    set bits from the low end does not depend on the constraint order.
-    ``masks`` holds per constraint ``refuted << m | bit``: its bit and,
-    above all ``m`` bits, the literals that refute it on their own (see
-    :func:`_compile`), numbered by :func:`_literal_offsets`; ``unary`` the
-    constraints over one variable, which the root settles; ``true_by``, per
-    literal, those of two or more variables that it forces true where its
-    variable is not their deepest; ``middle``, per depth, those of four or
-    more variables evaluated there, strictly between their shallowest and
-    second-deepest variables; and ``filters``, per depth, those that filter
-    there, at their second-deepest variable. ``records`` holds per bit the
-    constraint's closure, scope, deepest variable, a getter of the values of
-    the rest of its scope, that rest, and the memo from those values to its
-    verdict and filter (see :func:`_allowed`), so a filter met again, in any
-    check or count, costs one dictionary lookup and no evaluation.
+    The tables are int bit sets over the ``m`` constraints of two or more
+    variables. Such a constraint's bit is its rank in a stable sort of them
+    by scope; what it does to the search depends only on its scope and
+    verdict, so a search that visits set bits from the low end does not
+    depend on the constraint order. A constraint over one variable takes no
+    bit: it is exactly the literals that refute it, which the root removes.
+    ``masks`` holds per constraint ``refuted << m``, ORed with its bit if it
+    has one: above all ``m`` bits, the literals that refute it on their own
+    (see :func:`_compile`), numbered by :func:`_literal_offsets`.
+    ``true_by`` holds per literal the constraints that it forces true where
+    its variable is not their deepest; ``middle``, per depth, those of four
+    or more variables evaluated there, strictly between their shallowest
+    and second-deepest variables; and ``filters``, per depth, those that
+    filter there, at their second-deepest variable. ``records`` holds per
+    bit the constraint's closure, scope, deepest variable, a getter of the
+    values of the rest of its scope, that rest, and the memo from those
+    values to its verdict and filter (see :func:`_allowed`), so a filter met
+    again, in any check or count, costs one dictionary lookup and no
+    evaluation.
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
@@ -275,37 +264,34 @@ class _Instance:
         self.offsets = offsets = _literal_offsets(domains)
         memo: dict[int, tuple[Callable, int, int, int]] = {}
         compiled = [_compile(f, index, domains, offsets, memo) for f in constraints]
-        m = len(compiled)
         # all values of each variable, as a bit set over its value indices
         self.full = [(1 << len(domain)) - 1 for domain in domains]
         # the literals of each variable, as a bit set over all literals
         own = [full << offset for full, offset in zip(self.full, offsets)]
-        self.masks = masks = [0] * m
-        self.unary = 0
+        # a constraint over one variable is its refuted literals, and no bit
+        wide = [ci for ci, c in enumerate(compiled) if c[1] & c[1] - 1]
+        wide.sort(key=lambda ci: compiled[ci][1])
+        self.masks = masks = [refuted << len(wide) for _, _, _, refuted in compiled]
         self.true_by = true_by = [0] * offsets[-1]
         self.middle = middle = [0] * len(domains)
         self.filters = filters = [0] * len(domains)
         self.records = records = []
         bit = 1
-        for ci in sorted(range(m), key=lambda ci: compiled[ci][1]):
-            ev, mask, forced, refuted = compiled[ci]
-            masks[ci] = refuted << m | bit
+        for ci in wide:
+            ev, mask, forced, _ = compiled[ci]
+            masks[ci] |= bit
             scope = _depths(mask)
             deep = scope[-1]
-            if len(scope) == 1:
-                self.unary |= bit
-                records.append((ev, mask, deep, None, 0, {}))
-            else:
-                records.append((ev, mask, deep, itemgetter(*scope[:-1]), mask ^ (1 << deep), {}))
-                true = forced & ~own[deep]
-                while true:
-                    low = true & -true
-                    true_by[low.bit_length() - 1] |= bit
-                    true ^= low
-                if len(scope) > 3:
-                    for depth in scope[1:-2]:
-                        middle[depth] |= bit
-                filters[scope[-2]] |= bit
+            records.append((ev, mask, deep, itemgetter(*scope[:-1]), mask ^ (1 << deep), {}))
+            true = forced & ~own[deep]
+            while true:
+                low = true & -true
+                true_by[low.bit_length() - 1] |= bit
+                true ^= low
+            if len(scope) > 3:
+                for depth in scope[1:-2]:
+                    middle[depth] |= bit
+            filters[scope[-2]] |= bit
             bit <<= 1
 
     def check(self, active: Optional[int] = None) -> tuple[bool, int, float]:
@@ -394,8 +380,6 @@ def _search(
     live = full[:]
     if not _refute(live, offsets, active >> m):
         return 0, 0
-    # so a constraint over one variable allows exactly the values left
-    undecided &= ~inst.unary
     assignment: list[Optional[str]] = [None] * n
     reasons = [0] * n
     trail: list[tuple[int, int, int]] = []  # (variable, live, reasons) to restore
@@ -582,8 +566,7 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     # the product under its current value: running product and parts left.
     var = untried = sub = mark = key = cons = own = base = 0
     mult = int(cap is not None)
-    undecided = ((1 << len(records)) - 1) & ~inst.unary
-    total, parts = _components(undecided, (1 << len(domains)) - 1, records, live)
+    total, parts = _components((1 << len(records)) - 1, (1 << len(domains)) - 1, records, live)
     stack: list[tuple] = []  # each enclosing component, with its product
     while True:
         if total and parts:

@@ -47,6 +47,11 @@ class SynthConfig:
     domain_size: int = 4
 
     def __post_init__(self):
+        for name in ("n_constraints", "seed", "n_vars", "domain_size"):
+            if not isinstance(getattr(self, name), int):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.context_share, (int, float)):
+            raise ValidationError(f"context_share must be a number, got {self.context_share!r}")
         if self.n_constraints < 1:
             raise ValidationError("n_constraints must be at least 1")
         if not 0.0 <= self.context_share <= 1.0:

@@ -261,6 +261,8 @@ _NAMES = re.compile(rf"(?:{_IDENT}\n)*")
 
 def _check_names(kb: KnowledgeBase) -> None:
     """Raise ValidationError for the first name :func:`parse_kb` could not read."""
+    if not isinstance(kb.name, str):
+        raise ValidationError(f"cannot serialize knowledge-base name {kb.name!r}: not a string")
     if '"' in kb.name or "\n" in kb.name:
         raise ValidationError(
             f"cannot serialize knowledge-base name {kb.name!r}: it holds '\"' or a line break"
@@ -271,12 +273,17 @@ def _check_names(kb: KnowledgeBase) -> None:
         names += v.domain
     names += [c.id for c in kb.constraints]
     # one match over all of them; a name holding a line break breaks the count
-    text = "\n".join([*names, ""])
+    try:
+        text = "\n".join([*names, ""])
+    except TypeError:  # a name that is no string
+        text = ""
     readable = _NAMES.fullmatch(text) and text.count("\n") == len(names)
     if readable and KEYWORDS.isdisjoint(names):
         return
     bad = next(
-        n for n in names if n in KEYWORDS or "\n" in n or not _NAMES.fullmatch(n + "\n")
+        n
+        for n in names
+        if not isinstance(n, str) or n in KEYWORDS or "\n" in n or not _NAMES.fullmatch(n + "\n")
     )
     raise ValidationError(
         f"cannot serialize {bad!r}: a variable, value or constraint id must match"

@@ -364,6 +364,47 @@ def test_merge_without_any_context_declaration(tmp_path, capsys):
     assert "--ctx-var" in err
 
 
+def _fuel_kb(path, context=""):
+    """A one-constraint car KB, declaring ``context`` if given."""
+    path.write_text(
+        'kb "car" {\n%s  var fuel : { gas, hybrid };\n  constraint c1: fuel != hybrid;\n}\n'
+        % (f"  context {context};\n" if context else "")
+    )
+    return str(path)
+
+
+def test_merge_of_files_declaring_different_context_variables(tmp_path, capsys):
+    market = tmp_path / "ger_market.kb"
+    market.write_text(Path(GER).read_text().replace("country", "market"))
+    code, out, err = run(capsys, "merge", US, str(market))
+    assert code == 1
+    assert out == ""
+    assert "different context variables (country, market)" in err
+
+
+def test_ctx_var_flag_overrides_a_declared_context_variable(tmp_path, capsys):
+    # fuel = gas is a well-formed declaration on a shared variable, which
+    # --ctx-var replaces by a fresh context variable
+    left = _fuel_kb(tmp_path / "a.kb", "fuel = gas")
+    right = _fuel_kb(tmp_path / "b.kb")
+    code, out, err = run(
+        capsys, "merge", left, right,
+        "--ctx-var", "country", "--ctx-val1", "US", "--ctx-val2", "GER",
+    )
+    assert code == 0
+    assert "warning: overriding context variable 'fuel' declared in 'car' with 'country'" in err
+    assert "var country : { US, GER };" in out
+
+
+def test_merge_without_a_context_value_for_the_chosen_variable(tmp_path, capsys):
+    # the US file settles the context variable, but the other file has no
+    # value for it
+    code, out, err = run(capsys, "merge", US, _fuel_kb(tmp_path / "b.kb"))
+    assert code == 1
+    assert out == ""
+    assert "no context value for 'car': pass --ctx-val2" in err
+
+
 def _deep_kb(path):
     # one constraint, a chain of 3000 or-ed atoms
     values = ", ".join(f"v{i}" for i in range(3000))

@@ -24,7 +24,9 @@ from kbmerge import (
     format_formula,
     is_consistent,
     is_contextualized,
+    is_redundant,
     negate,
+    serialize_kb,
     validate_kb,
 )
 from kleene import free_vars
@@ -45,6 +47,16 @@ def test_variable_rejects_empty_domain():
 def test_variable_rejects_duplicate_values():
     with pytest.raises(ValidationError):
         Variable("x", ("a", "b", "a"))
+
+
+@pytest.mark.parametrize(
+    "name, domain",
+    [("x", 5), ("x", ["a", "b"]), ("x", ("a", 1)), (5, ("a",))],
+    ids=["int-domain", "list-domain", "int-value", "int-name"],
+)
+def test_variable_rejects_bad_field_types(name, domain):
+    with pytest.raises(ValidationError, match="needs a string name and a tuple of string values"):
+        Variable(name, domain)
 
 
 def test_evaluate_atoms():
@@ -191,3 +203,61 @@ def test_malformed_formulas_raise_validation_error(bad, entry):
     formula = And(Atom("x", AtomOp.EQ, "a"), bad)
     with pytest.raises(ValidationError, match=f"^not a formula node: {re.escape(repr(bad))}"):
         MALFORMED_ENTRY_POINTS[entry](formula)
+
+
+def _valid_kb(constraints=(), context=None):
+    return KnowledgeBase("kb", (X,), tuple(constraints), context)
+
+
+A = Atom("x", AtomOp.EQ, "a")
+LISTED_VAR = Atom(["x"], AtomOp.EQ, "a")
+
+MALFORMED_KBS = {
+    "constraint-not-a-Constraint": (
+        lambda: validate_kb(_valid_kb([A])),
+        "not a constraint with a string id",
+    ),
+    "variable-not-a-Variable": (
+        lambda: validate_kb(KnowledgeBase("kb", ("x",))),
+        "not a variable: 'x'",
+    ),
+    "context-not-a-pair": (
+        lambda: validate_kb(_valid_kb(context=("x",))),
+        "bad context declaration",
+    ),
+    "contextualize-constraint-not-a-Constraint": (
+        lambda: contextualize(_valid_kb([A]), "country", "US"),
+        "not a constraint with a string id",
+    ),
+    "ckb_merge-context-not-a-pair": (
+        lambda: ckb_merge(_valid_kb(context=("x", "a", "b")), _valid_kb(context=("x", "a"))),
+        "bad context declaration",
+    ),
+    "validate_kb-atom-var-is-a-list": (
+        lambda: validate_kb(_valid_kb([Constraint("c1", LISTED_VAR)])),
+        "undeclared variable",
+    ),
+    "is_consistent-atom-var-is-a-list": (
+        lambda: is_consistent((X,), [LISTED_VAR]),
+        "undeclared variable",
+    ),
+    "serialize_kb-context-value-not-a-str": (
+        lambda: serialize_kb(_valid_kb(context=("x", 5))),
+        "cannot serialize 5",
+    ),
+    "serialize_kb-constraint-id-not-a-str": (
+        lambda: serialize_kb(_valid_kb([Constraint(5, A)])),
+        "cannot serialize 5",
+    ),
+    "is_redundant-of-a-str": (
+        lambda: is_redundant(_valid_kb([Constraint("c", A)]), "c"),
+        "not a constraint with a string id: 'c'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_KBS))
+def test_malformed_kb_objects_raise_validation_error(case):
+    call, message = MALFORMED_KBS[case]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

@@ -125,19 +125,25 @@ def test_refuted_literals_are_those_that_falsify_alone(f):
 
 def test_no_solution_holds_a_refuted_literal():
     rng = random.Random(1977)
-    refuted_total = 0
+    refuted_total = narrow_total = 0
     for _ in range(200):
         variables, formulas = random_instance(rng)
         inst = _Instance(variables, formulas)
         solutions = brute_force_solutions(variables, formulas)
-        m = len(inst.masks)
-        # the low parts are m distinct single bits, covering (1 << m) - 1
-        assert sorted(mask & -mask for mask in inst.masks) == [1 << k for k in range(m)]
+        m = len(inst.records)
+        # constraints over two or more variables carry m distinct single low
+        # bits, covering (1 << m) - 1; those over one variable carry none
+        low = [mask & ((1 << m) - 1) for mask in inst.masks]
+        wide = [len(free_vars(f)) > 1 for f in formulas]
+        assert sorted(bits for bits, w in zip(low, wide) if w) == [1 << k for k in range(m)]
+        assert not any(bits for bits, w in zip(low, wide) if not w)
+        narrow_total += wide.count(False)
         for mask in inst.masks:
             refuted = _literal_set(mask >> m, variables)
             refuted_total += len(refuted)
             assert not any(refuted & s for s in solutions), (variables, formulas)
     assert refuted_total > 100
+    assert narrow_total > 100
 
 
 # --- consistency -------------------------------------------------------------
@@ -216,6 +222,24 @@ def test_solver_entry_points_reject_bad_atoms_like_validate_formula(bad):
         with pytest.raises(ValidationError) as got:
             call()
         assert str(got.value) == str(want.value)
+
+
+def test_a_subclass_of_a_connective_compiles_as_its_base():
+    # validate_formula and evaluate accept a subclass of a connective, and
+    # so does _compile, which looks the connective up along the MRO
+    variables = (Variable("x", ("a", "b")), Variable("y", ("a", "b", "c")))
+    index = {"x": 0, "y": 1}
+    domains = [v.domain for v in variables]
+    offsets = _literal_offsets(domains)
+    x, y = Atom("x", AtomOp.EQ, "a"), Atom("y", AtomOp.NEQ, "b")
+    for base in (And, Or, Implies):
+        sub = type(f"Sub{base.__name__}", (base,), {})(x, y)
+        validate_formula(sub, {v.name: v for v in variables})
+        got = _compile(sub, index, domains, offsets)
+        want = _compile(base(x, y), index, domains, offsets)
+        assert got[1:] == want[1:]
+        for slots in itertools.product((None, *domains[0]), (None, *domains[1])):
+            assert got[0](list(slots)) == want[0](list(slots))
 
 
 def test_solver_entry_points_reject_a_variable_declared_twice():

@@ -141,6 +141,22 @@ def test_config_rejects_bad_values():
         SynthConfig(10, 0.5, 0, domain_size=0)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(context_share="0.3"), "context_share must be a number"),
+        (dict(n_constraints=10.5), "n_constraints must be an integer"),
+        (dict(n_vars="4"), "n_vars must be an integer"),
+        (dict(domain_size=2.0), "domain_size must be an integer"),
+    ],
+    ids=["str-share", "float-size", "str-vars", "float-domain"],
+)
+def test_config_rejects_bad_field_types_at_construction(kw, message):
+    fields = dict(n_constraints=10, context_share=0.3, seed=0) | kw
+    with pytest.raises(ValidationError, match=message):
+        synthesize_pair(SynthConfig(**fields))
+
+
 def test_unsatisfiable_draws_exhaust_the_retry_budget():
     # two variables with singleton domains: v1 = a -> v2 != b is violated
     # whenever the pair (a, b) is drawn, and bare atoms v != x are always
