@@ -14,7 +14,7 @@ import csv
 import io
 import random
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence
 
 try:
@@ -66,7 +66,8 @@ def _derive_seed(*parts) -> int:
 def _shuffled(kb: KnowledgeBase, rng: random.Random) -> KnowledgeBase:
     constraints = list(kb.constraints)
     rng.shuffle(constraints)
-    return replace(kb, constraints=tuple(constraints))
+    # a permutation of a valid KB is valid
+    return KnowledgeBase._derived(kb.name, kb.variables, tuple(constraints), kb.context)
 
 
 def _whole_ms(seconds: float) -> int:

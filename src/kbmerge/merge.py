@@ -37,7 +37,7 @@ from .model import (
     is_contextualized,
     negate,
     require_constraint,
-    validate_kb,
+    require_kb,
 )
 from .solver import _Instance, count_solutions, is_consistent
 
@@ -97,11 +97,10 @@ def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBas
     unchanged, so contextualizing twice is the same as once. It runs no
     search: ``ckb_merge`` proves each source consistent.
 
-    Only the input is validated: the output adds a context variable that
-    is new or already declared with the singleton domain, keeps every id,
-    and its guard atom names a value of that domain.
+    The output, valid as the input is, is not validated again: it keeps every
+    id and adds only a context variable and guards that name its one value.
     """
-    validate_kb(kb)
+    require_kb(kb)
     declared = kb.variables_by_name().get(ctx_var)
     if declared is not None and declared.domain != (ctx_val,):
         raise ValidationError(
@@ -121,7 +120,7 @@ def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBas
         c if already else Constraint(c.id, Implies(guard, c.formula), c.provenance)
         for c, already in zip(kb.constraints, guarded)
     )
-    return KnowledgeBase(kb.name, variables, constraints, context)
+    return KnowledgeBase._derived(kb.name, variables, constraints, context)
 
 
 def align(
@@ -225,16 +224,12 @@ def _suffix_ors(masks: list[int]) -> list[int]:
 
 def _require_contextualized(kb: KnowledgeBase) -> tuple[str, str]:
     """Prove ``kb`` a merge source, a KB that :func:`contextualize` returns
-    unchanged: valid, with a singleton context domain and every constraint
+    unchanged: with a singleton context domain and every constraint
     guarded. Returns its context pair."""
+    require_kb(kb)
     if kb.context is None:
         raise NotContextualizedError(f"knowledge base '{kb.name}' declares no context")
-    try:
-        ctx_var, ctx_val = kb.context
-    except (TypeError, ValueError):
-        validate_kb(kb)  # raises: the context is no pair
-        raise
-    if contextualize(kb, ctx_var, ctx_val) is not kb:
+    if contextualize(kb, *kb.context) is not kb:
         c = next(c for c in kb.constraints if not is_contextualized(c.formula, kb.context))
         raise NotContextualizedError(f"constraint '{c.id}' of '{kb.name}' is not contextualized")
     return kb.context
@@ -266,8 +261,9 @@ def ckb_merge(
     Returns the merged KB over the aligned variables (context domain is the
     union of the two context values) and a MergeReport. The merged KB has
     no single context, so its ``context`` is empty: the guards that survive
-    inside the formulas no longer count as contextualized. Only a
-    decontextualized or renamed output is a new Constraint.
+    inside the formulas no longer count as contextualized. No KB is validated
+    here: the sources are valid since built, and so is the merged KB by
+    construction. Only a decontextualized or renamed output is a new Constraint.
     """
     ctx_val1 = _require_contextualized(kb1c)[1]
     ctx_val2 = _require_contextualized(kb2c)[1]
@@ -365,12 +361,7 @@ def ckb_merge(
 
     # valid by construction: the aligned variables declare every atom of
     # the inputs, and _merged_ids leaves the ids unique
-    out = KnowledgeBase(
-        name=f"{kb1c.name}+{kb2c.name}",
-        variables=variables,
-        constraints=tuple(kept),
-        context=None,
-    )
+    out = KnowledgeBase._derived(f"{kb1c.name}+{kb2c.name}", variables, tuple(kept), None)
     phase1 = [r for r in records if r.phase == "1"]
     phase2 = [r for r in records if r.phase == "2"]
     report = MergeReport(
@@ -391,6 +382,7 @@ def ckb_merge(
 
 def is_redundant(kb: KnowledgeBase, c: Constraint) -> bool:
     """True iff the rest of the KB is inconsistent with the negation of c."""
+    require_kb(kb)
     require_constraint(c)
     if c not in kb.constraints:
         raise ConstraintNotFoundError(
@@ -402,13 +394,6 @@ def is_redundant(kb: KnowledgeBase, c: Constraint) -> bool:
     return not ok
 
 
-def _constraint_bodies(kb: KnowledgeBase) -> list[Formula]:
-    return [
-        c.formula.right if is_contextualized(c.formula, kb.context) else c.formula
-        for c in kb.constraints
-    ]
-
-
 def intersection_count(kb1: KnowledgeBase, kb2: KnowledgeBase) -> int:
     """Count assignments of the shared non-context variables satisfying
     both KBs' bare constraint bodies.
@@ -418,13 +403,17 @@ def intersection_count(kb1: KnowledgeBase, kb2: KnowledgeBase) -> int:
     empty. With guards stripped, the count measures how much of the two
     solution spaces genuinely overlaps.
     """
-    validate_kb(kb1)
-    validate_kb(kb2)
+    require_kb(kb1)
+    require_kb(kb2)
     ctx_var = _context_var(kb1, kb2)
     # the context variable may be missing from an uncontextualized side
     _check_shared_variables(kb1, kb2, ctx_var)
     shared = [v for v in kb1.variables if v.name != ctx_var]
 
-    bodies = _constraint_bodies(kb1) + _constraint_bodies(kb2)
+    bodies = [
+        c.formula.right if is_contextualized(c.formula, kb.context) else c.formula
+        for kb in (kb1, kb2)
+        for c in kb.constraints
+    ]
     result, _ = count_solutions(tuple(shared), bodies)
     return result.count

@@ -104,13 +104,25 @@ class KnowledgeBase:
     """A named variable grid plus an ordered constraint list.
 
     Constraint order is file order and is semantically relevant: the merge
-    is deterministic only for a fixed order.
+    is deterministic only for a fixed order. Building one runs
+    :func:`validate_kb`, and its fields are immutable, so it is valid for as
+    long as it exists and no later call checks it again.
     """
 
     name: str
     variables: tuple[Variable, ...]
     constraints: tuple[Constraint, ...] = field(default_factory=tuple)
     context: Optional[tuple[str, str]] = None
+
+    def __post_init__(self):
+        validate_kb(self)
+
+    @classmethod
+    def _derived(cls, name, variables, constraints, context) -> KnowledgeBase:
+        """A KB built without validate_kb: its sources' validity implies its own."""
+        kb = object.__new__(cls)
+        vars(kb).update(name=name, variables=variables, constraints=constraints, context=context)
+        return kb
 
     def variables_by_name(self) -> dict[str, Variable]:
         return {v.name: v for v in self.variables}
@@ -154,6 +166,12 @@ def not_a_formula(f: object) -> ValidationError:
     """The error for ``f``, which is not a formula node: none of the five
     node types, or an atom whose ``op`` is not an :class:`AtomOp`."""
     return ValidationError(f"not a formula node: {f!r}")
+
+
+def require_kb(kb: object) -> None:
+    """Raise ValidationError unless ``kb`` is a (so valid) :class:`KnowledgeBase`."""
+    if not isinstance(kb, KnowledgeBase):
+        raise ValidationError(f"not a knowledge base: {kb!r}")
 
 
 def require_constraint(c: object) -> None:
@@ -214,15 +232,22 @@ def validate_formula(f: Formula, table: Mapping[str, Variable]) -> None:
 
 
 def validate_kb(kb: KnowledgeBase) -> None:
-    """Enforce all knowledge-base invariants; raise ValidationError on breach."""
+    """Enforce all knowledge-base invariants; raise ValidationError on breach.
+    Building a KnowledgeBase runs it; its fields must be of immutable types."""
+    require_kb(kb)
+    typed = isinstance(kb.variables, tuple) and isinstance(kb.constraints, tuple)
+    if not (typed and isinstance(kb.name, str)):
+        raise ValidationError(
+            f"knowledge base {kb.name!r} needs a string name and tuples of variables"
+            " and constraints"
+        )
     table = validate_variables(kb.variables)
     if kb.context is not None:
-        try:
-            ctx_var, ctx_val = kb.context
-        except (TypeError, ValueError):
+        if not (isinstance(kb.context, tuple) and len(kb.context) == 2):
             raise ValidationError(
                 f"bad context declaration: {kb.context!r} is not a (variable, value) pair"
-            ) from None
+            )
+        ctx_var, ctx_val = kb.context
         var = table.get(ctx_var) if isinstance(ctx_var, str) else None
         if var is None:
             raise ValidationError(

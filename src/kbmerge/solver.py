@@ -256,11 +256,12 @@ class _Instance:
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
-        self.names = [v.name for v in variables]
+        if not (hasattr(variables, "__iter__") and hasattr(constraints, "__iter__")):
+            kinds = f"{type(variables).__name__} and {type(constraints).__name__}"
+            raise ValidationError(f"need collections of variables and of formulas, got {kinds}")
+        self.names = list(validate_variables(variables))
         self.domains = domains = [v.domain for v in variables]
         index = {name: i for i, name in enumerate(self.names)}
-        if len(index) < len(self.names):
-            validate_variables(variables)  # raises: a name is declared twice
         self.offsets = offsets = _literal_offsets(domains)
         memo: dict[int, tuple[Callable, int, int, int]] = {}
         compiled = [_compile(f, index, domains, offsets, memo) for f in constraints]
@@ -680,6 +681,8 @@ def enumerate_solutions(
     limit: int,
 ) -> list[dict[str, str]]:
     """Up to ``limit`` satisfying assignments in lexicographic search order."""
+    if not isinstance(limit, int):
+        raise ValidationError(f"limit must be an integer, got {limit!r}")
     inst = _Instance(variables, constraints)
     out: list[dict[str, str]] = []
 

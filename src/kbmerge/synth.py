@@ -23,7 +23,6 @@ from .model import (
     Implies,
     KnowledgeBase,
     Variable,
-    validate_kb,
 )
 from .solver import is_consistent
 
@@ -134,14 +133,7 @@ def synthesize_pair(cfg: SynthConfig) -> tuple[KnowledgeBase, KnowledgeBase]:
             Constraint(id=f"{tag}{i + 1}", formula=f, provenance=name)
             for i, f in enumerate(uniques)
         ]
-        kb = KnowledgeBase(
-            name=name,
-            variables=variables,
-            constraints=tuple(constraints),
-            context=(CTX_VAR, ctx_val),
-        )
-        validate_kb(kb)
-        return kb
+        return KnowledgeBase(name, variables, tuple(constraints), (CTX_VAR, ctx_val))
 
     kb1 = build("ckbA", CTX_VALUES[0], unique1, "a")
     kb2 = build("ckbB", CTX_VALUES[1], unique2, "b")

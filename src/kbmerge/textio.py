@@ -51,7 +51,7 @@ from .model import (
     Variable,
     is_contextualized,
     not_a_formula,
-    validate_kb,
+    require_kb,
 )
 
 KEYWORDS = frozenset({"kb", "var", "constraint", "context", "not", "and", "or"})
@@ -128,7 +128,7 @@ def _formula(lx: list[str], i: int, floor: int = 1) -> tuple[Formula, int]:
     return f, i
 
 
-def _kb(lx: list[str], i: int) -> tuple[KnowledgeBase, int]:
+def _kb(lx: list[str], i: int) -> tuple[tuple, int]:
     _expect(lx, i, "kb")
     if lx[i + 1][:1] != '"':
         raise _expected(lx, i + 1, "a quoted knowledge-base name")
@@ -170,8 +170,7 @@ def _kb(lx: list[str], i: int) -> tuple[KnowledgeBase, int]:
             i += 1
         else:
             raise _expected(lx, i, "'context', 'var' or 'constraint'")
-    kb = KnowledgeBase(name, tuple(variables), tuple(constraints), context)
-    return kb, i + 1
+    return (name, tuple(variables), tuple(constraints), context), i + 1
 
 
 def _position(text: str, index: int) -> tuple[int, int]:
@@ -206,15 +205,14 @@ def parse_formula(text: str) -> Formula:
 
 
 def parse_kb(text: str) -> KnowledgeBase:
-    """Parse and validate one knowledge-base document.
+    """Parse one knowledge-base document.
 
     Constraints get the kb name as provenance. Whether one of them is
     contextualized follows from its formula and the declared context (see
     :func:`kbmerge.model.is_contextualized`); nothing is stored for it.
+    Building the KB once all of the text has parsed validates it.
     """
-    kb = _parse(text, _kb)
-    validate_kb(kb)
-    return kb
+    return KnowledgeBase(*_parse(text, _kb))
 
 
 # Precedence of the unary forms, above every binary connective's.
@@ -261,8 +259,6 @@ _NAMES = re.compile(rf"(?:{_IDENT}\n)*")
 
 def _check_names(kb: KnowledgeBase) -> None:
     """Raise ValidationError for the first name :func:`parse_kb` could not read."""
-    if not isinstance(kb.name, str):
-        raise ValidationError(f"cannot serialize knowledge-base name {kb.name!r}: not a string")
     if '"' in kb.name or "\n" in kb.name:
         raise ValidationError(
             f"cannot serialize knowledge-base name {kb.name!r}: it holds '\"' or a line break"
@@ -273,18 +269,11 @@ def _check_names(kb: KnowledgeBase) -> None:
         names += v.domain
     names += [c.id for c in kb.constraints]
     # one match over all of them; a name holding a line break breaks the count
-    try:
-        text = "\n".join([*names, ""])
-    except TypeError:  # a name that is no string
-        text = ""
+    text = "\n".join([*names, ""])
     readable = _NAMES.fullmatch(text) and text.count("\n") == len(names)
     if readable and KEYWORDS.isdisjoint(names):
         return
-    bad = next(
-        n
-        for n in names
-        if not isinstance(n, str) or n in KEYWORDS or "\n" in n or not _NAMES.fullmatch(n + "\n")
-    )
+    bad = next(n for n in names if n in KEYWORDS or "\n" in n or not _NAMES.fullmatch(n + "\n"))
     raise ValidationError(
         f"cannot serialize {bad!r}: a variable, value or constraint id must match"
         f" {_IDENT} and not be a keyword"
@@ -296,6 +285,7 @@ def serialize_kb(kb: KnowledgeBase) -> str:
 
     Raises ValidationError for a name the grammar could not read back.
     """
+    require_kb(kb)
     _check_names(kb)
     lines = [f'kb "{kb.name}" {{']
     if kb.context is not None:

@@ -1,10 +1,22 @@
 """Tests for the benchmark harness."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 import kbmerge.bench as bench_mod
-from kbmerge import BenchError, GenerationError, ValidationError, run_benchmark
+from kbmerge import (
+    BenchError,
+    GenerationError,
+    KnowledgeBase,
+    ValidationError,
+    run_benchmark,
+    validate_kb,
+)
 from kbmerge.bench import BenchRow
+from kbmerge.cli import DEFAULT_GRID_SHARES, DEFAULT_GRID_SIZES
 
 
 SIZES = (4, 6)
@@ -73,3 +85,40 @@ def test_generator_failures_carry_grid_coordinates(monkeypatch):
     monkeypatch.setattr(bench_mod, "synthesize_pair", boom)
     with pytest.raises(BenchError, match=r"kb_id=1.*n_constraints=4.*share=0%"):
         run_benchmark((4,), (0.0,), trials=1, seed=0)
+
+
+def _perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded by path: perfbench is no package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are defined
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_kb_built_without_validation_is_valid(monkeypatch):
+    # contextualize, ckb_merge and _shuffled skip validate_kb, since their
+    # inputs' validity implies their outputs'; prove it on every output of
+    # the default grid's merges and of the three workloads' seed-1 inputs
+    derived = KnowledgeBase._derived.__func__
+    callers = []
+
+    def validated(cls, *args):
+        kb = derived(cls, *args)
+        validate_kb(kb)
+        callers.append(sys._getframe(1).f_code.co_name)
+        return kb
+
+    monkeypatch.setattr(KnowledgeBase, "_derived", classmethod(validated))
+    run_benchmark(DEFAULT_GRID_SIZES, DEFAULT_GRID_SHARES, trials=10, seed=0)
+    grid = len(callers)
+    workloads = _perfbench_workloads(monkeypatch)
+    for workload in workloads.WORKLOADS.values():
+        for inp in workload.setup(1):
+            if workload.name != "count_small":  # its set-up merges
+                workload.op(inp, workloads.PLAIN_API)
+    assert set(callers) == {"_shuffled", "contextualize", "ckb_merge"}
+    # per grid merge: two shuffles, two contextualized sources and the merge
+    assert grid == 500 * 5

@@ -22,6 +22,7 @@ from kbmerge import (
     enumerate_solutions,
     evaluate,
     format_formula,
+    intersection_count,
     is_consistent,
     is_contextualized,
     is_redundant,
@@ -137,18 +138,17 @@ def test_validate_kb_rejects_duplicate_variable_names():
 
 
 def test_validate_kb_rejects_undeclared_variable_in_formula():
-    kb = _kb((FUEL,), (Constraint(id="c1", formula=NO_COUPLING_FOR_ELECTRO),))
+    # building the KB validates it
     with pytest.raises(ValidationError, match="couplingdev"):
-        validate_kb(kb)
+        _kb((FUEL,), (Constraint(id="c1", formula=NO_COUPLING_FOR_ELECTRO),))
 
 
 def test_validate_kb_rejects_out_of_domain_value():
-    kb = _kb(
-        (FUEL,),
-        (Constraint(id="c1", formula=Atom("fuel", AtomOp.EQ, "coal")),),
-    )
     with pytest.raises(ValidationError, match="coal"):
-        validate_kb(kb)
+        _kb(
+            (FUEL,),
+            (Constraint(id="c1", formula=Atom("fuel", AtomOp.EQ, "coal")),),
+        )
 
 
 def test_validate_kb_rejects_duplicate_constraint_ids():
@@ -241,17 +241,60 @@ MALFORMED_KBS = {
         lambda: is_consistent((X,), [LISTED_VAR]),
         "undeclared variable",
     ),
+    # such a KB cannot be built, so serialize_kb never sees it
     "serialize_kb-context-value-not-a-str": (
         lambda: serialize_kb(_valid_kb(context=("x", 5))),
-        "cannot serialize 5",
+        "bad context declaration: value '5' is not in the domain of 'x'",
     ),
     "serialize_kb-constraint-id-not-a-str": (
         lambda: serialize_kb(_valid_kb([Constraint(5, A)])),
-        "cannot serialize 5",
+        "not a constraint with a string id: Constraint(id=5",
     ),
     "is_redundant-of-a-str": (
         lambda: is_redundant(_valid_kb([Constraint("c", A)]), "c"),
         "not a constraint with a string id: 'c'",
+    ),
+    # each knowledge-base rule, raised where the KB is built
+    "construction-undeclared-atom-variable": (
+        lambda: KnowledgeBase("kb", (X,), (Constraint("c1", Atom("y", AtomOp.EQ, "a")),)),
+        "undeclared variable 'y' in constraint 'c1'",
+    ),
+    "construction-out-of-domain-value": (
+        lambda: KnowledgeBase("kb", (X,), (Constraint("c1", Atom("x", AtomOp.EQ, "z")),)),
+        "value 'z' is not in the domain of 'x' in constraint 'c1'",
+    ),
+    "construction-duplicate-id": (
+        lambda: KnowledgeBase("kb", (X,), (Constraint("c1", A), Constraint("c1", A))),
+        "duplicate constraint id 'c1'",
+    ),
+    "construction-bad-context": (
+        lambda: KnowledgeBase("kb", (X,), (), ("country", "US")),
+        "bad context declaration: variable 'country' is not declared",
+    ),
+    "construction-variables-a-list": (
+        lambda: KnowledgeBase("kb", [X]),
+        "knowledge base 'kb' needs a string name and tuples of variables and constraints",
+    ),
+    "construction-constraints-a-list": (
+        lambda: KnowledgeBase("kb", (X,), [Constraint("c1", A)]),
+        "needs a string name and tuples of variables and constraints",
+    ),
+    "construction-name-not-a-str": (
+        lambda: KnowledgeBase(5, (X,)),
+        "knowledge base 5 needs a string name",
+    ),
+    # a list context once reached ckb_merge and raised a bare StopIteration
+    "ckb_merge-context-a-list": (
+        lambda: ckb_merge(*[
+            KnowledgeBase(
+                name,
+                (X, Variable("country", (value,))),
+                (Constraint("c1", Implies(Atom("country", AtomOp.EQ, value), A)),),
+                ["country", value],
+            )
+            for name, value in (("us", "US"), ("ger", "GER"))
+        ]),
+        "bad context declaration: ['country', 'US'] is not a (variable, value) pair",
     ),
 }
 
@@ -259,5 +302,53 @@ MALFORMED_KBS = {
 @pytest.mark.parametrize("case", list(MALFORMED_KBS))
 def test_malformed_kb_objects_raise_validation_error(case):
     call, message = MALFORMED_KBS[case]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
+
+
+NOT_A_KB_ENTRY_POINTS = {
+    "validate_kb": lambda kb: validate_kb(kb),
+    "contextualize": lambda kb: contextualize(kb, "country", "US"),
+    "ckb_merge": lambda kb: ckb_merge(kb, kb),
+    "serialize_kb": lambda kb: serialize_kb(kb),
+    "is_redundant": lambda kb: is_redundant(kb, Constraint("c1", A)),
+    "intersection_count": lambda kb: intersection_count(kb, kb),
+}
+
+
+@pytest.mark.parametrize("entry", list(NOT_A_KB_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [None, "kb", ("kb", (X,))], ids=["none", "string", "tuple"])
+def test_an_argument_that_is_no_knowledge_base_raises_validation_error(entry, bad):
+    with pytest.raises(ValidationError, match=f"^not a knowledge base: {re.escape(repr(bad))}$"):
+        NOT_A_KB_ENTRY_POINTS[entry](bad)
+
+
+MALFORMED_SOLVER_ARGUMENTS = {
+    "variable-a-str": (
+        lambda: is_consistent(["x"], [A]),
+        "not a variable: 'x'",
+    ),
+    "variables-none": (
+        lambda: count_solutions(None, [A]),
+        "need collections of variables and of formulas, got NoneType and list",
+    ),
+    "is_consistent-of-one-formula": (
+        lambda: is_consistent([X], A),
+        "need collections of variables and of formulas, got list and Atom",
+    ),
+    "count_solutions-of-one-formula": (
+        lambda: count_solutions([X], A),
+        "need collections of variables and of formulas, got list and Atom",
+    ),
+    "enumerate_solutions-limit-a-str": (
+        lambda: enumerate_solutions([X], [], "3"),
+        "limit must be an integer, got '3'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_SOLVER_ARGUMENTS))
+def test_malformed_solver_arguments_raise_validation_error(case):
+    call, message = MALFORMED_SOLVER_ARGUMENTS[case]
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
