@@ -101,6 +101,7 @@ def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBas
     id and adds only a context variable and guards that name its one value.
     """
     require_kb(kb)
+    _require_names(ctx_var, ctx_val)
     declared = kb.variables_by_name().get(ctx_var)
     if declared is not None and declared.domain != (ctx_val,):
         raise ValidationError(
@@ -123,6 +124,12 @@ def contextualize(kb: KnowledgeBase, ctx_var: str, ctx_val: str) -> KnowledgeBas
     return KnowledgeBase._derived(kb.name, variables, constraints, context)
 
 
+def _require_names(*names: object) -> None:
+    """Raise ValidationError unless every context name given is a string."""
+    if not all(isinstance(name, str) for name in names):
+        raise ValidationError(f"context names must be strings, got {', '.join(map(repr, names))}")
+
+
 def align(
     kb1: KnowledgeBase, kb2: KnowledgeBase, ctx_var: str
 ) -> tuple[Variable, ...]:
@@ -133,6 +140,9 @@ def align(
     and value order, with the context variable's domain replaced by the
     union of the two context domains (kb1 values first).
     """
+    require_kb(kb1)
+    require_kb(kb2)
+    _require_names(ctx_var)
     table1, table2 = _check_shared_variables(kb1, kb2, ctx_var)
     if ctx_var not in table1 or ctx_var not in table2:
         missing = kb1.name if ctx_var not in table1 else kb2.name

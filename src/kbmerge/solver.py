@@ -7,20 +7,21 @@ first branch, each active constraint removes from the live domains the
 literals ``x = v`` that refute it on their own, with no other variable
 assigned (node consistency, Mackworth 1977): the negation of
 ``x = a -> y != b`` fixes both ``x`` and ``y`` at the root, and a
-constraint over one variable is settled there. So at its shallowest
-variable a constraint is never false. At any variable but its
+constraint over one variable is settled there. At any variable but its
 deepest, a literal that forces the constraint true on its own decides it
 with no evaluation, as Chaff (Moskewicz et al. 2001) stops visiting a
-satisfied clause. Up to its second-deepest variable it is evaluated
-otherwise, and there, if still undecided, it filters its deepest variable
-down to the values it allows; a false constraint or an emptied domain
-fails the value. That verdict and filter depend only on the values of the
-rest of its scope, so an instance memoises both for every check and count
+satisfied clause. Otherwise a constraint is looked at in one place only,
+its second-deepest variable, as forward checking needs: there it filters
+its deepest variable down to the values it allows, trying each on a scope
+that is otherwise complete, and a filter that allows none empties that
+domain and fails the value. The filter depends only on the values of the
+rest of its scope, so an instance memoises it for every check and count
 it answers. A set of constraints is one int: the bits of those over two
 or more variables, and above them the literals that refute one of them on
 their own. Live domains are restored from an undo trail. Formulas compile
-to closures of Kleene's strong three-valued logic, one closure for every
-binary connective (``_KLEENE``).
+to two-valued closures, which only ever see a complete scope; the literal
+sets that force a formula true or false come from Kleene's strong
+three-valued logic, one rule for every binary connective (``_KLEENE``).
 
 Consistency and enumeration share one search, forward checking with
 conflict-directed backjumping (FC-CBJ, Prosser 1993; no learning, no
@@ -121,16 +122,15 @@ def _compile(
 ) -> tuple[Callable, int, int, int]:
     """Compile a formula into a closure over a positional assignment list.
 
-    The closure returns True or False when every completion of the partial
-    assignment (None marks an unassigned slot) forces that value, and None
-    otherwise: three-valued Kleene evaluation, which tests check against a
-    reference evaluator and the brute-force oracle; one closure serves every
-    binary connective, with its constants from ``_KLEENE``. Returns the
-    closure, the formula's scope as a bit set over the positions of
-    ``index``, and two sets of literals, numbered by ``offsets`` over the
-    values ``domains`` holds per position (see :func:`_literal_offsets`):
-    those that force the formula true and those that force it false (refute
-    it) when their variable is the only one assigned. ``memo`` maps
+    The closure returns the formula's truth value on an assignment that
+    holds a value in every slot of its scope; the search calls it on no
+    other. One closure serves every binary connective, with its constants
+    from ``_KLEENE``. Returns the closure, the formula's scope as a bit set
+    over the positions of ``index``, and two sets of literals, numbered by
+    ``offsets`` over the values ``domains`` holds per position (see
+    :func:`_literal_offsets`): those that force the formula true and those
+    that force it false (refute it) in Kleene's three-valued logic when
+    their variable is the only one assigned. ``memo`` maps
     ``id(node)`` to all four, so a subformula shared by several formulas
     compiles once; the caller keeps every memoised node alive.
 
@@ -165,22 +165,19 @@ def _compile(
             true, false = bit, every ^ bit
 
             def ev(a, i=i, v=v):
-                x = a[i]
-                return None if x is None else x == v
+                return a[i] == v
         elif f.op is AtomOp.NEQ:
             true, false = every ^ bit, bit
 
             def ev(a, i=i, v=v):
-                x = a[i]
-                return None if x is None else x != v
+                return a[i] != v
         else:
             raise not_a_formula(f)
     elif isinstance(f, Not):
         child, mask, false, true = _compile(f.child, index, domains, offsets, memo)
 
         def ev(a, child=child):
-            r = child(a)
-            return None if r is None else not r
+            return not child(a)
     else:
         # the first connective in the MRO: validate_formula accepts a subclass
         kleene = next(filter(None, map(_KLEENE.get, type(f).__mro__)), None)
@@ -202,15 +199,17 @@ def _compile(
             true, false = left_true & right_true, left_false | right_false
 
         def ev(a, left=left, right=right, stop=stop, give=give):
-            x = left(a)
-            if x is stop:
-                return give
-            y = right(a)
-            if y is give:
-                return give
-            return None if x is None or y is None else not give
+            return give if left(a) is stop else right(a)
     memo[key] = done = (ev, mask, true, false)
     return done
+
+
+def _require_collections(variables: object, constraints: object) -> None:
+    """Raise ValidationError unless both arguments are collections: a solver
+    call handed one formula, or None, names it here."""
+    if not (hasattr(variables, "__iter__") and hasattr(constraints, "__iter__")):
+        kinds = f"{type(variables).__name__} and {type(constraints).__name__}"
+        raise ValidationError(f"need collections of variables and of formulas, got {kinds}")
 
 
 def _depths(mask: int) -> tuple[int, ...]:
@@ -244,21 +243,18 @@ class _Instance:
     has one: above all ``m`` bits, the literals that refute it on their own
     (see :func:`_compile`), numbered by :func:`_literal_offsets`.
     ``true_by`` holds per literal the constraints that it forces true where
-    its variable is not their deepest; ``middle``, per depth, those of four
-    or more variables evaluated there, strictly between their shallowest
-    and second-deepest variables; and ``filters``, per depth, those that
-    filter there, at their second-deepest variable. ``records`` holds per
-    bit the constraint's closure, scope, deepest variable, a getter of the
-    values of the rest of its scope, that rest, and the memo from those
-    values to its verdict and filter (see :func:`_allowed`), so a filter met
+    its variable is not their deepest, and ``filters``, per depth, those
+    that filter there, at their second-deepest variable: the one depth at
+    which a constraint that no literal decided is evaluated. ``records``
+    holds per bit the constraint's closure, scope, deepest variable, a
+    getter of the values of the rest of its scope, that rest, and the memo
+    from those values to its filter (see :func:`_allowed`), so a filter met
     again, in any check or count, costs one dictionary lookup and no
     evaluation.
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
-        if not (hasattr(variables, "__iter__") and hasattr(constraints, "__iter__")):
-            kinds = f"{type(variables).__name__} and {type(constraints).__name__}"
-            raise ValidationError(f"need collections of variables and of formulas, got {kinds}")
+        _require_collections(variables, constraints)
         self.names = list(validate_variables(variables))
         self.domains = domains = [v.domain for v in variables]
         index = {name: i for i, name in enumerate(self.names)}
@@ -274,7 +270,6 @@ class _Instance:
         wide.sort(key=lambda ci: compiled[ci][1])
         self.masks = masks = [refuted << len(wide) for _, _, _, refuted in compiled]
         self.true_by = true_by = [0] * offsets[-1]
-        self.middle = middle = [0] * len(domains)
         self.filters = filters = [0] * len(domains)
         self.records = records = []
         bit = 1
@@ -289,9 +284,6 @@ class _Instance:
                 low = true & -true
                 true_by[low.bit_length() - 1] |= bit
                 true ^= low
-            if len(scope) > 3:
-                for depth in scope[1:-2]:
-                    middle[depth] |= bit
             filters[scope[-2]] |= bit
             bit <<= 1
 
@@ -321,13 +313,10 @@ def _refute(live: list[int], offsets: Sequence[int], refuted: int) -> bool:
 def _allowed(
     ev: Callable, assignment: list[Optional[str]], deep: int, domain: Sequence[str]
 ) -> int:
-    """A constraint's verdict and filter once every variable of its scope
-    but the deepest, ``deep``, is assigned: -1 when it is false, else the
-    bits of the values of ``domain`` that it allows ``deep`` (all of them
-    when it is true)."""
-    r = ev(assignment)
-    if r is not None:
-        return (1 << len(domain)) - 1 if r else -1
+    """A constraint's filter once every variable of its scope but the
+    deepest, ``deep``, is assigned: the bits of the values of ``domain``
+    that it allows ``deep``, found by evaluating it on each completed
+    scope: no value when it is already false, every value when true."""
     ok = 0
     for k, value in enumerate(domain):
         assignment[deep] = value
@@ -348,14 +337,16 @@ def _search(
     ``active`` is an OR of the instance's ``masks``, all of them when
     omitted: its low ``m`` bits are the constraints and the rest the
     literals the root removes. Each level saves the undecided constraints on
-    entry and restores them for each of its values. Besides its live domain,
-    each variable has a reason set: the past variables whose filters
-    narrowed it. A false constraint fails a value with its past scope as the
-    conflict, an emptied domain with that variable's reasons, and a false
-    constraint fails it even after a wipe-out at the same depth. Bits are
-    visited from the low end, so a search over an activated subset explores
-    exactly the nodes of an instance built from that subset, whatever the
-    order of either.
+    entry and restores them for each of its values. A value decides the
+    constraints its literal forces true and filters with those whose
+    second-deepest variable it binds, so no constraint is evaluated before
+    its scope is complete but for its deepest variable. Besides its live
+    domain, each variable has a reason set: the past variables whose
+    filters narrowed it. A filter that empties a domain, also one that
+    allows no value at all, fails the value with the past variables among
+    that variable's reasons as the conflict. Bits are visited from the low end, so a search over an
+    activated subset explores exactly the nodes of an instance built from
+    that subset, whatever the order of either.
 
     Once no active constraint is undecided at depth ``d``, the assignment
     prefix and the live domains from ``d`` on form a cube of solutions. The
@@ -371,7 +362,7 @@ def _search(
     domains = inst.domains
     full = inst.full
     offsets = inst.offsets
-    true_by, middle, filters = inst.true_by, inst.middle, inst.filters
+    true_by, filters = inst.true_by, inst.filters
     records = inst.records
     n = len(domains)
     m = len(records)
@@ -423,50 +414,29 @@ def _search(
             j = low.bit_length() - 1
             assignment[depth] = domains[depth][j]
             # a constraint this literal forces true is decided with no
-            # evaluation or filter; root refutation left no literal that
-            # makes one false at its shallowest variable
+            # evaluation; one whose second-deepest variable this is filters
+            # its deepest, the one slot of its scope left empty
             undecided = saved[depth] & ~true_by[offsets[depth] + j]
             failed = -1
-            todo = undecided & middle[depth]
+            todo = undecided & filters[depth]
+            undecided ^= todo
             while todo:
                 low = todo & -todo
                 todo ^= low
-                ev, mask, _, _, _, _ = records[low.bit_length() - 1]
-                r = ev(assignment)
-                if r is None:
-                    continue
-                if not r:
-                    failed = mask & ((1 << depth) - 1)
-                    break
-                undecided ^= low
-            todo = undecided & filters[depth] if failed < 0 else 0
-            if todo:
-                undecided ^= todo
-                # a false constraint fails the value before any wipe-out
-                # does, so after a wipe-out the rest are only looked up
-                wiped = -1
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    ev, mask, deep, getter, prefix, memo = records[low.bit_length() - 1]
-                    key = getter(assignment)
-                    ok = memo.get(key)
-                    if ok is None:
-                        ok = memo[key] = _allowed(ev, assignment, deep, domains[deep])
-                    if ok < 0:
-                        failed = mask & ((1 << depth) - 1)
+                ev, _, deep, getter, prefix, memo = records[low.bit_length() - 1]
+                key = getter(assignment)
+                ok = memo.get(key)
+                if ok is None:
+                    ok = memo[key] = _allowed(ev, assignment, deep, domains[deep])
+                old = live[deep]
+                new = old & ok
+                if new != old:
+                    trail.append((deep, old, reasons[deep]))
+                    live[deep] = new
+                    reasons[deep] |= prefix
+                    if not new:
+                        failed = reasons[deep] & ((1 << depth) - 1)
                         break
-                    if wiped < 0:
-                        old = live[deep]
-                        new = old & ok
-                        if new != old:
-                            trail.append((deep, old, reasons[deep]))
-                            live[deep] = new
-                            reasons[deep] |= prefix
-                            if not new:
-                                wiped = reasons[deep] & ((1 << depth) - 1)
-                else:
-                    failed = wiped
             if failed < 0:
                 depth += 1
                 fresh = True
@@ -530,8 +500,8 @@ def _components(
 
 def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     """Model counting by dynamic component decomposition (sharpSAT, Cachet)
-    on the instance's ``true_by``, ``middle``, ``filters`` and ``records``,
-    with an explicit stack.
+    on the instance's ``true_by``, ``filters`` and ``records``, with an
+    explicit stack.
 
     A product multiplies the counts of its components and the live domain
     size of each unassigned variable that no undecided constraint touches.
@@ -551,7 +521,7 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     """
     domains = inst.domains
     offsets = inst.offsets
-    true_by, middle, filters = inst.true_by, inst.middle, inst.filters
+    true_by, filters = inst.true_by, inst.filters
     records = inst.records
     live = inst.full[:]
     if not _refute(live, offsets, reduce(or_, inst.masks, 0) >> len(records)):
@@ -614,18 +584,7 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
         total = 1
         # _search's step, inlined: a shared one cost 8-10% in both loops
         undecided = cons & ~true_by[offsets[var] + j]
-        todo = undecided & middle[var]
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            r = records[low.bit_length() - 1][0](assignment)
-            if r is None:
-                continue
-            if not r:
-                total = 0
-                break
-            undecided ^= low
-        todo = undecided & filters[var] if total else 0
+        todo = undecided & filters[var]
         undecided ^= todo
         while todo:
             low = todo & -todo
@@ -637,7 +596,7 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
                 ok = memo[values] = _allowed(ev, assignment, deep, domains[deep])
             old = live[deep]
             new = old & ok
-            if ok < 0 or not new:
+            if not new:
                 total = 0
                 break
             if new != old:
@@ -667,6 +626,8 @@ def count_solutions(
     is only known to lie above ``cap`` and at or below the true number.
     Exceeding the cap is an outcome, not an error.
     """
+    if cap is not None and not isinstance(cap, int):
+        raise ValidationError(f"cap must be an integer, got {cap!r}")
     inst = _Instance(variables, constraints)
     start = time.perf_counter()
     count, nodes = _count(inst, cap)
@@ -714,6 +675,7 @@ def brute_force_solutions(
     Intentionally shares no search code with the engine above; solutions
     are returned as hashable frozen item sets for set algebra in tests.
     """
+    _require_collections(variables, constraints)
     table = validate_variables(variables)
     for f in constraints:
         validate_formula(f, table)

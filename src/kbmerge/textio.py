@@ -186,6 +186,8 @@ def _parse(text: str, rule: Callable[[list[str], int], tuple]):
 
     The lexeme list ends in ``""``, which no rule takes, for the end of input.
     """
+    if not isinstance(text, str):
+        raise ValidationError(f"can only parse a string, got {type(text).__name__}")
     lx = _SCAN.findall(text, _SKIP.match(text).end())
     try:
         if lx and not _LEXEME.fullmatch(lx[-1]):
@@ -227,7 +229,8 @@ def _fmt(f: Formula) -> tuple[str, int]:
         if p < _NOT:
             txt = f"({txt})"
         return f"not {txt}", _NOT
-    op = _BINARY.get(type(f))
+    # a subclass prints as the first connective in its MRO, as it validates
+    op = _BINARY.get(type(f)) or next(filter(None, map(_BINARY.get, type(f).__mro__)), None)
     if op is None:
         raise not_a_formula(f)
     lexeme, prec, right = op

@@ -1,9 +1,11 @@
 """Reference Kleene evaluator for the solver tests.
 
-A plain recursive three-valued evaluation under a partial assignment,
-kept apart from the compiled closures in ``kbmerge.solver`` so the tests
-can check one against the other, and ``free_vars``, which the tests use
-to enumerate the completions of a partial assignment.
+A plain recursive three-valued evaluation under a partial assignment. The
+solver's compiled closures are two-valued, but the literal sets it derives
+from each formula (those that force it true or false with no other
+variable assigned) follow Kleene's logic, and the tests check those sets
+against this evaluator. ``free_vars`` gives the variables of a formula,
+which the tests use to enumerate the completions of a partial assignment.
 """
 import enum
 

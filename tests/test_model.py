@@ -15,6 +15,7 @@ from kbmerge import (
     UnassignedVariableError,
     ValidationError,
     Variable,
+    align,
     brute_force_solutions,
     ckb_merge,
     contextualize,
@@ -296,6 +297,18 @@ MALFORMED_KBS = {
         ]),
         "bad context declaration: ['country', 'US'] is not a (variable, value) pair",
     ),
+    "contextualize-context-variable-a-list": (
+        lambda: contextualize(_valid_kb(), ["c"], "a"),
+        "context names must be strings, got ['c'], 'a'",
+    ),
+    "contextualize-context-value-an-int": (
+        lambda: contextualize(_valid_kb(), "c", 1),
+        "context names must be strings, got 'c', 1",
+    ),
+    "align-context-variable-a-list": (
+        lambda: align(_valid_kb(), _valid_kb(), ["x"]),
+        "context names must be strings, got ['x']",
+    ),
 }
 
 
@@ -313,6 +326,7 @@ NOT_A_KB_ENTRY_POINTS = {
     "serialize_kb": lambda kb: serialize_kb(kb),
     "is_redundant": lambda kb: is_redundant(kb, Constraint("c1", A)),
     "intersection_count": lambda kb: intersection_count(kb, kb),
+    "align": lambda kb: align(kb, kb, "x"),
 }
 
 
@@ -343,6 +357,22 @@ MALFORMED_SOLVER_ARGUMENTS = {
     "enumerate_solutions-limit-a-str": (
         lambda: enumerate_solutions([X], [], "3"),
         "limit must be an integer, got '3'",
+    ),
+    "count_solutions-cap-a-str": (
+        lambda: count_solutions([X], [], cap="3"),
+        "cap must be an integer, got '3'",
+    ),
+    "count_solutions-cap-a-float": (
+        lambda: count_solutions([X], [], cap=1.5),
+        "cap must be an integer, got 1.5",
+    ),
+    "brute_force_solutions-of-one-formula": (
+        lambda: brute_force_solutions([X], A),
+        "need collections of variables and of formulas, got list and Atom",
+    ),
+    "brute_force_solutions-variables-none": (
+        lambda: brute_force_solutions(None, [A]),
+        "need collections of variables and of formulas, got NoneType and list",
     ),
 }
 

@@ -92,15 +92,14 @@ def test_partial_eval_is_sound(f, partial):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(f=formula_strategy, partial=partial_assignment_strategy)
-def test_compiled_evaluator_agrees_with_partial_eval(f, partial):
+@given(f=formula_strategy)
+def test_compiled_evaluator_agrees_with_evaluate(f):
+    # the search calls a closure only on a complete scope, so it is checked
+    # on every total assignment; a closure's operands must give exact bools
     index = {v.name: i for i, v in enumerate(STRATEGY_VARS)}
-    slots = [partial.get(v.name) for v in STRATEGY_VARS]
-    got = _compile(f, index, STRATEGY_DOMAINS, STRATEGY_OFFSETS)[0](slots)
-    want = {Tri.TRUE: True, Tri.FALSE: False, Tri.UNKNOWN: None}[
-        partial_eval(f, partial)
-    ]
-    assert got == want
+    ev = _compile(f, index, STRATEGY_DOMAINS, STRATEGY_OFFSETS)[0]
+    for slots in itertools.product(*STRATEGY_DOMAINS):
+        assert ev(list(slots)) is evaluate(f, dict(zip(index, slots)))
 
 
 def _literal_set(bits, variables):
@@ -736,6 +735,46 @@ def test_a_literal_decides_what_it_forces_true_below_the_shallowest_variable():
     assert seen and all(a[1] != "b" for a in seen)
 
 
+def test_a_constraint_is_evaluated_only_on_a_complete_scope(monkeypatch):
+    # compiled closures are two-valued, so every call must find a value in
+    # each slot of its constraint's scope
+    calls = []
+    early = []
+
+    def watched(ev, mask):
+        scope = [d for d in range(mask.bit_length()) if mask >> d & 1]
+
+        def wrapper(a):
+            calls.append(1)
+            if any(a[d] is None for d in scope):
+                early.append(tuple(a))
+            return ev(a)
+
+        return wrapper
+
+    class Watched(_Instance):
+        def __init__(self, variables, constraints):
+            super().__init__(variables, constraints)
+            self.records = [(watched(ev, mask), mask, *rest) for ev, mask, *rest in self.records]
+
+    monkeypatch.setattr(solver, "_Instance", Watched)
+    rng = random.Random(1993)
+    for make in (fc_instance, random_instance):
+        for _ in range(150):
+            variables, formulas = make(rng)
+            pool_formulas = formulas + [negate(f) for f in formulas]
+            inst = Watched(variables, pool_formulas)
+            for _ in range(2):
+                pool = rng.sample(range(len(pool_formulas)), rng.randint(0, len(pool_formulas)))
+                inst.check(active_mask(inst, pool))
+            is_consistent(variables, formulas)
+            count = count_solutions(variables, formulas)[0].count
+            count_solutions(variables, formulas, count // 2)
+            enumerate_solutions(variables, formulas, 20)
+            assert not early, (variables, formulas, early[0])
+    assert len(calls) > 1000
+
+
 class ShallowestOnly(_Instance):
     """An instance whose literals decide a constraint only at its shallowest
     variable, the narrower table that the search's results must not depend
@@ -756,7 +795,7 @@ class ShallowestOnly(_Instance):
                         self.true_by[lit] |= bit
 
 
-def test_deciding_below_the_shallowest_variable_changes_no_result_or_node(monkeypatch):
+def test_deciding_below_the_shallowest_variable_changes_no_result_and_adds_no_node(monkeypatch):
     rng = random.Random(2001)
     entries = {_Instance: 0, ShallowestOnly: 0}
     for _ in range(200):
@@ -775,17 +814,27 @@ def test_deciding_below_the_shallowest_variable_changes_no_result_or_node(monkey
                 ok, stats = is_consistent(variables, formulas)
                 count, count_stats = count_solutions(variables, formulas)
                 caps = (0, count.count // 2)
-                seen.append(
-                    (
-                        [(verdict, nodes) for verdict, nodes, _ in checks],
-                        (ok, stats.nodes_explored),
-                        (count, count_stats.nodes_explored),
-                        [count_solutions(variables, formulas, cap)[0] for cap in caps],
-                        enumerate_solutions(variables, formulas, 100),
-                    )
+                capped = [count_solutions(variables, formulas, cap)[0] for cap in caps]
+                # past its cap a count is a lower bound, and where counting
+                # stopped depends on the search tree, as its nodes do
+                assert all(cap < r.count <= count.count for cap, r in zip(caps, capped) if r.capped)
+                results = (
+                    [verdict for verdict, _, _ in checks],
+                    ok,
+                    count,
+                    [None if r.capped else r.count for r in capped],
+                    enumerate_solutions(variables, formulas, 100),
                 )
+                nodes = [nodes for _, nodes, _ in checks]
+                nodes += [stats.nodes_explored, count_stats.nodes_explored]
+                seen.append((results, nodes))
             entries[cls] += sum(len(memo) for *_, memo in inst.records)
-        assert seen[0] == seen[1], (variables, formulas, pools)
+        (results, nodes), (narrow_results, narrow_nodes) = seen
+        assert results == narrow_results, (variables, formulas, pools)
+        # a constraint that a literal decides true leaves every later
+        # filter, cube test and component, so the wider table tries no more
+        # values; its filter would have allowed every value
+        assert all(map(int.__le__, nodes, narrow_nodes)), (variables, formulas, pools)
     # the wider table skips filters that the narrower one computes
     assert entries[_Instance] < entries[ShallowestOnly]
 
