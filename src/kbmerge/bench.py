@@ -50,11 +50,17 @@ BENCH_CSV_HEADER = tuple(f.name for f in fields(BenchRow))
 
 
 def write_bench_csv(rows: Iterable[BenchRow]) -> str:
-    """Render benchmark rows as CSV text under ``BENCH_CSV_HEADER``."""
+    """Render benchmark rows as CSV text under ``BENCH_CSV_HEADER``; rows
+    that are not an iterable of BenchRow raise ValidationError."""
+    if not isinstance(rows, Iterable):
+        raise ValidationError(f"rows must be an iterable of BenchRow, got {rows!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_CSV_HEADER)
-    writer.writerows(astuple(r) for r in rows)
+    for r in rows:
+        if not isinstance(r, BenchRow):
+            raise ValidationError(f"rows must hold BenchRow records, got {r!r}")
+        writer.writerow(astuple(r))
     return buf.getvalue()
 
 
@@ -152,6 +158,17 @@ def _run_cell(
     return rows
 
 
+def _require_sequence(name: str, values: object, kinds, what: str) -> None:
+    """Raise ValidationError naming ``name`` unless ``values`` is a sequence,
+    not a string, of ``kinds``."""
+    if (
+        isinstance(values, str)
+        or not isinstance(values, Sequence)
+        or not all(isinstance(v, kinds) for v in values)
+    ):
+        raise ValidationError(f"{name} must be a sequence of {what}, got {values!r}")
+
+
 def run_benchmark(
     sizes: Sequence[int],
     shares: Sequence[float],
@@ -163,8 +180,13 @@ def run_benchmark(
 
     ``verify_counts`` additionally counts each merged KB's solutions and
     fails the cell when trials disagree (the solution space must not
-    depend on constraint order).
+    depend on constraint order). ``sizes`` must be a sequence of integers
+    and ``shares`` one of numbers, neither a string.
     """
+    _require_sequence("sizes", sizes, int, "integers")
+    _require_sequence("shares", shares, (int, float), "numbers")
+    if not isinstance(trials, int):
+        raise ValidationError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     if not sizes or not shares:

@@ -33,6 +33,7 @@ from .model import (
     Formula,
     Implies,
     KnowledgeBase,
+    Not,
     Variable,
     is_contextualized,
     negate,
@@ -48,7 +49,8 @@ class CheckRecord(NamedTuple):
     ``phase`` is ``"input"`` for the two input-consistency checks, whose
     ``constraint_id`` is None, and ``"1"`` or ``"2"`` for a check of the
     input or merged constraint ``constraint_id``. ``consistent`` is the
-    verdict, ``nodes`` and ``search_ms`` the search's cost.
+    verdict, ``nodes`` and ``search_ms`` the search's cost: 0 and 0.0 for a
+    check that an equal constraint settles with no search (see ckb_merge).
     """
 
     phase: str
@@ -67,7 +69,7 @@ class MergeReport:
     phase 2 deleted. ``checks_phase1`` always equals the total input
     constraint count: decontextualization costs one consistency check per
     constraint. ``nodes_phase1``/``nodes_phase2`` sum the search nodes of
-    each phase's checks, and ``build_ms`` is the one solver instance build,
+    each phase's searched checks, and ``build_ms`` is the one solver instance build,
     search tables included, that all checks of the merge share. ``checks``
     records every check in the order it ran, the two input checks first.
     """
@@ -232,6 +234,21 @@ def _suffix_ors(masks: list[int]) -> list[int]:
     return list(accumulate(reversed(masks), or_, initial=0))[::-1]
 
 
+def _shape(f: Formula) -> tuple:
+    """The nodes of ``f`` in preorder, an atom as itself and any other node
+    as its type: equal exactly when the formulas are, and built, hashed and
+    compared with no recursion, however deep ``f`` is."""
+    shape, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Atom):
+            shape.append(g)
+        else:
+            shape.append(type(g))
+            todo += (g.child,) if isinstance(g, Not) else (g.right, g.left)
+    return tuple(shape)
+
+
 def _require_contextualized(kb: KnowledgeBase) -> tuple[str, str]:
     """Prove ``kb`` a merge source, a KB that :func:`contextualize` returns
     unchanged: with a singleton context domain and every constraint
@@ -263,7 +280,10 @@ def ckb_merge(
     output decontextualized, otherwise c' is kept guarded. Phase 2 walks the
     output in insertion order and deletes any constraint whose negation is
     unsatisfiable with the rest; deletions are visible to the remaining
-    checks. Every check runs on one solver instance built up front, handed
+    checks. A check whose pool enforces another input with an equal body,
+    merged bare or guarded by the context the pool pins, holds c and not c:
+    it is recorded inconsistent, with 0 nodes and 0.0 ms, and not searched.
+    Every other check runs on one solver instance built up front, handed
     each check's pool as one int, the OR of its constraints' instance masks,
     kept as suffix ORs over the constraints to come and running ORs over
     those already merged or kept.
@@ -312,12 +332,27 @@ def ckb_merge(
 
     records: list[CheckRecord] = []
 
-    def check(phase: str, cid: Optional[str], pool: int) -> bool:
-        """Run one check of the shared instance over the ORed ``pool``, and
-        record it."""
-        result = inst.check(pool)
+    def check(phase: str, cid: Optional[str], pool: int, settled: bool = False) -> bool:
+        """Record one check over the ORed ``pool``: searched on the shared
+        instance, or inconsistent with no search if it is ``settled``."""
+        result = (False, 0, 0.0) if settled else inst.check(pool)
         records.append(CheckRecord(phase, cid, *result))
         return result[0]
+
+    # The inputs by equal bare body, grouped once: a check whose pool
+    # enforces a twin of the body it negates holds c and not c, so it is
+    # inconsistent without search. A twin in the pool is enforced if it was
+    # merged bare, or if it is guarded and the pool pins its source's context.
+    twins: dict[tuple, list[int]] = {}
+    groups = [twins.setdefault(_shape(body), []) for body in bodies]
+    for i, group in enumerate(groups):
+        group.append(i)
+    loose = [False] * n  # merged bare; an input phase 2 removes leaves its group
+
+    def twin_enforced(i: int, pinned: Optional[bool]) -> bool:
+        """Whether an input other than i, with c_i's body, is enforced in its
+        check's pool, which pins source ``pinned`` (True: kb2c) or none."""
+        return any(k != i and (loose[k] or (k >= n1) == pinned) for k in groups[i])
 
     # The only consistency proof of the sources: a source's singleton context
     # domain makes its guards vacuous, so it is consistent iff its bare bodies
@@ -340,7 +375,9 @@ def ckb_merge(
     done = 0
     for i in range(n):
         pin, other = pins[i >= n1], pins[i < n1]  # c_i's source, the other one
-        if not check("1", ids[i], unprocessed[i] | done | other | not_bare[i]):
+        pool = unprocessed[i] | done | other | not_bare[i]
+        if not check("1", ids[i], pool, twin_enforced(i, i < n1)):
+            loose[i] = True
             formulas.append(bodies[i])
             own.append(bare[i])
             negation.append(not_bare[i])
@@ -359,7 +396,9 @@ def ckb_merge(
     kept: list[Constraint] = []
     removed: list[str] = []
     for j, c in enumerate(inputs):
-        if not check("2", ids[j], done | later[j + 1] | negation[j]):
+        pool = done | later[j + 1] | negation[j]
+        if not check("2", ids[j], pool, twin_enforced(j, None if loose[j] else j >= n1)):
+            groups[j].remove(j)
             removed.append(ids[j])
         else:
             # an input that keeps its id and guarded formula is its output

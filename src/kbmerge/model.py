@@ -142,8 +142,16 @@ def evaluate(f: Formula, assignment: Assignment) -> bool:
     Raises UnassignedVariableError if any variable occurring in ``f`` is
     missing from ``assignment``; both operands of binary nodes are always
     visited so the check is exhaustive. A malformed node raises the
-    ValidationError of :func:`not_a_formula`.
+    ValidationError of :func:`not_a_formula`, and an ``assignment`` that is
+    no mapping a ValidationError naming it.
     """
+    if not isinstance(assignment, Mapping):
+        raise ValidationError(f"assignment must be a mapping, got {assignment!r}")
+    return _evaluate(f, assignment)
+
+
+def _evaluate(f: Formula, assignment: Assignment) -> bool:
+    """:func:`evaluate` below its one check of the assignment."""
     if isinstance(f, Atom) and isinstance(f.op, AtomOp):
         try:
             value = assignment[f.var]
@@ -151,14 +159,14 @@ def evaluate(f: Formula, assignment: Assignment) -> bool:
             raise UnassignedVariableError(f.var) from None
         return value == f.value if f.op is AtomOp.EQ else value != f.value
     if isinstance(f, Not):
-        return not evaluate(f.child, assignment)
+        return not _evaluate(f.child, assignment)
     # bitwise on bools: both operands are evaluated, the left one first
     if isinstance(f, And):
-        return evaluate(f.left, assignment) & evaluate(f.right, assignment)
+        return _evaluate(f.left, assignment) & _evaluate(f.right, assignment)
     if isinstance(f, Or):
-        return evaluate(f.left, assignment) | evaluate(f.right, assignment)
+        return _evaluate(f.left, assignment) | _evaluate(f.right, assignment)
     if isinstance(f, Implies):
-        return (not evaluate(f.left, assignment)) | evaluate(f.right, assignment)
+        return (not _evaluate(f.left, assignment)) | _evaluate(f.right, assignment)
     raise not_a_formula(f)
 
 

@@ -108,6 +108,8 @@ def synthesize_pair(cfg: SynthConfig) -> tuple[KnowledgeBase, KnowledgeBase]:
     in both sources under the same id. A shared constraint consumes two
     slots of the budget, so k is bumped by one when the remainder is odd.
     """
+    if not isinstance(cfg, SynthConfig):
+        raise ValidationError(f"not a SynthConfig: {cfg!r}")
     k = round(cfg.context_share * cfg.n_constraints)
     if (cfg.n_constraints - k) % 2:
         k += 1

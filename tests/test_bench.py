@@ -15,7 +15,7 @@ from kbmerge import (
     run_benchmark,
     validate_kb,
 )
-from kbmerge.bench import BenchRow
+from kbmerge.bench import BenchRow, write_bench_csv
 from kbmerge.cli import DEFAULT_GRID_SHARES, DEFAULT_GRID_SIZES
 
 
@@ -76,6 +76,35 @@ def test_shuffling_varies_per_trial_but_not_counts():
 def test_rejects_bad_trial_count():
     with pytest.raises(ValidationError):
         run_benchmark(SIZES, SHARES, trials=0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "sizes, shares, trials, message",
+    [
+        ("10", SHARES, 1, "sizes must be a sequence of integers, got '10'"),
+        (None, SHARES, 1, "sizes must be a sequence of integers"),
+        ({4, 6}, SHARES, 1, "sizes must be a sequence of integers"),
+        ((4, 6.0), SHARES, 1, "sizes must be a sequence of integers"),
+        (SIZES, "0.5", 1, "shares must be a sequence of numbers, got '0.5'"),
+        (SIZES, (0.5, "0.1"), 1, "shares must be a sequence of numbers"),
+        (SIZES, SHARES, "3", "trials must be an integer"),
+    ],
+    ids=["str-sizes", "none-sizes", "set-sizes", "float-size", "str-shares",
+         "str-share", "str-trials"],
+)
+def test_rejects_grid_arguments_of_the_wrong_type(sizes, shares, trials, message):
+    with pytest.raises(ValidationError, match=message):
+        run_benchmark(sizes, shares, trials=trials, seed=1)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [(None, "rows must be an iterable of BenchRow"), ([None], "rows must hold BenchRow")],
+    ids=["none", "none-row"],
+)
+def test_write_bench_csv_rejects_what_is_no_row(rows, message):
+    with pytest.raises(ValidationError, match=message):
+        write_bench_csv(rows)
 
 
 def test_generator_failures_carry_grid_coordinates(monkeypatch):

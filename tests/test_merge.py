@@ -640,18 +640,18 @@ def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
 
     Every check calls ``is_consistent`` on its explicit constraint pool, as
     the pseudocode reads; returns the merged KB, the three report id tuples
-    and the search nodes of each phase.
+    and the (phase, id, verdict, nodes) of each phase-1 and phase-2 check.
     """
     ctx_var = kb1c.context[0]
     variables = align(kb1c, kb2c, ctx_var)
     renamed = _renamed(kb1c, kb2c)
     decontextualized, kept_contextualized, merged = [], [], []
-    nodes = [0, 0]
+    checks = []
     for i, guarded in enumerate(renamed):
         bare = Constraint(guarded.id, guarded.formula.right, guarded.provenance)
         pool = [c.formula for c in renamed[i:]] + [c.formula for c in merged]
         ok, stats = is_consistent(variables, pool + [negate(bare.formula)])
-        nodes[0] += stats.nodes_explored
+        checks.append(("1", bare.id, ok, stats.nodes_explored))
         if not ok:
             merged.append(bare)
             decontextualized.append(bare.id)
@@ -663,7 +663,7 @@ def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
     for c in merged:
         rest = [x.formula for x in kept if x is not c]
         ok, stats = is_consistent(variables, rest + [negate(c.formula)])
-        nodes[1] += stats.nodes_explored
+        checks.append(("2", c.id, ok, stats.nodes_explored))
         if not ok:
             kept = [x for x in kept if x is not c]
             removed.append(c.id)
@@ -671,7 +671,7 @@ def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
         f"{kb1c.name}+{kb2c.name}", variables, tuple(kept), context=None
     )
     ids = (tuple(decontextualized), tuple(kept_contextualized), tuple(removed))
-    return out, ids, tuple(nodes)
+    return out, ids, checks
 
 
 def raw_synthesized_pairs():
@@ -696,7 +696,7 @@ def test_merge_matches_pool_per_check_reference(car_pair):
     pairs = [car_pair, *random_desk_pairs(), *synthesized_pairs()]
     for kb1c, kb2c in pairs:
         merged, report = ckb_merge(kb1c, kb2c)
-        want, want_ids, want_nodes = reference_merge(kb1c, kb2c)
+        want, want_ids, want_checks = reference_merge(kb1c, kb2c)
         assert merged == want
         assert serialize_kb(merged) == serialize_kb(want)
         assert (
@@ -704,11 +704,17 @@ def test_merge_matches_pool_per_check_reference(car_pair):
             report.kept_contextualized_ids,
             report.removed_redundant_ids,
         ) == want_ids
-        # each phase-2 check activates its pool in pool order, so it searches
-        # the same tree as an instance built from that pool alone; a phase-1
-        # check also pins the other context value, which the pseudocode's
-        # pool does not (see explicit_pools)
-        assert report.nodes_phase2 == want_nodes[1]
+        settled = predicted_settled(kb1c, kb2c, report)
+        assert settled_checks(report) == settled
+        assert len(want_checks) == len(report.checks) - 2
+        for (phase, cid, ok, nodes), record in zip(want_checks, report.checks[2:]):
+            assert (phase, cid, ok) == record[:3]
+            # each phase-2 check activates its pool in pool order, so a
+            # searched one searches the same tree as an instance built from
+            # that pool alone; a phase-1 check also pins the other context
+            # value, which the pseudocode's pool does not (see explicit_pools)
+            if phase == "2" and (phase, cid) not in settled:
+                assert record.nodes == nodes
 
 
 def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
@@ -748,16 +754,60 @@ def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
     return pools
 
 
+def settled_checks(report) -> set[tuple[str, str]]:
+    """The (phase, id) of the checks a merge settled without search."""
+    return {
+        (r.phase, r.constraint_id)
+        for r in report.checks
+        if r.nodes == 0 and r.search_ms == 0.0
+    }
+
+
+def holds_twin(phase: str, pool: list, ctx_var: str) -> bool:
+    """Whether a phase-1 or phase-2 pool of ``explicit_pools`` holds, besides
+    the negated constraint, its body: bare, or guarded by a context value
+    that the pool pins (a phase-1 pool's last atom; the guard of a negated
+    guarded constraint). Read from the formulas alone, with no index."""
+    if phase == "1":
+        rest, negated, pins = pool[:-2], pool[-2].child, [pool[-1]]
+    else:
+        rest, negated, pins = pool[:-1], pool[-1].child, []
+        guard = negated.left if isinstance(negated, Implies) else None
+        if isinstance(guard, Atom) and guard.var == ctx_var:
+            pins, negated = [guard], negated.right
+    return any(
+        f == negated or (isinstance(f, Implies) and f.left in pins and f.right == negated)
+        for f in rest
+    )
+
+
+def predicted_settled(
+    kb1c: KnowledgeBase, kb2c: KnowledgeBase, report
+) -> set[tuple[str, str]]:
+    """The (phase, id) of every check whose pool holds a twin of the body it
+    negates, from ``explicit_pools``."""
+    ctx_var = kb1c.context[0]
+    return {
+        (phase, cid)
+        for phase, cid, pool in explicit_pools(kb1c, kb2c, report)
+        if phase != "input" and holds_twin(phase, pool, ctx_var)
+    }
+
+
 def test_each_merge_check_matches_its_explicit_pool(car_pair):
-    # every check searches the tree of a fresh instance over its own pool
+    # every searched check searches the tree of a fresh instance over its own
+    # pool; a settled one searches nothing, and its pool is inconsistent
     for kb1c, kb2c in [car_pair, *synthesized_pairs()]:
         merged, report = ckb_merge(kb1c, kb2c)
         variables = merged.variables
         pools = explicit_pools(kb1c, kb2c, report)
         assert len(pools) == len(report.checks)
+        settled = predicted_settled(kb1c, kb2c, report)
+        assert settled_checks(report) == settled
         for (phase, cid, pool), record in zip(pools, report.checks):
             ok, stats = is_consistent(variables, pool)
-            assert (phase, cid, ok, stats.nodes_explored) == (
+            nodes = 0 if (phase, cid) in settled else stats.nodes_explored
+            assert (phase, cid, ok, nodes) == (
                 record.phase,
                 record.constraint_id,
                 record.consistent,
@@ -774,6 +824,66 @@ def test_each_merge_check_matches_its_explicit_pool(car_pair):
             r.phase == "2" and r.constraint_id in report.kept_contextualized_ids
             for r in report.checks
         )
+
+
+TWINS_LEFT = """kb "left" {
+  context side = L;
+  var side : { L };
+  var x : { a, b };
+  var y : { a, b };
+  var z : { a, b };
+  constraint p1: x = a -> y = a;
+  constraint p2: y = b or z = a;
+  constraint p3: y = b or z = a;
+}"""
+
+TWINS_RIGHT = """kb "right" {
+  context side = R;
+  var side : { R };
+  var x : { a, b };
+  var y : { a, b };
+  var z : { a, b };
+  constraint q1: x = a -> y = a;
+  constraint q2: not (x = a and y = b);
+  constraint q3: not (x = a and y = b);
+}"""
+
+
+def _reparsed(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
+    """The pair read back from its text: equal bodies, distinct objects."""
+    return parse_kb(serialize_kb(kb1c)), parse_kb(serialize_kb(kb2c))
+
+
+def test_checks_settled_by_an_equal_constraint_have_inconsistent_pools():
+    kb1c = contextualize(parse_kb(TWINS_LEFT), "side", "L")
+    kb2c = contextualize(parse_kb(TWINS_RIGHT), "side", "R")
+    # the implication bodies of p1 and q1 are equal, but parsed apart
+    assert kb1c.constraints[0].formula.right == kb2c.constraints[0].formula.right
+    assert kb1c.constraints[0].formula.right is not kb2c.constraints[0].formula.right
+    _, report = ckb_merge(kb1c, kb2c)
+    assert settled_checks(report) == {
+        ("1", "p1"),  # q1, the other source's, is enforced under the pin
+        ("1", "q1"),  # p1, merged bare
+        ("1", "q3"),  # q2, the same source's, merged bare
+        ("2", "p1"),  # q1, decontextualized
+        ("2", "p2"),  # p3, the same source's, kept guarded as p2 is
+        ("2", "q2"),  # q3, decontextualized
+    }
+    assert {"p2", "p3"} <= set(report.kept_contextualized_ids)
+    pairs = [(kb1c, kb2c), *random_desk_pairs()]
+    pairs += [_reparsed(*pair) for pair in pairs]
+    total = 0
+    for kb1c, kb2c in pairs:
+        merged, report = ckb_merge(kb1c, kb2c)
+        settled = settled_checks(report)
+        # the rule settles exactly the checks whose pool holds the twin ...
+        assert settled == predicted_settled(kb1c, kb2c, report)
+        # ... and the oracle finds no solution of any such pool
+        for phase, cid, pool in explicit_pools(kb1c, kb2c, report):
+            if (phase, cid) in settled:
+                assert not brute_force_solutions(merged.variables, pool)
+        total += len(settled)
+    assert total > len(pairs)
 
 
 def test_merge_outputs_reuse_their_inputs(car_pair):
@@ -818,7 +928,7 @@ def test_merges_and_counts_keep_their_pinned_outputs_and_search_trees():
         )
         result, stats = count_solutions(merged.variables, merged.formulas())
         counts.update(repr((result.count, stats.nodes_explored)).encode())
-    assert merges.hexdigest()[:16] == "409c1664d046477f"
+    assert merges.hexdigest()[:16] == "1a13cb19f030a3e4"
     assert counts.hexdigest()[:16] == "6f1db5f1128d4bf4"
 
 

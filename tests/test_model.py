@@ -87,6 +87,12 @@ def test_evaluate_is_strict_about_missing_variables():
     assert err.value.variable == "missing"
 
 
+@pytest.mark.parametrize("assignment", [None, [("x", "a")], "x"])
+def test_evaluate_rejects_an_assignment_that_is_no_mapping(assignment):
+    with pytest.raises(ValidationError, match="assignment must be a mapping"):
+        evaluate(Not(Atom("x", AtomOp.EQ, "a")), assignment)
+
+
 def test_connectives_stay_distinct():
     # the same operands under different connectives are different formulas,
     # so neither equality nor the hash may depend on the operands alone

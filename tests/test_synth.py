@@ -157,6 +157,12 @@ def test_config_rejects_bad_field_types_at_construction(kw, message):
         synthesize_pair(SynthConfig(**fields))
 
 
+@pytest.mark.parametrize("cfg", [None, (10, 0.3, 0), {"n_constraints": 10}])
+def test_synthesize_pair_rejects_what_is_no_config(cfg):
+    with pytest.raises(ValidationError, match="not a SynthConfig"):
+        synthesize_pair(cfg)
+
+
 def test_unsatisfiable_draws_exhaust_the_retry_budget():
     # two variables with singleton domains: v1 = a -> v2 != b is violated
     # whenever the pair (a, b) is drawn, and bare atoms v != x are always
