@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    And,
     Atom,
     AtomOp,
     Constraint,
@@ -34,6 +35,7 @@ from .model import (
     Implies,
     KnowledgeBase,
     Not,
+    Or,
     Variable,
     is_contextualized,
     negate,
@@ -49,8 +51,9 @@ class CheckRecord(NamedTuple):
     ``phase`` is ``"input"`` for the two input-consistency checks, whose
     ``constraint_id`` is None, and ``"1"`` or ``"2"`` for a check of the
     input or merged constraint ``constraint_id``. ``consistent`` is the
-    verdict, ``nodes`` and ``search_ms`` the search's cost: 0 and 0.0 for a
-    check that an equal constraint settles with no search (see ckb_merge).
+    verdict, ``nodes`` and ``search_ms`` the search cost, summed over a split
+    phase-2 check's two pools: 0 and 0.0 only for a check whose every pool
+    an equal constraint settles with no search (see ckb_merge).
     """
 
     phase: str
@@ -69,9 +72,11 @@ class MergeReport:
     phase 2 deleted. ``checks_phase1`` always equals the total input
     constraint count: decontextualization costs one consistency check per
     constraint. ``nodes_phase1``/``nodes_phase2`` sum the search nodes of
-    each phase's searched checks, and ``build_ms`` is the one solver instance build,
-    search tables included, that all checks of the merge share. ``checks``
-    records every check in the order it ran, the two input checks first.
+    each phase's checks, both pools of a split check included, and
+    ``build_ms`` is the one solver instance build, search tables included,
+    that all checks of the merge share: 2d+2 formulas for d distinct bodies.
+    ``checks`` records every check in the order it ran, the two input checks
+    first.
     """
 
     decontextualized_ids: tuple[str, ...]
@@ -235,16 +240,15 @@ def _suffix_ors(masks: list[int]) -> list[int]:
 
 
 def _shape(f: Formula) -> tuple:
-    """The nodes of ``f`` in preorder, an atom as itself and any other node
-    as its type: equal exactly when the formulas are, and built, hashed and
-    compared with no recursion, however deep ``f`` is."""
+    """The nodes of ``f`` in preorder, a connective as its type and any other
+    node, such as an atom, as itself: equal exactly when the formulas are,
+    and built, hashed and compared with no recursion, however deep ``f`` is."""
     shape, todo = [], [f]
     while todo:
         g = todo.pop()
-        if isinstance(g, Atom):
-            shape.append(g)
-        else:
-            shape.append(type(g))
+        connective = isinstance(g, (Not, And, Or, Implies))
+        shape.append(type(g) if connective else g)
+        if connective:
             todo += (g.child,) if isinstance(g, Not) else (g.right, g.left)
     return tuple(shape)
 
@@ -280,13 +284,21 @@ def ckb_merge(
     output decontextualized, otherwise c' is kept guarded. Phase 2 walks the
     output in insertion order and deletes any constraint whose negation is
     unsatisfiable with the rest; deletions are visible to the remaining
-    checks. A check whose pool enforces another input with an equal body,
-    merged bare or guarded by the context the pool pins, holds c and not c:
-    it is recorded inconsistent, with 0 nodes and 0.0 ms, and not searched.
-    Every other check runs on one solver instance built up front, handed
-    each check's pool as one int, the OR of its constraints' instance masks,
-    kept as suffix ORs over the constraints to come and running ORs over
-    those already merged or kept.
+    checks.
+
+    Every check pins the context to a value v, which makes the premise of a
+    guard ``ctx = w -> c`` true or false: the guard is c itself if w is v and
+    vacuous otherwise. So a pool is a pin ORed with the bodies that pin
+    enables, and the one solver instance, built up front, holds no guard:
+    only each distinct body, its negation and the two pins. A phase-2 check
+    of a guarded c' pins its source's value, as not c' does; one of a
+    decontextualized c is split into a pool per context value and is
+    consistent if either is, which is exact since the merged context domain
+    holds exactly the two values. A pool that holds a body equal to the one
+    its check negates, or for a one-variable body refutes each literal that
+    body refutes, holds c and not c: it is settled inconsistent with no
+    search. A check's record sums the searches of its pools, and reads 0
+    nodes and 0.0 ms only when all of them are settled.
 
     Returns the merged KB over the aligned variables (context domain is the
     union of the two context values) and a MergeReport. The merged KB has
@@ -311,101 +323,86 @@ def ckb_merge(
     bodies = [c.formula.right for c in inputs]
     n, n1 = len(inputs), len(kb1c.constraints)
 
-    # One instance serves every check of the merge, and a check is handed its
-    # pool as the OR of the instance masks of its constraints, so no check
-    # walks its pool. Input constraint i has the masks guarded[i] (c'_i),
-    # bare[i] (c_i) and not_bare[i] (not c_i); pins[k] pins the context value
-    # of source k, so not c'_i is c_i's pin with not c_i; a phase-1 pool holds
-    # the other source's pin besides c'_i.
+    # The instance holds each distinct body once, keyed by its shape. A check
+    # is handed each of its pools as one int, the OR of the instance masks of
+    # its formulas, so no check walks a pool: input i's body has the mask
+    # bare[i], shared by every input with an equal body, its negation the
+    # mask not_bare[i], and pins[k] pins source k's context value.
+    slots: dict[tuple, tuple[int, Formula]] = {}
+    slot = [slots.setdefault(_shape(body), (len(slots), body))[0] for body in bodies]
+    distinct = [body for _, body in slots.values()]
     tb = time.perf_counter()
     inst = _Instance(
         variables,
-        [c.formula for c in inputs]
-        + bodies
-        + [negate(body) for body in bodies]
+        distinct
+        + [negate(body) for body in distinct]
         + [Atom(ctx_var, AtomOp.EQ, ctx_val1), Atom(ctx_var, AtomOp.EQ, ctx_val2)],
     )
     build_ms = (time.perf_counter() - tb) * 1000.0
-    masks = inst.masks
-    guarded, bare, not_bare = masks[:n], masks[n : 2 * n], masks[2 * n : 3 * n]
-    pins = masks[3 * n :]
+    bare = [inst.masks[s] for s in slot]
+    not_bare = [inst.masks[len(distinct) + s] for s in slot]
+    pins = inst.masks[-2:]
+    # each source's bodies under its own pin
+    sources = [reduce(or_, bare[:n1], pins[0]), reduce(or_, bare[n1:], pins[1])]
 
     records: list[CheckRecord] = []
 
-    def check(phase: str, cid: Optional[str], pool: int, settled: bool = False) -> bool:
-        """Record one check over the ORed ``pool``: searched on the shared
-        instance, or inconsistent with no search if it is ``settled``."""
-        result = (False, 0, 0.0) if settled else inst.check(pool)
-        records.append(CheckRecord(phase, cid, *result))
-        return result[0]
-
-    # The inputs by equal bare body, grouped once: a check whose pool
-    # enforces a twin of the body it negates holds c and not c, so it is
-    # inconsistent without search. A twin in the pool is enforced if it was
-    # merged bare, or if it is guarded and the pool pins its source's context.
-    twins: dict[tuple, list[int]] = {}
-    groups = [twins.setdefault(_shape(body), []) for body in bodies]
-    for i, group in enumerate(groups):
-        group.append(i)
-    loose = [False] * n  # merged bare; an input phase 2 removes leaves its group
-
-    def twin_enforced(i: int, pinned: Optional[bool]) -> bool:
-        """Whether an input other than i, with c_i's body, is enforced in its
-        check's pool, which pins source ``pinned`` (True: kb2c) or none."""
-        return any(k != i and (loose[k] or (k >= n1) == pinned) for k in groups[i])
+    def check(phase: str, i: int, pools: list[int]) -> bool:
+        """Record the check of input i, consistent iff one of its ``pools``
+        is: a pool that holds bare[i] is settled, the others are searched in
+        turn until one is consistent."""
+        verdict, nodes, search_ms = False, 0, 0.0
+        for pool in pools:
+            if pool & bare[i] != bare[i]:
+                verdict, more, ms = inst.check(pool)
+                nodes, search_ms = nodes + more, search_ms + ms
+                if verdict:
+                    break
+        records.append(CheckRecord(phase, ids[i], verdict, nodes, search_ms))
+        return verdict
 
     # The only consistency proof of the sources: a source's singleton context
     # domain makes its guards vacuous, so it is consistent iff its bare bodies
     # are, with the context variable pinned to its value.
-    for kb, members, pin in ((kb1c, bare[:n1], pins[0]), (kb2c, bare[n1:], pins[1])):
-        if not check("input", None, reduce(or_, members, pin)):
+    for kb, pool in zip((kb1c, kb2c), sources):
+        result = inst.check(pool)
+        records.append(CheckRecord("input", None, *result))
+        if not result[0]:
             raise InconsistentInputError(f"knowledge base '{kb.name}' is inconsistent")
 
-    decontextualized: list[str] = []
-    kept_contextualized: list[str] = []
-    # per input: its merged formula, the mask of that and of its negation
-    formulas: list[Formula] = []
-    own: list[int] = []
-    negation: list[int] = []
-
+    # per input, the context values whose pins enable its merged formula:
+    # both if it was merged bare, else its source's
+    enabled: list[tuple[int, ...]] = []
     t0 = time.perf_counter()
-    # the inputs from i on, the current one included, exactly as in the
-    # pseudocode, and the OR of the merged constraints so far
-    unprocessed = _suffix_ors(guarded)
-    done = 0
+    # Under the other source's pin, the pseudocode's pool enforces every body
+    # of the other source, merged or not, and the bodies merged bare so far.
+    loose = 0
     for i in range(n):
-        pin, other = pins[i >= n1], pins[i < n1]  # c_i's source, the other one
-        pool = unprocessed[i] | done | other | not_bare[i]
-        if not check("1", ids[i], pool, twin_enforced(i, i < n1)):
-            loose[i] = True
-            formulas.append(bodies[i])
-            own.append(bare[i])
-            negation.append(not_bare[i])
-            decontextualized.append(ids[i])
+        k = int(i >= n1)
+        if check("1", i, [sources[1 - k] | loose | not_bare[i]]):
+            enabled.append((k,))
         else:
-            formulas.append(inputs[i].formula)
-            own.append(guarded[i])
-            negation.append(not_bare[i] | pin)
-            kept_contextualized.append(ids[i])
-        done |= own[-1]
+            enabled.append((0, 1))
+            loose |= bare[i]
     t1 = time.perf_counter()
 
-    # the merged constraints after j, and the OR of those kept before it
-    later = _suffix_ors(own)
-    done = 0
+    # under each pin, the bodies it enables among the merged constraints
+    # after j, and those kept before j with the pin itself
+    later = [_suffix_ors([b if k in ks else 0 for b, ks in zip(bare, enabled)]) for k in (0, 1)]
+    done = list(pins)
     kept: list[Constraint] = []
     removed: list[str] = []
     for j, c in enumerate(inputs):
-        pool = done | later[j + 1] | negation[j]
-        if not check("2", ids[j], pool, twin_enforced(j, None if loose[j] else j >= n1)):
-            groups[j].remove(j)
+        if not check("2", j, [done[k] | later[k][j + 1] | not_bare[j] for k in enabled[j]]):
             removed.append(ids[j])
-        else:
-            # an input that keeps its id and guarded formula is its output
-            if ids[j] != c.id or formulas[j] is not c.formula:
-                c = Constraint(ids[j], formulas[j], c.provenance)
-            kept.append(c)
-            done |= own[j]
+            continue
+        # an input that keeps its id and guarded formula is its output
+        formula = bodies[j] if len(enabled[j]) == 2 else c.formula
+        if ids[j] != c.id or formula is not c.formula:
+            c = Constraint(ids[j], formula, c.provenance)
+        kept.append(c)
+        for k in enabled[j]:
+            done[k] |= bare[j]
     t2 = time.perf_counter()
 
     # valid by construction: the aligned variables declare every atom of
@@ -414,8 +411,8 @@ def ckb_merge(
     phase1 = [r for r in records if r.phase == "1"]
     phase2 = [r for r in records if r.phase == "2"]
     report = MergeReport(
-        decontextualized_ids=tuple(decontextualized),
-        kept_contextualized_ids=tuple(kept_contextualized),
+        decontextualized_ids=tuple(cid for cid, ks in zip(ids, enabled) if len(ks) == 2),
+        kept_contextualized_ids=tuple(cid for cid, ks in zip(ids, enabled) if len(ks) == 1),
         removed_redundant_ids=tuple(removed),
         checks_phase1=len(phase1),
         checks_phase2=len(phase2),
@@ -433,12 +430,12 @@ def is_redundant(kb: KnowledgeBase, c: Constraint) -> bool:
     """True iff the rest of the KB is inconsistent with the negation of c."""
     require_kb(kb)
     require_constraint(c)
-    if c not in kb.constraints:
-        raise ConstraintNotFoundError(
-            f"constraint '{c.id}' is not part of '{kb.name}'"
-        )
-    rest = list(kb.constraints)
-    rest.remove(c)  # only the first equal constraint
+    # ids are unique in a valid KB, and shapes compare formulas of any depth
+    k = next((k for k, x in enumerate(kb.constraints) if x.id == c.id), None)
+    x = None if k is None else kb.constraints[k]
+    if x is None or (x.provenance, _shape(x.formula)) != (c.provenance, _shape(c.formula)):
+        raise ConstraintNotFoundError(f"constraint '{c.id}' is not part of '{kb.name}'")
+    rest = kb.constraints[:k] + kb.constraints[k + 1 :]
     ok, _ = is_consistent(kb.variables, [x.formula for x in rest] + [negate(c.formula)])
     return not ok
 

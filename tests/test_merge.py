@@ -15,6 +15,7 @@ from kbmerge import (
     InconsistentInputError,
     KnowledgeBase,
     NotContextualizedError,
+    Or,
     ValidationError,
     Variable,
     align,
@@ -34,6 +35,7 @@ from kbmerge import (
 )
 from kbmerge import solver
 from kbmerge.bench import _shuffled
+from kbmerge.errors import ConstraintNotFoundError
 from kbmerge.merge import _merged_ids
 from kbmerge.synth import CTX_VALUES, CTX_VAR, SynthConfig
 
@@ -532,11 +534,35 @@ def test_second_decontextualized_copy_is_redundant(kb_union):
 
 
 def test_is_redundant_requires_membership(kb_union):
-    from kbmerge.errors import ConstraintNotFoundError
-
     stray = Constraint("zz", Atom("fuel", AtomOp.NEQ, "gas"))
-    with pytest.raises(ConstraintNotFoundError):
+    with pytest.raises(ConstraintNotFoundError, match="constraint 'zz' is not part of"):
         is_redundant(kb_union, stray)
+    # an id the KB holds, but with another formula or provenance
+    held = kb_union.constraints[0]
+    for other in (replace(held, formula=negate(held.formula)), replace(held, provenance="x")):
+        with pytest.raises(ConstraintNotFoundError, match=f"constraint '{held.id}'"):
+            is_redundant(kb_union, other)
+
+
+def _or_chain(depth: int):
+    f = Atom("x", AtomOp.EQ, "a")
+    for _ in range(depth):
+        f = Or(f, Atom("y", AtomOp.EQ, "a"))
+    return f
+
+
+def test_is_redundant_finds_a_deep_constraint_by_id():
+    # a fresh copy of a 400-level chain is the KB's constraint: it is found
+    # by its id and compared by shape, with no recursive __eq__
+    variables = (Variable("x", ("a", "b")), Variable("y", ("a", "b")))
+    kb = KnowledgeBase("deep", variables, (Constraint("c", _or_chain(400)),))
+    copy = Constraint("c", _or_chain(400))
+    assert copy.formula is not kb.constraints[0].formula
+    assert not is_redundant(kb, copy)
+    kb2 = KnowledgeBase("deep", variables, (Constraint("d", Atom("x", AtomOp.EQ, "a")), copy))
+    assert is_redundant(kb2, Constraint("c", _or_chain(400)))
+    with pytest.raises(ConstraintNotFoundError):
+        is_redundant(kb2, Constraint("c", _or_chain(399)))
 
 
 # --- intersection -------------------------------------------------------------
@@ -640,7 +666,7 @@ def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
 
     Every check calls ``is_consistent`` on its explicit constraint pool, as
     the pseudocode reads; returns the merged KB, the three report id tuples
-    and the (phase, id, verdict, nodes) of each phase-1 and phase-2 check.
+    and the (phase, id, verdict) of each phase-1 and phase-2 check.
     """
     ctx_var = kb1c.context[0]
     variables = align(kb1c, kb2c, ctx_var)
@@ -650,8 +676,8 @@ def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
     for i, guarded in enumerate(renamed):
         bare = Constraint(guarded.id, guarded.formula.right, guarded.provenance)
         pool = [c.formula for c in renamed[i:]] + [c.formula for c in merged]
-        ok, stats = is_consistent(variables, pool + [negate(bare.formula)])
-        checks.append(("1", bare.id, ok, stats.nodes_explored))
+        ok, _ = is_consistent(variables, pool + [negate(bare.formula)])
+        checks.append(("1", bare.id, ok))
         if not ok:
             merged.append(bare)
             decontextualized.append(bare.id)
@@ -662,8 +688,8 @@ def reference_merge(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
     removed = []
     for c in merged:
         rest = [x.formula for x in kept if x is not c]
-        ok, stats = is_consistent(variables, rest + [negate(c.formula)])
-        checks.append(("2", c.id, ok, stats.nodes_explored))
+        ok, _ = is_consistent(variables, rest + [negate(c.formula)])
+        checks.append(("2", c.id, ok))
         if not ok:
             kept = [x for x in kept if x is not c]
             removed.append(c.id)
@@ -704,54 +730,59 @@ def test_merge_matches_pool_per_check_reference(car_pair):
             report.kept_contextualized_ids,
             report.removed_redundant_ids,
         ) == want_ids
-        settled = predicted_settled(kb1c, kb2c, report)
-        assert settled_checks(report) == settled
-        assert len(want_checks) == len(report.checks) - 2
-        for (phase, cid, ok, nodes), record in zip(want_checks, report.checks[2:]):
-            assert (phase, cid, ok) == record[:3]
-            # each phase-2 check activates its pool in pool order, so a
-            # searched one searches the same tree as an instance built from
-            # that pool alone; a phase-1 check also pins the other context
-            # value, which the pseudocode's pool does not (see explicit_pools)
-            if phase == "2" and (phase, cid) not in settled:
-                assert record.nodes == nodes
+        assert settled_checks(report) == predicted_settled(kb1c, kb2c, report)
+        # the pinned pools of each check (see explicit_pools) give the
+        # verdict of the pseudocode's pool
+        assert want_checks == [record[:3] for record in report.checks[2:]]
 
 
 def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
-    """The (phase, id, formula pool) of every check of a merge, in run order.
+    """The (phase, id, pinned pools) of every check of a merge, in run order.
 
-    Built as in ``reference_merge``, with the verdicts of ``report`` deciding
-    what each phase adds or removes: the input checks pin the source's
-    context value under its bare bodies; a phase-1 check pools the
-    unprocessed guarded inputs, the merged constraints so far, the negated
-    bare body and, last, the pin of the other source's context value; a
-    phase-2 check pools the merged constraints still kept but the tested
-    one, and its negation.
+    Each pool is a list of formulas: a pin ``ctx = v``, the bare bodies
+    that the pin enables and, last, the negated body the check tests (an
+    input check has none). Under a pin, a guarded constraint is its body
+    if it guards the pinned value and vacuous otherwise, so the pool is the
+    pseudocode's pool with the context fixed. The verdicts of ``report``
+    decide what each phase adds or removes:
+
+    - an input check pins its source's value over that source's bodies;
+    - a phase-1 check of c_i pins the other source's value, over all of
+      that source's bodies and those merged bare so far;
+    - a phase-2 check of a kept guarded c_j pins its source's value, over
+      the kept bodies that value enables but c_j's;
+    - a phase-2 check of a decontextualized c_j has one such pool per value.
     """
     ctx_var = kb1c.context[0]
     renamed = _renamed(kb1c, kb2c)
     n1 = len(kb1c.constraints)
-    bares = [Constraint(c.id, c.formula.right, c.provenance) for c in renamed]
+    pins = [Atom(ctx_var, AtomOp.EQ, kb.context[1]) for kb in (kb1c, kb2c)]
+    source = [int(i >= n1) for i in range(len(renamed))]
+    bodies = [c.formula.right for c in renamed]
     verdicts = iter(r.consistent for r in report.checks)
-    pools = []
-    for kb, members in ((kb1c, bares[:n1]), (kb2c, bares[n1:])):
-        pin = Atom(ctx_var, AtomOp.EQ, kb.context[1])
-        pools.append(("input", None, [c.formula for c in members] + [pin]))
+    checks = []
+    for k in (0, 1):
+        own = [body for body, s in zip(bodies, source) if s == k]
+        checks.append(("input", None, [[pins[k], *own]]))
         next(verdicts)
-    merged = []
-    for i, guarded in enumerate(renamed):
-        pool = [c.formula for c in renamed[i:]] + [c.formula for c in merged]
-        other = (kb2c if i < n1 else kb1c).context[1]
-        pin = Atom(ctx_var, AtomOp.EQ, other)
-        pools.append(("1", guarded.id, pool + [negate(bares[i].formula), pin]))
-        merged.append(guarded if next(verdicts) else bares[i])
-    kept = list(merged)
-    for c in merged:
-        rest = [x.formula for x in kept if x is not c]
-        pools.append(("2", c.id, rest + [negate(c.formula)]))
+    enabled = []  # per input, the values whose pins enable its merged body
+    for i, c in enumerate(renamed):
+        other = 1 - source[i]
+        pool = [pins[other], *(body for body, s in zip(bodies, source) if s == other)]
+        pool += [bodies[k] for k, values in enumerate(enabled) if len(values) == 2]
+        checks.append(("1", c.id, [pool + [negate(bodies[i])]]))
+        enabled.append((source[i],) if next(verdicts) else (0, 1))
+    kept = list(range(len(renamed)))
+    for j, c in enumerate(renamed):
+        pools = [
+            [pins[k], *(bodies[x] for x in kept if x != j and k in enabled[x])]
+            + [negate(bodies[j])]
+            for k in enabled[j]
+        ]
+        checks.append(("2", c.id, pools))
         if not next(verdicts):
-            kept = [x for x in kept if x is not c]
-    return pools
+            kept.remove(j)
+    return checks
 
 
 def settled_checks(report) -> set[tuple[str, str]]:
@@ -763,67 +794,80 @@ def settled_checks(report) -> set[tuple[str, str]]:
     }
 
 
-def holds_twin(phase: str, pool: list, ctx_var: str) -> bool:
-    """Whether a phase-1 or phase-2 pool of ``explicit_pools`` holds, besides
-    the negated constraint, its body: bare, or guarded by a context value
-    that the pool pins (a phase-1 pool's last atom; the guard of a negated
-    guarded constraint). Read from the formulas alone, with no index."""
-    if phase == "1":
-        rest, negated, pins = pool[:-2], pool[-2].child, [pool[-1]]
-    else:
-        rest, negated, pins = pool[:-1], pool[-1].child, []
-        guard = negated.left if isinstance(negated, Implies) else None
-        if isinstance(guard, Atom) and guard.var == ctx_var:
-            pins, negated = [guard], negated.right
-    return any(
-        f == negated or (isinstance(f, Implies) and f.left in pins and f.right == negated)
-        for f in rest
-    )
+def holds_twin(pool: list) -> bool:
+    """Whether a pinned pool of ``explicit_pools`` holds, besides the
+    negated body it ends with, that body itself. Read from the formulas
+    alone, with no instance mask."""
+    return pool[-1].child in pool[:-1]
 
 
 def predicted_settled(
     kb1c: KnowledgeBase, kb2c: KnowledgeBase, report
 ) -> set[tuple[str, str]]:
-    """The (phase, id) of every check whose pool holds a twin of the body it
-    negates, from ``explicit_pools``."""
-    ctx_var = kb1c.context[0]
+    """The (phase, id) of every check whose every pinned pool holds a twin
+    of the body it negates, from ``explicit_pools``."""
     return {
         (phase, cid)
-        for phase, cid, pool in explicit_pools(kb1c, kb2c, report)
-        if phase != "input" and holds_twin(phase, pool, ctx_var)
+        for phase, cid, pools in explicit_pools(kb1c, kb2c, report)
+        if phase != "input" and all(map(holds_twin, pools))
     }
 
 
+def fresh_check(variables, phase: str, pools: list) -> tuple[bool, int]:
+    """A check's verdict and nodes from a fresh instance per pinned pool:
+    phase-1 and phase-2 pools holding a twin are skipped, the others
+    searched in turn until one is consistent, their nodes summed."""
+    nodes = 0
+    for pool in pools:
+        if phase == "input" or not holds_twin(pool):
+            ok, stats = is_consistent(variables, pool)
+            nodes += stats.nodes_explored
+            if ok:
+                return True, nodes
+    return False, nodes
+
+
 def test_each_merge_check_matches_its_explicit_pool(car_pair):
-    # every searched check searches the tree of a fresh instance over its own
-    # pool; a settled one searches nothing, and its pool is inconsistent
+    # every searched pool searches the tree of a fresh instance over that
+    # pool alone; a settled one searches nothing, and a fresh instance finds
+    # it inconsistent (the oracle does so on small pairs, below)
     for kb1c, kb2c in [car_pair, *synthesized_pairs()]:
         merged, report = ckb_merge(kb1c, kb2c)
         variables = merged.variables
-        pools = explicit_pools(kb1c, kb2c, report)
-        assert len(pools) == len(report.checks)
-        settled = predicted_settled(kb1c, kb2c, report)
-        assert settled_checks(report) == settled
-        for (phase, cid, pool), record in zip(pools, report.checks):
-            ok, stats = is_consistent(variables, pool)
-            nodes = 0 if (phase, cid) in settled else stats.nodes_explored
-            assert (phase, cid, ok, nodes) == (
+        checks = explicit_pools(kb1c, kb2c, report)
+        assert len(checks) == len(report.checks)
+        assert settled_checks(report) == predicted_settled(kb1c, kb2c, report)
+        for (phase, cid, pools), record in zip(checks, report.checks):
+            assert (phase, cid, *fresh_check(variables, phase, pools)) == (
                 record.phase,
                 record.constraint_id,
                 record.consistent,
                 record.nodes,
             )
-            if phase == "1":
-                # the pool holds c'_i, so the pin of the other context value
-                # removes no solution: the pseudocode's pool has the verdict
-                assert is_consistent(variables, pool[:-1])[0] == ok
-        # a phase-2 check of a kept guarded constraint hands the search its
-        # source's pin and its negated body, where the pool above negates
-        # the guarded formula itself
-        assert any(
-            r.phase == "2" and r.constraint_id in report.kept_contextualized_ids
-            for r in report.checks
-        )
+            for pool in pools:
+                if phase != "input" and holds_twin(pool):
+                    assert not is_consistent(variables, pool)[0]
+        # both kinds of phase-2 check occur: one pin, and a pool per value
+        sizes = {len(pools) for phase, _, pools in checks if phase == "2"}
+        assert sizes == {1, 2}
+
+
+def test_a_split_check_is_consistent_iff_one_of_its_pinned_pools_is():
+    # a decontextualized constraint's phase-2 pool pins nothing in the
+    # pseudocode; the merged context domain is exactly the two values, so
+    # that pool is consistent iff the oracle finds a model of one of its two
+    # pinned pools
+    split = 0
+    for kb1c, kb2c in random_desk_pairs():
+        merged, report = ckb_merge(kb1c, kb2c)
+        _, _, want_checks = reference_merge(kb1c, kb2c)
+        checks = explicit_pools(kb1c, kb2c, report)[2:]
+        for (phase, cid, pools), want, record in zip(checks, want_checks, report.checks[2:]):
+            if len(pools) == 2:
+                split += 1
+                pinned = any(brute_force_solutions(merged.variables, pool) for pool in pools)
+                assert (phase, cid, pinned) == want == record[:3]
+    assert split > 40
 
 
 TWINS_LEFT = """kb "left" {
@@ -879,11 +923,30 @@ def test_checks_settled_by_an_equal_constraint_have_inconsistent_pools():
         # the rule settles exactly the checks whose pool holds the twin ...
         assert settled == predicted_settled(kb1c, kb2c, report)
         # ... and the oracle finds no solution of any such pool
-        for phase, cid, pool in explicit_pools(kb1c, kb2c, report):
+        for phase, cid, pools in explicit_pools(kb1c, kb2c, report):
             if (phase, cid) in settled:
-                assert not brute_force_solutions(merged.variables, pool)
+                for pool in pools:
+                    assert not brute_force_solutions(merged.variables, pool)
         total += len(settled)
     assert total > len(pairs)
+
+
+def test_a_pool_that_refutes_a_one_variable_body_holds_it():
+    # the instance keeps a one-variable body as the literals it refutes, so
+    # x = a and x != b over {a, b} share a mask: a pool holding either one
+    # settles a check that negates the other
+    left = 'kb "l" { var x : { a, b }; var y : { a, b }; constraint c1: x = a; }'
+    right = 'kb "r" { var x : { a, b }; var y : { a, b }; constraint d1: x != b; }'
+    kb1c = contextualize(parse_kb(left), "side", "L")
+    kb2c = contextualize(parse_kb(right), "side", "R")
+    merged, report = ckb_merge(kb1c, kb2c)
+    settled = settled_checks(report)
+    assert settled == {("1", "c1"), ("1", "d1"), ("2", "c1")}
+    assert reference_merge(kb1c, kb2c)[2] == [r[:3] for r in report.checks[2:]]
+    for phase, cid, pools in explicit_pools(kb1c, kb2c, report):
+        if (phase, cid) in settled:
+            for pool in pools:
+                assert not brute_force_solutions(merged.variables, pool)
 
 
 def test_merge_outputs_reuse_their_inputs(car_pair):
@@ -928,7 +991,7 @@ def test_merges_and_counts_keep_their_pinned_outputs_and_search_trees():
         )
         result, stats = count_solutions(merged.variables, merged.formulas())
         counts.update(repr((result.count, stats.nodes_explored)).encode())
-    assert merges.hexdigest()[:16] == "1a13cb19f030a3e4"
+    assert merges.hexdigest()[:16] == "5e927e25c313d8e3"
     assert counts.hexdigest()[:16] == "6f1db5f1128d4bf4"
 
 
@@ -941,17 +1004,23 @@ def test_each_merge_builds_one_solver_instance(kb_us, kb_ger, monkeypatch):
         original(self, variables, constraints)
 
     monkeypatch.setattr(solver._Instance, "__init__", counting_init)
-    for kb1, kb2 in [(kb_us, kb_ger), *raw_synthesized_pairs()]:
+    twins = (parse_kb(TWINS_LEFT), parse_kb(TWINS_RIGHT))
+    sizes = []
+    for kb1, kb2 in [(kb_us, kb_ger), twins, *raw_synthesized_pairs()]:
         built.clear()
         # a whole merge op, from the raw sources: contextualize searches
         # nothing, so the merge's instance is the op's only one
         kb1c = contextualize(kb1, kb1.context[0], kb1.context[1])
         kb2c = contextualize(kb2, kb2.context[0], kb2.context[1])
         ckb_merge(kb1c, kb2c)
-        # each input's guarded form, bare body and negated body, and a pin
-        # per source: a guarded negation is its pin with the negated body
-        n = len(kb1.constraints) + len(kb2.constraints)
-        assert built == [3 * n + 2]
+        # each distinct body once, with its negation, and a pin per source;
+        # no guard is built
+        d = len({c.formula.right for c in kb1c.constraints + kb2c.constraints})
+        assert built == [2 * d + 2]
+        sizes.append((len(kb1.constraints) + len(kb2.constraints), d))
+    # equal bodies parsed apart share one slot: the electro body of c2us and
+    # c2ger, and the bodies of p1/q1, p2/p3 and q2/q3
+    assert sizes[:2] == [(6, 5), (6, 3)]
 
 
 def test_merge_report_solver_work_is_deterministic(car_pair):
