@@ -3,11 +3,11 @@
 The pipeline: each source KB is contextualized (every constraint guarded
 by its context atom), the variable sets are aligned, and the merge proves
 each source consistent and runs its two phases. Phase 1 tries to drop
-each guard: if asserting the negated bare constraint against everything
-else is unsatisfiable, the guard is not needed and the constraint is
-added decontextualized, otherwise the guarded form is kept. Phase 2
-removes constraints that the rest of the merged KB already implies. Both
-phases preserve the union of the two source solution spaces.
+each guard: if the other source entails the bare constraint, the guard
+is not needed and the constraint is added decontextualized, otherwise
+the guarded form is kept. Phase 2 removes constraints that the rest of
+the merged KB already implies. Both phases preserve the union of the two
+source solution spaces.
 """
 from __future__ import annotations
 
@@ -27,15 +27,12 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    And,
     Atom,
     AtomOp,
     Constraint,
     Formula,
     Implies,
     KnowledgeBase,
-    Not,
-    Or,
     Variable,
     is_contextualized,
     negate,
@@ -239,20 +236,6 @@ def _suffix_ors(masks: list[int]) -> list[int]:
     return list(accumulate(reversed(masks), or_, initial=0))[::-1]
 
 
-def _shape(f: Formula) -> tuple:
-    """The nodes of ``f`` in preorder, a connective as its type and any other
-    node, such as an atom, as itself: equal exactly when the formulas are,
-    and built, hashed and compared with no recursion, however deep ``f`` is."""
-    shape, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        connective = isinstance(g, (Not, And, Or, Implies))
-        shape.append(type(g) if connective else g)
-        if connective:
-            todo += (g.child,) if isinstance(g, Not) else (g.right, g.left)
-    return tuple(shape)
-
-
 def _require_contextualized(kb: KnowledgeBase) -> tuple[str, str]:
     """Prove ``kb`` a merge source, a KB that :func:`contextualize` returns
     unchanged: with a singleton context domain and every constraint
@@ -274,17 +257,23 @@ def ckb_merge(
     Each source must be a KB that :func:`contextualize` returns unchanged,
     and the two must share their context variable. Two input checks come
     first, the only proof that each source is consistent;
-    InconsistentInputError names a source that is not. Phase 1
-    walks the concatenated input constraints in file order. For each guarded
-    c' with bare body c, it checks {not c} against the still unprocessed
-    inputs (c' included, exactly as in the two-phase pseudocode) plus the
-    output built so far, and pins the context to the other source's value,
-    which loses no solution since c' keeps not c out of c's own context.
-    Unsatisfiable means the guard carries no information and c joins the
-    output decontextualized, otherwise c' is kept guarded. Phase 2 walks the
-    output in insertion order and deletes any constraint whose negation is
-    unsatisfiable with the rest; deletions are visible to the remaining
-    checks.
+    InconsistentInputError names a source that is not. Phase 1 walks the
+    concatenated input constraints in file order. For each guarded c' with
+    bare body c, the two-phase pseudocode checks {not c} against the still
+    unprocessed inputs, c' included, plus the output built so far. Pinning
+    the context to the value w of the other source O loses no solution,
+    since c' keeps not c out of c's own context, and under that pin the pool
+    is O's bodies alone: O's guarded inputs are their bodies, those of c's
+    own source are vacuous, and every body merged bare so far is entailed by
+    O (by induction on the order: a body of O is in the pool anyway, and one
+    of c's source was merged bare because O refuted its negation). So the
+    check asks whether O entails c, and an input's phase-1 verdict, and
+    whether an equal constraint settles it, depend only on its body and the
+    other source, not on any constraint order. Unsatisfiable means the guard
+    carries no information and c joins the output decontextualized,
+    otherwise c' is kept guarded. Phase 2 walks the output in insertion
+    order and deletes any constraint whose negation is unsatisfiable with
+    the rest; deletions are visible to the remaining checks.
 
     Every check pins the context to a value v, which makes the premise of a
     guard ``ctx = w -> c`` true or false: the guard is c itself if w is v and
@@ -323,14 +312,14 @@ def ckb_merge(
     bodies = [c.formula.right for c in inputs]
     n, n1 = len(inputs), len(kb1c.constraints)
 
-    # The instance holds each distinct body once, keyed by its shape. A check
-    # is handed each of its pools as one int, the OR of the instance masks of
-    # its formulas, so no check walks a pool: input i's body has the mask
-    # bare[i], shared by every input with an equal body, its negation the
-    # mask not_bare[i], and pins[k] pins source k's context value.
-    slots: dict[tuple, tuple[int, Formula]] = {}
-    slot = [slots.setdefault(_shape(body), (len(slots), body))[0] for body in bodies]
-    distinct = [body for _, body in slots.values()]
+    # The instance holds each distinct body once. A check is handed each of
+    # its pools as one int, the OR of the instance masks of its formulas, so
+    # no check walks a pool: input i's body has the mask bare[i], shared by
+    # every input with an equal body, its negation the mask not_bare[i], and
+    # pins[k] pins source k's context value.
+    slots: dict[Formula, int] = {}
+    slot = [slots.setdefault(body, len(slots)) for body in bodies]
+    distinct = list(slots)
     tb = time.perf_counter()
     inst = _Instance(
         variables,
@@ -371,19 +360,13 @@ def ckb_merge(
             raise InconsistentInputError(f"knowledge base '{kb.name}' is inconsistent")
 
     # per input, the context values whose pins enable its merged formula:
-    # both if it was merged bare, else its source's
-    enabled: list[tuple[int, ...]] = []
+    # both if it was merged bare, else its source's. Its phase-1 pool is the
+    # other source's bodies under that source's pin (see the docstring).
     t0 = time.perf_counter()
-    # Under the other source's pin, the pseudocode's pool enforces every body
-    # of the other source, merged or not, and the bodies merged bare so far.
-    loose = 0
-    for i in range(n):
-        k = int(i >= n1)
-        if check("1", i, [sources[1 - k] | loose | not_bare[i]]):
-            enabled.append((k,))
-        else:
-            enabled.append((0, 1))
-            loose |= bare[i]
+    enabled = [
+        (int(i >= n1),) if check("1", i, [sources[i < n1] | not_bare[i]]) else (0, 1)
+        for i in range(n)
+    ]
     t1 = time.perf_counter()
 
     # under each pin, the bodies it enables among the merged constraints
@@ -430,10 +413,9 @@ def is_redundant(kb: KnowledgeBase, c: Constraint) -> bool:
     """True iff the rest of the KB is inconsistent with the negation of c."""
     require_kb(kb)
     require_constraint(c)
-    # ids are unique in a valid KB, and shapes compare formulas of any depth
+    # ids are unique in a valid KB, and == compares formulas of any depth
     k = next((k for k, x in enumerate(kb.constraints) if x.id == c.id), None)
-    x = None if k is None else kb.constraints[k]
-    if x is None or (x.provenance, _shape(x.formula)) != (c.provenance, _shape(c.formula)):
+    if k is None or kb.constraints[k] != c:
         raise ConstraintNotFoundError(f"constraint '{c.id}' is not part of '{kb.name}'")
     rest = kb.constraints[:k] + kb.constraints[k + 1 :]
     ok, _ = is_consistent(kb.variables, [x.formula for x in rest] + [negate(c.formula)])

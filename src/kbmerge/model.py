@@ -51,38 +51,55 @@ class Atom:
     value: str
 
 
-@dataclass(frozen=True)
-class Not:
+class _Connective:
+    """The base of the connectives: ``==`` and ``hash`` go through
+    :func:`_shape`, so they recurse at no depth and tell connectives apart."""
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is type(self) and _shape(self) == _shape(other))
+
+    def __hash__(self) -> int:
+        return hash(_shape(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Not(_Connective):
     child: "Formula"
 
 
-def _connective_hash(self) -> int:
-    """Hash a connective with its type, so And(a, b) and Or(a, b) differ."""
-    return hash((type(self), self.left, self.right))
-
-
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Connective):
     left: "Formula"
     right: "Formula"
-    __hash__ = _connective_hash
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Connective):
     left: "Formula"
     right: "Formula"
-    __hash__ = _connective_hash
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False)
+class Implies(_Connective):
     left: "Formula"
     right: "Formula"
-    __hash__ = _connective_hash
 
 
 Formula = Union[Atom, Not, And, Or, Implies]
+
+
+def _shape(f: Formula) -> tuple:
+    """The nodes of ``f`` in preorder, a connective as its type and any other
+    node, such as an atom, as itself: equal exactly when the formulas are,
+    and built, hashed and compared with no recursion, however deep ``f`` is."""
+    shape, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        connective = isinstance(g, _Connective)
+        shape.append(type(g) if connective else g)
+        if connective:
+            todo += (g.child,) if isinstance(g, Not) else (g.right, g.left)
+    return tuple(shape)
 
 
 @dataclass(frozen=True)
@@ -184,9 +201,11 @@ def require_kb(kb: object) -> None:
 
 def require_constraint(c: object) -> None:
     """Raise ValidationError unless ``c`` is a :class:`Constraint` with a
-    string id."""
+    string id and a string provenance."""
     if not isinstance(c, Constraint) or not isinstance(c.id, str):
         raise ValidationError(f"not a constraint with a string id: {c!r}")
+    if not isinstance(c.provenance, str):
+        raise ValidationError(f"constraint '{c.id}' has no string provenance: {c.provenance!r}")
 
 
 def is_contextualized(f: Formula, context: Optional[tuple[str, str]]) -> bool:

@@ -553,7 +553,7 @@ def _or_chain(depth: int):
 
 def test_is_redundant_finds_a_deep_constraint_by_id():
     # a fresh copy of a 400-level chain is the KB's constraint: it is found
-    # by its id and compared by shape, with no recursive __eq__
+    # by its id and compared with ==, which does not recurse
     variables = (Variable("x", ("a", "b")), Variable("y", ("a", "b")))
     kb = KnowledgeBase("deep", variables, (Constraint("c", _or_chain(400)),))
     copy = Constraint("c", _or_chain(400))
@@ -747,8 +747,8 @@ def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
     decide what each phase adds or removes:
 
     - an input check pins its source's value over that source's bodies;
-    - a phase-1 check of c_i pins the other source's value, over all of
-      that source's bodies and those merged bare so far;
+    - a phase-1 check of c_i pins the other source's value, over that
+      source's bodies alone;
     - a phase-2 check of a kept guarded c_j pins its source's value, over
       the kept bodies that value enables but c_j's;
     - a phase-2 check of a decontextualized c_j has one such pool per value.
@@ -769,7 +769,6 @@ def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
     for i, c in enumerate(renamed):
         other = 1 - source[i]
         pool = [pins[other], *(body for body, s in zip(bodies, source) if s == other)]
-        pool += [bodies[k] for k, values in enumerate(enabled) if len(values) == 2]
         checks.append(("1", c.id, [pool + [negate(bodies[i])]]))
         enabled.append((source[i],) if next(verdicts) else (0, 1))
     kept = list(range(len(renamed)))
@@ -898,17 +897,23 @@ def _reparsed(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
     return parse_kb(serialize_kb(kb1c)), parse_kb(serialize_kb(kb2c))
 
 
+def _twins():
+    """The TWINS pair, contextualized."""
+    return (
+        contextualize(parse_kb(TWINS_LEFT), "side", "L"),
+        contextualize(parse_kb(TWINS_RIGHT), "side", "R"),
+    )
+
+
 def test_checks_settled_by_an_equal_constraint_have_inconsistent_pools():
-    kb1c = contextualize(parse_kb(TWINS_LEFT), "side", "L")
-    kb2c = contextualize(parse_kb(TWINS_RIGHT), "side", "R")
+    kb1c, kb2c = _twins()
     # the implication bodies of p1 and q1 are equal, but parsed apart
     assert kb1c.constraints[0].formula.right == kb2c.constraints[0].formula.right
     assert kb1c.constraints[0].formula.right is not kb2c.constraints[0].formula.right
     _, report = ckb_merge(kb1c, kb2c)
     assert settled_checks(report) == {
         ("1", "p1"),  # q1, the other source's, is enforced under the pin
-        ("1", "q1"),  # p1, merged bare
-        ("1", "q3"),  # q2, the same source's, merged bare
+        ("1", "q1"),  # p1, the other source's
         ("2", "p1"),  # q1, decontextualized
         ("2", "p2"),  # p3, the same source's, kept guarded as p2 is
         ("2", "q2"),  # q3, decontextualized
@@ -929,6 +934,50 @@ def test_checks_settled_by_an_equal_constraint_have_inconsistent_pools():
                     assert not brute_force_solutions(merged.variables, pool)
         total += len(settled)
     assert total > len(pairs)
+
+
+def test_an_input_is_decontextualized_iff_the_other_source_entails_it(car_pair):
+    # under the other source's pin the pseudocode's phase-1 pool is that
+    # source's bodies alone: the oracle finds no model of them with the pin
+    # and the negated body exactly when the input is merged bare
+    entailed = 0
+    for kb1c, kb2c in [car_pair, _twins(), *random_desk_pairs()]:
+        merged, report = ckb_merge(kb1c, kb2c)
+        decontextualized = set(report.decontextualized_ids)
+        sources = (kb1c, kb2c)
+        ids = iter(_merged_ids(kb1c, kb2c))
+        for k, kb in enumerate(sources):
+            other = sources[1 - k]
+            pin = Atom(other.context[0], AtomOp.EQ, other.context[1])
+            theory = [pin, *(c.formula.right for c in other.constraints)]
+            for c in kb.constraints:
+                pool = theory + [negate(c.formula.right)]
+                bare = not brute_force_solutions(merged.variables, pool)
+                assert (next(ids) in decontextualized) == bare
+                entailed += bare
+    assert entailed > 40
+
+
+def _phase1(report) -> dict[str, tuple[bool, bool]]:
+    """Each input id's phase-1 verdict and whether it was settled."""
+    settled = settled_checks(report)
+    return {
+        r.constraint_id: (r.consistent, ("1", r.constraint_id) in settled)
+        for r in report.checks
+        if r.phase == "1"
+    }
+
+
+def test_phase1_verdicts_do_not_depend_on_the_constraint_order():
+    # each phase-1 pool is the other source under its pin, in any order: no
+    # body merged bare earlier settles a check, so neither of the twins q2
+    # and q3 of TWINS settles the other, whichever comes first
+    for kb1c, kb2c in [_twins(), *synthesized_pairs(), *random_desk_pairs()]:
+        want = _phase1(ckb_merge(kb1c, kb2c)[1])
+        for order in range(3):
+            rng = random.Random(order)
+            _, report = ckb_merge(_shuffled(kb1c, rng), _shuffled(kb2c, rng))
+            assert _phase1(report) == want
 
 
 def test_a_pool_that_refutes_a_one_variable_body_holds_it():

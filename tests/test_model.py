@@ -105,6 +105,31 @@ def test_connectives_stay_distinct():
     assert len(set(nodes)) == 3
 
 
+def _deep_chains(depth: int, last: str = "a"):
+    """An ``or`` chain and a ``not`` chain ``depth`` levels deep, built anew
+    on every call; ``last`` is the value of their innermost atom."""
+    chain = negated = Atom("x", AtomOp.EQ, last)
+    for _ in range(depth):
+        chain = Or(chain, Atom("x", AtomOp.NEQ, "a"))
+        negated = Not(negated)
+    return chain, negated
+
+
+def test_equality_and_hash_take_formulas_of_any_depth():
+    # 900 levels, past where a generated __eq__ (about 400) or hash (about
+    # 900) recursed, inside what a KnowledgeBase accepts
+    first, second, other = _deep_chains(900), _deep_chains(900), _deep_chains(900, "b")
+    for f, g, h in zip(first, second, other):
+        assert f is not g and f == g and hash(f) == hash(g)
+        assert f != h
+    kbs = [
+        KnowledgeBase("deep", (X,), (Constraint("c1", f), Constraint("c2", g)))
+        for f, g in (first, second, other)
+    ]
+    assert kbs[0] == kbs[1] and hash(kbs[0]) == hash(kbs[1])
+    assert kbs[0] != kbs[2]
+
+
 def test_negate_wraps_without_simplifying():
     f = Not(Atom("x", AtomOp.EQ, "a"))
     assert negate(f) == Not(f)
@@ -260,6 +285,24 @@ MALFORMED_KBS = {
     "is_redundant-of-a-str": (
         lambda: is_redundant(_valid_kb([Constraint("c", A)]), "c"),
         "not a constraint with a string id: 'c'",
+    ),
+    # a provenance that is no string once reached ckb_merge, which raised a
+    # raw TypeError suffixing a clashing id with it
+    "construction-provenance-not-a-str": (
+        lambda: KnowledgeBase("kb", (X,), (Constraint("c1", A, 5),)),
+        "constraint 'c1' has no string provenance: 5",
+    ),
+    "ckb_merge-clashing-id-provenance-not-a-str": (
+        lambda: ckb_merge(*[
+            KnowledgeBase(
+                name,
+                (X, Variable("country", (value,))),
+                (Constraint("c1", Implies(Atom("country", AtomOp.EQ, value), A), 5),),
+                ("country", value),
+            )
+            for name, value in (("us", "US"), ("ger", "GER"))
+        ]),
+        "constraint 'c1' has no string provenance: 5",
     ),
     # each knowledge-base rule, raised where the KB is built
     "construction-undeclared-atom-variable": (
