@@ -284,7 +284,7 @@ def ckb_merge(
     decontextualized c is split into a pool per context value and is
     consistent if either is, which is exact since the merged context domain
     holds exactly the two values. A pool that holds a body equal to the one
-    its check negates, or for a one-variable body refutes each literal that
+    its check negates, or for a cube body refutes each literal that
     body refutes, holds c and not c: it is settled inconsistent with no
     search. A check's record sums the searches of its pools, and reads 0
     nodes and 0.0 ms only when all of them are settled.

@@ -7,7 +7,7 @@ here; satisfiability queries live in :mod:`kbmerge.solver`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import UnassignedVariableError, ValidationError
@@ -53,7 +53,8 @@ class Atom:
 
 class _Connective:
     """The base of the connectives: ``==`` and ``hash`` go through
-    :func:`_shape`, so they recurse at no depth and tell connectives apart."""
+    :func:`_shape`, so they recurse at no depth and tell connectives apart,
+    and ``repr`` gives a dataclass's text from an explicit stack."""
 
     def __eq__(self, other) -> bool:
         return self is other or (type(other) is type(self) and _shape(self) == _shape(other))
@@ -61,25 +62,40 @@ class _Connective:
     def __hash__(self) -> int:
         return hash(_shape(self))
 
+    def __repr__(self) -> str:
+        out, todo = [], [self]
+        while todo:
+            g = todo.pop()
+            if isinstance(g, str):
+                out.append(g)
+                continue
+            parts = [f"{type(g).__qualname__}("]
+            for k, name in enumerate(x.name for x in fields(g) if x.repr):
+                child = getattr(g, name)
+                own = type(child).__repr__ is _Connective.__repr__
+                parts += [f"{', ' if k else ''}{name}=", child if own else repr(child)]
+            todo += reversed([*parts, ")"])
+        return "".join(out)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(_Connective):
     child: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(_Connective):
     left: "Formula"
     right: "Formula"

@@ -5,23 +5,35 @@ each :class:`_Instance`, and assign values with one propagation, in static
 orders: variables in declaration order, values in domain order. Before the
 first branch, each active constraint removes from the live domains the
 literals ``x = v`` that refute it on their own, with no other variable
-assigned (node consistency, Mackworth 1977): the negation of
-``x = a -> y != b`` fixes both ``x`` and ``y`` at the root, and a
-constraint over one variable is settled there. At any variable but its
-deepest, a literal that forces the constraint true on its own decides it
-with no evaluation, as Chaff (Moskewicz et al. 2001) stops visiting a
-satisfied clause. Otherwise a constraint is looked at in one place only,
-its second-deepest variable, as forward checking needs: there it filters
-its deepest variable down to the values it allows, trying each on a scope
-that is otherwise complete, and a filter that allows none empties that
-domain and fails the value. The filter depends only on the values of the
-rest of its scope, so an instance memoises it for every check and count
-it answers. A set of constraints is one int: the bits of those over two
-or more variables, and above them the literals that refute one of them on
-their own. Live domains are restored from an undo trail. Formulas compile
-to two-valued closures, which only ever see a complete scope; the literal
+assigned (node consistency, Mackworth 1977). Formulas compile to
+two-valued closures, which only ever see a complete scope; the literal
 sets that force a formula true or false come from Kleene's strong
-three-valued logic, one rule for every binary connective (``_KLEENE``).
+three-valued logic, one rule for every binary connective (``_KLEENE``),
+and the same pass gives each formula its shape. A constraint is one of
+three kinds:
+
+- a cube, a conjunction of conditions on one variable each, which
+  includes every constraint over one variable and the negation of a
+  requires/excludes rule ``x = a -> y != b``: it is exactly its refuted
+  literals, so the root settles it, and the search never sees it again;
+- a clause, a disjunction of such conditions, as ``x = a -> y != b`` is:
+  at any variable but its deepest, a literal that forces it true decides
+  it with no evaluation, as Chaff (Moskewicz et al. 2001) stops visiting
+  a satisfied clause, and one still undecided once its second-deepest
+  variable is bound allows its deepest exactly the values that force it
+  true there, a constant;
+- any other constraint is decided by literals the same way, and is
+  otherwise looked at in one place only, its second-deepest variable, as
+  forward checking needs: there it filters its deepest variable down to
+  the values it allows, trying each on a scope that is otherwise
+  complete. The filter depends only on the values of the rest of its
+  scope, so an instance memoises it for every check and count it answers.
+
+A filter that allows no value empties that domain and fails the value. A
+set of constraints is one int: the bits of the clauses and other
+constraints over two or more variables, and above them the literals that
+refute one of them on their own. Live domains are restored from an undo
+trail.
 
 Consistency and enumeration share one search, forward checking with
 conflict-directed backjumping (FC-CBJ, Prosser 1993; no learning, no
@@ -81,6 +93,13 @@ FrozenAssignment = frozenset[tuple[str, str]]
 # the left operand that decides it, and the verdict that value gives.
 _KLEENE = {And: (False, False), Or: (True, True), Implies: (False, True)}
 
+# The shape of a compiled formula, a bit set: a cube is a conjunction of
+# one-variable conditions, exactly the literals it does not refute; a clause
+# is a disjunction of them, exactly the literals that force it true.
+_CUBE, _CLAUSE = 1, 2
+# ``not`` swaps the two
+_NEGATED = (0, _CLAUSE, _CUBE, _CUBE | _CLAUSE)
+
 
 @dataclass(frozen=True)
 class SolveStats:
@@ -118,21 +137,28 @@ def _compile(
     index: Mapping[str, int],
     domains: Sequence[Sequence[str]],
     offsets: Sequence[int],
-    memo: Optional[dict[int, tuple[Callable, int, int, int]]] = None,
-) -> tuple[Callable, int, int, int]:
+    memo: Optional[dict[int, tuple[Callable, int, int, int, int]]] = None,
+) -> tuple[Callable, int, int, int, int]:
     """Compile a formula into a closure over a positional assignment list.
 
     The closure returns the formula's truth value on an assignment that
     holds a value in every slot of its scope; the search calls it on no
     other. One closure serves every binary connective, with its constants
     from ``_KLEENE``. Returns the closure, the formula's scope as a bit set
-    over the positions of ``index``, and two sets of literals, numbered by
+    over the positions of ``index``, two sets of literals, numbered by
     ``offsets`` over the values ``domains`` holds per position (see
     :func:`_literal_offsets`): those that force the formula true and those
     that force it false (refute it) in Kleene's three-valued logic when
-    their variable is the only one assigned. ``memo`` maps
-    ``id(node)`` to all four, so a subformula shared by several formulas
-    compiles once; the caller keeps every memoised node alive.
+    their variable is the only one assigned, and the formula's shape, found
+    in the same pass. An atom, and any formula over one variable, is both a
+    cube (``_CUBE``) and a clause (``_CLAUSE``); ``not`` swaps the two; an
+    ``and`` of cubes is a cube, an ``or`` of clauses a clause, ``a -> b`` a
+    clause when ``a`` is a cube and ``b`` a clause; nothing else has a
+    shape. A cube's refuted literals are exact: its solutions are every
+    assignment that takes none of them. So are a clause's forced-true
+    literals: it is false exactly where no variable takes one. ``memo``
+    maps ``id(node)`` to all five, so a subformula shared by several
+    formulas compiles once; the caller keeps every memoised node alive.
 
     An atom over an undeclared variable or a value outside its variable's
     domain raises :class:`ValidationError` with the message of
@@ -161,6 +187,7 @@ def _compile(
         bit = low << j
         every = (1 << offsets[i + 1]) - low
         mask = 1 << i
+        shape = _CUBE | _CLAUSE
         if f.op is AtomOp.EQ:
             true, false = bit, every ^ bit
 
@@ -174,7 +201,8 @@ def _compile(
         else:
             raise not_a_formula(f)
     elif isinstance(f, Not):
-        child, mask, false, true = _compile(f.child, index, domains, offsets, memo)
+        child, mask, false, true, shape = _compile(f.child, index, domains, offsets, memo)
+        shape = _NEGATED[shape]
 
         def ev(a, child=child):
             return not child(a)
@@ -184,23 +212,28 @@ def _compile(
         if kleene is None:
             raise not_a_formula(f)
         stop, give = kleene
-        left, left_mask, left_true, left_false = _compile(
+        left, left_mask, left_true, left_false, left_shape = _compile(
             f.left, index, domains, offsets, memo
         )
-        right, right_mask, right_true, right_false = _compile(
+        right, right_mask, right_true, right_false, right_shape = _compile(
             f.right, index, domains, offsets, memo
         )
         mask = left_mask | right_mask
         if stop is not give:  # an implication is ``not left or right``:
             left_true, left_false = left_false, left_true
+            left_shape = _NEGATED[left_shape]
         if give:
             true, false = left_true | right_true, left_false & right_false
+            shape = left_shape & right_shape & _CLAUSE
         else:
             true, false = left_true & right_true, left_false | right_false
+            shape = left_shape & right_shape & _CUBE
+        if not mask & mask - 1:
+            shape = _CUBE | _CLAUSE
 
         def ev(a, left=left, right=right, stop=stop, give=give):
             return give if left(a) is stop else right(a)
-    memo[key] = done = (ev, mask, true, false)
+    memo[key] = done = (ev, mask, true, false, shape)
     return done
 
 
@@ -233,24 +266,38 @@ class _Instance:
     check on a shared instance explores exactly the nodes of a fresh
     instance built from its active constraints.
 
-    The tables are int bit sets over the ``m`` constraints of two or more
-    variables. Such a constraint's bit is its rank in a stable sort of them
-    by scope; what it does to the search depends only on its scope and
-    verdict, so a search that visits set bits from the low end does not
-    depend on the constraint order. A constraint over one variable takes no
-    bit: it is exactly the literals that refute it, which the root removes.
-    ``masks`` holds per constraint ``refuted << m``, ORed with its bit if it
-    has one: above all ``m`` bits, the literals that refute it on their own
-    (see :func:`_compile`), numbered by :func:`_literal_offsets`.
-    ``true_by`` holds per literal the constraints that it forces true where
-    its variable is not their deepest, and ``filters``, per depth, those
-    that filter there, at their second-deepest variable: the one depth at
-    which a constraint that no literal decided is evaluated. ``records``
-    holds per bit the constraint's closure, scope, deepest variable, a
-    getter of the values of the rest of its scope, that rest, and the memo
-    from those values to its filter (see :func:`_allowed`), so a filter met
-    again, in any check or count, costs one dictionary lookup and no
-    evaluation.
+    A constraint is held in one of three ways, by its shape (see
+    :func:`_compile`):
+
+    - a cube, which includes any constraint over one variable, takes no
+      bit: it is exactly the literals that refute it, which the root
+      removes, so the negation of ``x = a -> y != b`` only fixes ``x`` and
+      ``y`` before the first branch;
+    - a clause over two or more variables filters its deepest variable with
+      a constant, its forced-true literals there. No literal of its other
+      variables forced it true if it is still undecided at its
+      second-deepest, so those values are exactly what it allows;
+    - any other constraint filters with its closure, evaluated on each
+      value of its deepest variable and memoised per value of the rest of
+      its scope.
+
+    The tables are int bit sets over the ``m`` constraints that take a bit.
+    Such a constraint's bit is its rank in a stable sort of them by scope;
+    what it does to the search depends only on its scope and verdict, so a
+    search that visits set bits from the low end does not depend on the
+    constraint order. ``masks`` holds per constraint ``refuted << m``, ORed
+    with its bit if it has one: above all ``m`` bits, the literals that
+    refute it on their own (see :func:`_compile`), numbered by
+    :func:`_literal_offsets`. ``true_by`` holds per literal the constraints
+    that it forces true where its variable is not their deepest, and
+    ``filters``, per depth, those that filter there, at their second-deepest
+    variable: the one depth at which a constraint that no literal decided
+    is looked at. ``records`` holds per bit the constraint's closure,
+    scope, deepest variable, the rest of its scope, and its filter: the
+    constant of a clause, else None, a getter of the values of the rest of
+    its scope and the memo from those values to its filter (see
+    :func:`_allowed`), so a filter met again, in any check or count, costs
+    one dictionary lookup and no evaluation. A clause's memo stays empty.
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
@@ -259,26 +306,31 @@ class _Instance:
         self.domains = domains = [v.domain for v in variables]
         index = {name: i for i, name in enumerate(self.names)}
         self.offsets = offsets = _literal_offsets(domains)
-        memo: dict[int, tuple[Callable, int, int, int]] = {}
+        memo: dict[int, tuple[Callable, int, int, int, int]] = {}
         compiled = [_compile(f, index, domains, offsets, memo) for f in constraints]
         # all values of each variable, as a bit set over its value indices
-        self.full = [(1 << len(domain)) - 1 for domain in domains]
+        self.full = full = [(1 << len(domain)) - 1 for domain in domains]
         # the literals of each variable, as a bit set over all literals
-        own = [full << offset for full, offset in zip(self.full, offsets)]
-        # a constraint over one variable is its refuted literals, and no bit
-        wide = [ci for ci, c in enumerate(compiled) if c[1] & c[1] - 1]
+        own = [values << offset for values, offset in zip(full, offsets)]
+        # a cube is its refuted literals, and no bit
+        wide = [ci for ci, c in enumerate(compiled) if not c[4] & _CUBE]
         wide.sort(key=lambda ci: compiled[ci][1])
-        self.masks = masks = [refuted << len(wide) for _, _, _, refuted in compiled]
+        self.masks = masks = [refuted << len(wide) for _, _, _, refuted, _ in compiled]
         self.true_by = true_by = [0] * offsets[-1]
         self.filters = filters = [0] * len(domains)
         self.records = records = []
         bit = 1
         for ci in wide:
-            ev, mask, forced, _ = compiled[ci]
+            ev, mask, forced, _, shape = compiled[ci]
             masks[ci] |= bit
             scope = _depths(mask)
             deep = scope[-1]
-            records.append((ev, mask, deep, itemgetter(*scope[:-1]), mask ^ (1 << deep), {}))
+            rest = mask ^ (1 << deep)
+            if shape & _CLAUSE:
+                constant = forced >> offsets[deep] & full[deep]
+                records.append((ev, mask, deep, rest, constant, None, {}))
+            else:
+                records.append((ev, mask, deep, rest, None, itemgetter(*scope[:-1]), {}))
             true = forced & ~own[deep]
             while true:
                 low = true & -true
@@ -339,14 +391,16 @@ def _search(
     literals the root removes. Each level saves the undecided constraints on
     entry and restores them for each of its values. A value decides the
     constraints its literal forces true and filters with those whose
-    second-deepest variable it binds, so no constraint is evaluated before
-    its scope is complete but for its deepest variable. Besides its live
-    domain, each variable has a reason set: the past variables whose
-    filters narrowed it. A filter that empties a domain, also one that
-    allows no value at all, fails the value with the past variables among
-    that variable's reasons as the conflict. Bits are visited from the low end, so a search over an
-    activated subset explores exactly the nodes of an instance built from
-    that subset, whatever the order of either.
+    second-deepest variable it binds: a clause with its constant, any other
+    constraint with its memo, so no constraint is evaluated before its
+    scope is complete but for its deepest variable, and no clause is
+    evaluated at all. Besides its live domain, each variable has a reason
+    set: the past variables whose filters narrowed it. A filter that
+    empties a domain, also one that allows no value at all, fails the value
+    with the past variables among that variable's reasons as the conflict.
+    Bits are visited from the low end, so a search over an activated subset
+    explores exactly the nodes of an instance built from that subset,
+    whatever the order of either.
 
     Once no active constraint is undecided at depth ``d``, the assignment
     prefix and the live domains from ``d`` on form a cube of solutions. The
@@ -423,11 +477,12 @@ def _search(
             while todo:
                 low = todo & -todo
                 todo ^= low
-                ev, _, deep, getter, prefix, memo = records[low.bit_length() - 1]
-                key = getter(assignment)
-                ok = memo.get(key)
+                ev, _, deep, prefix, ok, getter, memo = records[low.bit_length() - 1]
                 if ok is None:
-                    ok = memo[key] = _allowed(ev, assignment, deep, domains[deep])
+                    key = getter(assignment)
+                    ok = memo.get(key)
+                    if ok is None:
+                        ok = memo[key] = _allowed(ev, assignment, deep, domains[deep])
                 old = live[deep]
                 new = old & ok
                 if new != old:
@@ -589,11 +644,12 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
         while todo:
             low = todo & -todo
             todo ^= low
-            ev, _, deep, getter, _, memo = records[low.bit_length() - 1]
-            values = getter(assignment)
-            ok = memo.get(values)
+            ev, _, deep, _, ok, getter, memo = records[low.bit_length() - 1]
             if ok is None:
-                ok = memo[values] = _allowed(ev, assignment, deep, domains[deep])
+                values = getter(assignment)
+                ok = memo.get(values)
+                if ok is None:
+                    ok = memo[values] = _allowed(ev, assignment, deep, domains[deep])
             old = live[deep]
             new = old & ok
             if not new:

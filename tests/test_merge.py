@@ -1040,7 +1040,7 @@ def test_merges_and_counts_keep_their_pinned_outputs_and_search_trees():
         )
         result, stats = count_solutions(merged.variables, merged.formulas())
         counts.update(repr((result.count, stats.nodes_explored)).encode())
-    assert merges.hexdigest()[:16] == "5e927e25c313d8e3"
+    assert merges.hexdigest()[:16] == "b7dacd5225e10859"
     assert counts.hexdigest()[:16] == "6f1db5f1128d4bf4"
 
 
@@ -1070,6 +1070,45 @@ def test_each_merge_builds_one_solver_instance(kb_us, kb_ger, monkeypatch):
     # equal bodies parsed apart share one slot: the electro body of c2us and
     # c2ger, and the bodies of p1/q1, p2/p3 and q2/q3
     assert sizes[:2] == [(6, 5), (6, 3)]
+
+
+def test_a_merge_evaluates_no_constraint_and_takes_a_bit_per_body(kb_us, kb_ger, monkeypatch):
+    # bodies are requires/excludes clauses and atoms, their negations
+    # cubes: the root settles every cube, and every clause filters with its
+    # constant, so no constraint is ever evaluated
+    built = []
+    original = solver._Instance.__init__
+
+    def keeping_init(self, variables, constraints):
+        built.append(self)
+        original(self, variables, constraints)
+
+    calls = []
+    allowed = solver._allowed
+
+    def counted(*args):
+        calls.append(args)
+        return allowed(*args)
+
+    monkeypatch.setattr(solver._Instance, "__init__", keeping_init)
+    monkeypatch.setattr(solver, "_allowed", counted)
+    raw = synthesize_pair(SynthConfig(n_constraints=100, context_share=0.3, seed=1))
+    for kb1, kb2 in [raw, (kb_us, kb_ger)]:
+        built.clear()
+        kb1c = contextualize(kb1, kb1.context[0], kb1.context[1])
+        kb2c = contextualize(kb2, kb2.context[0], kb2.context[1])
+        merged, _ = ckb_merge(kb1c, kb2c)
+        assert calls == []
+        (inst,) = built
+        # one bit per distinct body over two variables; a body over one
+        # variable, every negation and both pins are cubes and take none
+        bodies = {c.formula.right for c in kb1c.constraints + kb2c.constraints}
+        wide = [f for f in bodies if not isinstance(f, Atom)]
+        assert len(inst.records) == len(wide)
+        assert all(ok is not None for _, _, _, _, ok, _, _ in inst.records)
+    # the electro body of c2us and c2ger, c3us and c3ger
+    assert len(wide) == 3
+    assert serialize_kb(merged) == (FIXTURES / "car_merged.kb").read_text(encoding="utf-8")
 
 
 def test_merge_report_solver_work_is_deterministic(car_pair):

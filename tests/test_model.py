@@ -2,7 +2,9 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import formula_strategy
 from kbmerge import (
     And,
     Atom,
@@ -128,6 +130,45 @@ def test_equality_and_hash_take_formulas_of_any_depth():
     ]
     assert kbs[0] == kbs[1] and hash(kbs[0]) == hash(kbs[1])
     assert kbs[0] != kbs[2]
+
+
+def _dataclass_text(f) -> str:
+    """The text a generated dataclass ``__repr__`` gives a formula."""
+    if isinstance(f, Not):
+        return f"Not(child={_dataclass_text(f.child)})"
+    if isinstance(f, (And, Or, Implies)):
+        left, right = _dataclass_text(f.left), _dataclass_text(f.right)
+        return f"{type(f).__qualname__}(left={left}, right={right})"
+    return repr(f)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(f=formula_strategy)
+def test_a_formula_reads_as_its_dataclass_text(f):
+    assert repr(f) == _dataclass_text(f)
+
+
+def test_a_message_naming_a_deep_formula_does_not_recurse():
+    # a 600-level chain once raised a raw RecursionError from the repr in
+    # require_constraint's message
+    chain, negated = _deep_chains(900)
+    chain_text = negated_text = repr(Atom("x", AtomOp.EQ, "a"))
+    for _ in range(900):
+        chain_text = f"Or(left={chain_text}, right={Atom('x', AtomOp.NEQ, 'a')!r})"
+        negated_text = f"Not(child={negated_text})"
+    for f, text in ((chain, chain_text), (negated, negated_text)):
+        with pytest.raises(ValidationError) as err:
+            KnowledgeBase("k", (X,), (Constraint(5, f),))
+        assert str(err.value) == (
+            f"not a constraint with a string id: Constraint(id=5, formula={text}, provenance='')"
+        )
+    shallow = Or(Not(A), Implies(A, And(A, Atom("x", AtomOp.NEQ, "a"))))
+    assert repr(Constraint(5, shallow)) == (
+        "Constraint(id=5, formula=Or(left=Not(child=Atom(var='x', op=<AtomOp.EQ: '='>,"
+        " value='a')), right=Implies(left=Atom(var='x', op=<AtomOp.EQ: '='>, value='a'),"
+        " right=And(left=Atom(var='x', op=<AtomOp.EQ: '='>, value='a'), right=Atom(var='x',"
+        " op=<AtomOp.NEQ: '!='>, value='a')))), provenance='')"
+    )
 
 
 def test_negate_wraps_without_simplifying():

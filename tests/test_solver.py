@@ -3,6 +3,7 @@ import random
 import string
 import sys
 from math import prod
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from kbmerge import (
 )
 from kbmerge import solver
 from kbmerge.model import validate_formula
-from kbmerge.solver import _compile, _Instance, _literal_offsets, _refute, _search
+from kbmerge.solver import _compile, _depths, _Instance, _literal_offsets, _refute, _search
 from kbmerge.synth import CTX_VALUES, CTX_VAR
 from kleene import Tri, free_vars, partial_eval
 
@@ -112,7 +113,7 @@ def _literal_set(bits, variables):
 @given(f=formula_strategy)
 def test_refuted_literals_are_those_that_falsify_alone(f):
     index = {v.name: i for i, v in enumerate(STRATEGY_VARS)}
-    _, _, true_bits, false_bits = _compile(f, index, STRATEGY_DOMAINS, STRATEGY_OFFSETS)
+    _, _, true_bits, false_bits, _ = _compile(f, index, STRATEGY_DOMAINS, STRATEGY_OFFSETS)
     forced_true = _literal_set(true_bits, STRATEGY_VARS)
     refuted = _literal_set(false_bits, STRATEGY_VARS)
     for v in STRATEGY_VARS:
@@ -120,6 +121,30 @@ def test_refuted_literals_are_those_that_falsify_alone(f):
             verdict = partial_eval(f, {v.name: value})
             assert ((v.name, value) in refuted) == (verdict is Tri.FALSE)
             assert ((v.name, value) in forced_true) == (verdict is Tri.TRUE)
+
+
+def _product(variables, keep):
+    """The assignments over ``variables`` whose every literal ``keep`` holds."""
+    names = [v.name for v in variables]
+    values = [[value for value in v.domain if keep((v.name, value))] for v in variables]
+    return {frozenset(zip(names, combo)) for combo in itertools.product(*values)}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(f=formula_strategy)
+def test_a_shape_is_exact_on_the_oracle(f):
+    # a cube's solutions are the literals it does not refute, a clause's
+    # falsifying assignments the literals that do not force it true
+    index = {v.name: i for i, v in enumerate(STRATEGY_VARS)}
+    _, _, true_bits, false_bits, shape = _compile(f, index, STRATEGY_DOMAINS, STRATEGY_OFFSETS)
+    solutions = brute_force_solutions(STRATEGY_VARS, [f])
+    if shape & solver._CUBE:
+        refuted = _literal_set(false_bits, STRATEGY_VARS)
+        assert solutions == _product(STRATEGY_VARS, lambda lit: lit not in refuted)
+    if shape & solver._CLAUSE:
+        forced_true = _literal_set(true_bits, STRATEGY_VARS)
+        falsifying = _product(STRATEGY_VARS, lambda lit: True) - solutions
+        assert falsifying == _product(STRATEGY_VARS, lambda lit: lit not in forced_true)
 
 
 def test_no_solution_holds_a_refuted_literal():
@@ -130,10 +155,17 @@ def test_no_solution_holds_a_refuted_literal():
         inst = _Instance(variables, formulas)
         solutions = brute_force_solutions(variables, formulas)
         m = len(inst.records)
-        # constraints over two or more variables carry m distinct single low
-        # bits, covering (1 << m) - 1; those over one variable carry none
+        # constraints over two or more variables that are no cube carry m
+        # distinct single low bits, covering (1 << m) - 1; the others,
+        # cubes and constraints over one variable, carry none
         low = [mask & ((1 << m) - 1) for mask in inst.masks]
-        wide = [len(free_vars(f)) > 1 for f in formulas]
+        index = {v.name: i for i, v in enumerate(variables)}
+        offsets = _literal_offsets(inst.domains)
+        shapes = [_compile(f, index, inst.domains, offsets)[4] for f in formulas]
+        wide = [
+            len(free_vars(f)) > 1 and not shape & solver._CUBE
+            for f, shape in zip(formulas, shapes)
+        ]
         assert sorted(bits for bits, w in zip(low, wide) if w) == [1 << k for k in range(m)]
         assert not any(bits for bits, w in zip(low, wide) if not w)
         narrow_total += wide.count(False)
@@ -176,11 +208,11 @@ def test_consistency_node_counts_are_pinned(car_pair):
     # totals sum only the searched checks: a check that an equal constraint
     # in its pool settles adds no node.
     _, report = ckb_merge(*car_pair)
-    assert (report.nodes_phase1, report.nodes_phase2) == (21, 25)
+    assert (report.nodes_phase1, report.nodes_phase2) == (21, 23)
     pinned = {
-        (20, 1): ((9, 9), (57, 120)),
-        (50, 2): ((10, 10), (163, 315)),
-        (100, 3): ((9, 10), (234, 492)),
+        (20, 1): ((9, 9), (57, 119)),
+        (50, 2): ((10, 10), (163, 314)),
+        (100, 3): ((9, 10), (232, 492)),
     }
     for (n, seed), (sources, phases) in pinned.items():
         kb1, kb2 = synthesize_pair(
@@ -387,6 +419,58 @@ def test_count_matches_brute_force_on_random_instances():
         found = enumerate_solutions(variables, formulas, result.count + 1)
         assert len(found) == result.count
         assert {frozenset(s.items()) for s in found} == oracle
+
+
+def random_shaped(rng, variables, kind, depth=3):
+    """A formula over ``variables`` that the shape rules make a cube
+    (``kind`` is ``_CUBE``) or a clause (``_CLAUSE``)."""
+    if depth == 0 or rng.random() < 0.3:
+        # a formula over one variable is both
+        return random_formula(rng, [rng.choice(variables)], 2)
+    if rng.random() < 0.3:
+        return Not(random_shaped(rng, variables, solver._CUBE + solver._CLAUSE - kind, depth - 1))
+    if kind == solver._CUBE:
+        return And(*(random_shaped(rng, variables, kind, depth - 1) for _ in range(2)))
+    if rng.random() < 0.5:
+        return Or(*(random_shaped(rng, variables, kind, depth - 1) for _ in range(2)))
+    return Implies(
+        random_shaped(rng, variables, solver._CUBE, depth - 1),
+        random_shaped(rng, variables, kind, depth - 1),
+    )
+
+
+def test_cubes_clauses_and_other_formulas_together_match_brute_force():
+    rng = random.Random(1977)
+    held = {"bitless": 0, "constant": 0, "memo": 0}
+    for _ in range(300):
+        variables, formulas = random_instance(rng, n_constraints=(0, 3))
+        index = {v.name: i for i, v in enumerate(variables)}
+        domains = [v.domain for v in variables]
+        offsets = _literal_offsets(domains)
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice((solver._CUBE, solver._CLAUSE))
+            f = random_shaped(rng, variables, kind)
+            assert _compile(f, index, domains, offsets)[4] & kind, f
+            formulas.append(f)
+        rng.shuffle(formulas)
+        inst = _Instance(variables, formulas)
+        low = (1 << len(inst.records)) - 1
+        held["bitless"] += sum(
+            len(free_vars(f)) > 1 and not mask & low for f, mask in zip(formulas, inst.masks)
+        )
+        for _, _, _, _, ok, _, _ in inst.records:
+            held["memo" if ok is None else "constant"] += 1
+        oracle = brute_force_solutions(variables, formulas)
+        assert inst.check()[0] == bool(oracle), (variables, formulas)
+        assert count_solutions(variables, formulas)[0] == CountResult(len(oracle))
+        if oracle:
+            cap = rng.randrange(len(oracle))
+            capped, _ = count_solutions(variables, formulas, cap)
+            assert capped.capped and cap < capped.count <= len(oracle), (variables, formulas)
+        found = enumerate_solutions(variables, formulas, len(oracle) + 1)
+        assert found == lexicographic(variables, oracle), (variables, formulas)
+    # every kind of constraint is met many times
+    assert min(held.values()) > 100, held
 
 
 def grouped_instance(rng):
@@ -651,11 +735,12 @@ def test_tautology_on_the_deepest_variable_filters_nothing():
     # every value of x and y is tried once; each is a cube over all of z
     assert _search(inst, on_cube=lambda *_: False) == (6, 8)
     assert cube_sizes(inst) == 24
-    # x = a leaves the first constraint undecided, and its filter keeps all
-    # of z's values
-    _, _, deep, _, _, memo = inst.records[0]
+    # x = a leaves the first constraint, a clause, undecided, and its
+    # constant filter keeps all of z's values
+    _, _, deep, _, ok, _, memo = inst.records[0]
     assert deep == 2
-    assert memo == {"a": 0b1111}
+    assert ok == 0b1111
+    assert memo == {}
 
 
 def test_a_warm_filter_memo_explores_the_nodes_of_a_cold_one():
@@ -685,8 +770,20 @@ def test_a_warm_check_evaluates_no_constraint():
     kb1c = contextualize(kb1, CTX_VAR, CTX_VALUES[0])
     kb2c = contextualize(kb2, CTX_VAR, CTX_VALUES[1])
     guarded = [c.formula for c in kb1c.constraints + kb2c.constraints]
-    inst = _Instance(align(kb1c, kb2c, CTX_VAR), guarded + [negate(f) for f in guarded])
-    assert max(mask.bit_count() for _, mask, *_ in inst.records) == 3
+    variables = align(kb1c, kb2c, CTX_VAR)
+    # the guarded constraints are clauses, which filter with a constant; a
+    # disjunction of two cubes over two variables each has no shape, so
+    # its filters are evaluated
+    rng = random.Random(4)
+    pairs = []
+    for _ in range(8):
+        w, x, y, z = (
+            Atom(v.name, AtomOp.NEQ, rng.choice(v.domain))
+            for v in rng.sample(variables[1:], 4)
+        )
+        pairs.append(Or(And(w, x), And(y, z)))
+    inst = _Instance(variables, guarded + pairs + [negate(f) for f in guarded])
+    assert max(mask.bit_count() for _, mask, *_ in inst.records) == 4
     calls = [0]
 
     def counted(ev):
@@ -697,16 +794,17 @@ def test_a_warm_check_evaluates_no_constraint():
         return wrapper
 
     inst.records = [(counted(ev), *rest) for ev, *rest in inst.records]
-    # every guarded constraint and the negation of one of them
-    pool = [*range(len(guarded)), len(guarded) + 3]
+    # every guarded constraint and every disjunction
+    pool = range(len(guarded) + len(pairs))
     cold_ok, cold_nodes, _ = inst.check(active_mask(inst, pool))
+    assert cold_ok
     assert calls[0] > 0
     calls[0] = 0
     warm_ok, warm_nodes, _ = inst.check(active_mask(inst, pool))
     assert (cold_ok, cold_nodes) == (warm_ok, warm_nodes)
     assert warm_nodes > 0
-    # literals decide the constraints they force true, and every filter
-    # comes from the memo with its verdict
+    # literals decide the constraints they force true, and every filter is
+    # a clause's constant or comes from the memo with its verdict
     assert calls[0] == 0
 
 
@@ -719,19 +817,23 @@ def test_a_literal_decides_what_it_forces_true_below_the_shallowest_variable():
     inst = _Instance(variables, [guarded, Atom("g", AtomOp.EQ, "a"), Atom("y", AtomOp.EQ, "b")])
     seen = []
     rank = (inst.masks[0] & -inst.masks[0]).bit_length() - 1
-    ev, *rest = inst.records[rank]
+    ev, mask, deep, rest, ok, _, memo = inst.records[rank]
+    # a clause: it allows y the values it forces true there, y != b
+    assert deep == 2
+    assert ok == 0b01
+    assert memo == {}
 
     def wrapper(a):
         seen.append(tuple(a))
         return ev(a)
 
-    inst.records[rank] = (wrapper, *rest)
+    # the constant swapped for the memoised closure, so that each filter the
+    # search looks at is computed and recorded
+    inst.records[rank] = (wrapper, mask, deep, rest, None, itemgetter(0, 1), memo)
     ok, nodes, _ = inst.check()
     # g = a; x = a empties y's domain; x = b leaves a cube
     assert ok
     assert nodes == 3
-    _, _, deep, _, _, memo = inst.records[rank]
-    assert deep == 2
     # x = b forces the constraint true, so its filter of y is never computed
     assert memo == {("a", "a"): 0b01}
     assert seen and all(a[1] != "b" for a in seen)
@@ -777,21 +879,37 @@ def test_a_constraint_is_evaluated_only_on_a_complete_scope(monkeypatch):
     assert len(calls) > 1000
 
 
-class ShallowestOnly(_Instance):
+class ClosuresOnly(_Instance):
+    """An instance whose clauses filter with their memoised closures, as
+    constraints with no shape do, instead of with their constants."""
+
+    def __init__(self, variables, constraints):
+        super().__init__(variables, constraints)
+        self.records = [
+            (ev, mask, deep, rest, None, itemgetter(*_depths(rest)), memo)
+            for ev, mask, deep, rest, _, _, memo in self.records
+        ]
+
+
+class ShallowestOnly(ClosuresOnly):
     """An instance whose literals decide a constraint only at its shallowest
     variable, the narrower table that the search's results must not depend
-    on."""
+    on. A clause's constant assumes that no literal forcing it true was
+    assigned, which only the full table ensures, so it filters with its
+    closure here."""
 
     def __init__(self, variables, constraints):
         super().__init__(variables, constraints)
         offsets = self.offsets
         index = {name: i for i, name in enumerate(self.names)}
         self.true_by = [0] * offsets[-1]
+        low = (1 << len(self.records)) - 1
         for f, own in zip(constraints, self.masks):
-            bit = own & -own
-            _, mask, forced, _ = _compile(f, index, self.domains, offsets)
+            # a cube, and so a constraint over one variable, has no bit
+            bit = own & low
+            _, mask, forced, _, _ = _compile(f, index, self.domains, offsets)
             first = (mask & -mask).bit_length() - 1
-            if mask != 1 << first:
+            if bit:
                 for lit in range(offsets[first], offsets[first + 1]):
                     if forced >> lit & 1:
                         self.true_by[lit] |= bit
@@ -799,7 +917,8 @@ class ShallowestOnly(_Instance):
 
 def test_deciding_below_the_shallowest_variable_changes_no_result_and_adds_no_node(monkeypatch):
     rng = random.Random(2001)
-    entries = {_Instance: 0, ShallowestOnly: 0}
+    classes = (_Instance, ClosuresOnly, ShallowestOnly)
+    entries = dict.fromkeys(classes, 0)
     for _ in range(200):
         variables, formulas = fc_instance(rng)
         pool_formulas = formulas + [negate(f) for f in formulas]
@@ -808,7 +927,7 @@ def test_deciding_below_the_shallowest_variable_changes_no_result_and_adds_no_no
             for _ in range(4)
         ]
         seen = []
-        for cls in (_Instance, ShallowestOnly):
+        for cls in classes:
             inst = cls(variables, pool_formulas)
             checks = [inst.check(active_mask(inst, pool)) for pool in pools]
             with monkeypatch.context() as patched:
@@ -831,14 +950,16 @@ def test_deciding_below_the_shallowest_variable_changes_no_result_and_adds_no_no
                 nodes += [stats.nodes_explored, count_stats.nodes_explored]
                 seen.append((results, nodes))
             entries[cls] += sum(len(memo) for *_, memo in inst.records)
-        (results, nodes), (narrow_results, narrow_nodes) = seen
+        (results, nodes), closures, (narrow_results, narrow_nodes) = seen
+        # a clause's constant is the filter its closure computes
+        assert (results, nodes) == closures, (variables, formulas, pools)
         assert results == narrow_results, (variables, formulas, pools)
         # a constraint that a literal decides true leaves every later
         # filter, cube test and component, so the wider table tries no more
         # values; its filter would have allowed every value
         assert all(map(int.__le__, nodes, narrow_nodes)), (variables, formulas, pools)
     # the wider table skips filters that the narrower one computes
-    assert entries[_Instance] < entries[ShallowestOnly]
+    assert entries[ClosuresOnly] < entries[ShallowestOnly]
 
 
 def test_a_shared_instance_searches_like_a_fresh_one_in_any_order():
