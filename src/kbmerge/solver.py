@@ -239,7 +239,8 @@ def _compile(
 
 def _require_collections(variables: object, constraints: object) -> None:
     """Raise ValidationError unless both arguments are collections: a solver
-    call handed one formula, or None, names it here."""
+    call handed one formula, or None, names it here. Its callers read each
+    argument once, so an iterator is answered as the list of its items is."""
     if not (hasattr(variables, "__iter__") and hasattr(constraints, "__iter__")):
         kinds = f"{type(variables).__name__} and {type(constraints).__name__}"
         raise ValidationError(f"need collections of variables and of formulas, got {kinds}")
@@ -302,8 +303,9 @@ class _Instance:
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
         _require_collections(variables, constraints)
-        self.names = list(validate_variables(variables))
-        self.domains = domains = [v.domain for v in variables]
+        table = validate_variables(variables)
+        self.names = list(table)
+        self.domains = domains = [v.domain for v in table.values()]
         index = {name: i for i, name in enumerate(self.names)}
         self.offsets = offsets = _literal_offsets(domains)
         memo: dict[int, tuple[Callable, int, int, int, int]] = {}
@@ -733,6 +735,7 @@ def brute_force_solutions(
     """
     _require_collections(variables, constraints)
     table = validate_variables(variables)
+    variables, constraints = list(table.values()), list(constraints)
     for f in constraints:
         validate_formula(f, table)
     space = prod(len(v.domain) for v in variables)

@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import formula_strategy
+from conftest import FIXTURES, formula_strategy
 from kbmerge import (
     And,
     Atom,
@@ -169,6 +173,96 @@ def test_a_message_naming_a_deep_formula_does_not_recurse():
         " right=And(left=Atom(var='x', op=<AtomOp.EQ: '='>, value='a'), right=Atom(var='x',"
         " op=<AtomOp.NEQ: '!='>, value='a')))), provenance='')"
     )
+
+
+# --- slotted, immutable model objects ------------------------------------------
+
+_US_BODY = Constraint("c1us", NO_COUPLING_FOR_ELECTRO, "CKB_us")
+MODEL_OBJECTS = {
+    "Variable": FUEL,
+    "Atom": Atom("fuel", AtomOp.EQ, "electro"),
+    "Not": Not(Atom("fuel", AtomOp.EQ, "electro")),
+    "And": And(Atom("fuel", AtomOp.EQ, "gas"), Atom("couplingdev", AtomOp.EQ, "yes")),
+    "Or": Or(Atom("fuel", AtomOp.EQ, "gas"), Atom("couplingdev", AtomOp.NEQ, "yes")),
+    "Implies": NO_COUPLING_FOR_ELECTRO,
+    "Constraint": _US_BODY,
+    "KnowledgeBase": KnowledgeBase("car", (FUEL, COUPLING), (_US_BODY,)),
+}
+
+
+def _model_objects(root):
+    """``root`` and every model object reachable through its fields."""
+    out, todo = [], [root]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, tuple):
+            todo += obj
+        elif dataclasses.is_dataclass(obj):
+            out.append(obj)
+            todo += (getattr(obj, f.name) for f in dataclasses.fields(obj))
+    return out
+
+
+@pytest.mark.parametrize("obj", list(MODEL_OBJECTS.values()), ids=list(MODEL_OBJECTS))
+def test_a_model_object_has_slots_and_no_instance_dict(obj):
+    assert not hasattr(obj, "__dict__")
+    assert type(obj).__slots__ == tuple(f.name for f in dataclasses.fields(obj))
+
+
+def test_no_object_of_a_merge_has_an_instance_dict(car_pair, car_merged):
+    # the merged KB and the contextualized sources are built by
+    # KnowledgeBase._derived, past __init__
+    objects = _model_objects((car_pair, car_merged[0]))
+    kinds = {"Atom", "Constraint", "Implies", "KnowledgeBase", "Variable"}
+    assert {type(obj).__name__ for obj in objects} == kinds
+    assert not [obj for obj in objects if hasattr(obj, "__dict__")]
+
+
+@pytest.mark.parametrize("obj", list(MODEL_OBJECTS.values()), ids=list(MODEL_OBJECTS))
+def test_a_field_can_be_neither_assigned_nor_deleted(obj):
+    before = repr(obj)
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, f.name)
+    assert repr(obj) == before
+
+
+# CPython 3.10-3.13: the generated __setattr__ and __delattr__ call super()
+# with the class that slots=True replaced, which raises TypeError for a name
+# that is not a field
+_NOT_A_FIELD_ERROR = TypeError if sys.version_info < (3, 14) else (TypeError, AttributeError)
+
+
+@pytest.mark.parametrize("obj", list(MODEL_OBJECTS.values()), ids=list(MODEL_OBJECTS))
+def test_a_name_that_is_not_a_field_can_be_neither_assigned_nor_deleted(obj):
+    with pytest.raises(_NOT_A_FIELD_ERROR):
+        obj.cache = "x"
+    with pytest.raises(_NOT_A_FIELD_ERROR):
+        del obj.cache
+    assert not hasattr(obj, "cache")
+
+
+def test_copies_pickles_and_replacements_of_the_car_kbs_are_equal(kb_us, kb_ger, car_merged):
+    merged = car_merged[0]
+    golden = (FIXTURES / "car_merged.kb").read_text(encoding="utf-8")
+    assert serialize_kb(merged) == golden
+    for kb in (kb_us, kb_ger, merged):
+        copies = [copy.copy(kb), copy.deepcopy(kb), dataclasses.replace(kb)]
+        copies += (pickle.loads(pickle.dumps(kb, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1))
+        for other in copies:
+            assert other == kb and hash(other) == hash(kb) and repr(other) == repr(kb)
+            assert _model_objects(other) == _model_objects(kb)
+        renamed = dataclasses.replace(kb, name="other")
+        assert (renamed.name, renamed.variables, renamed.constraints, renamed.context) == (
+            "other", kb.variables, kb.constraints, kb.context,
+        )
+    assert serialize_kb(pickle.loads(pickle.dumps(merged))) == golden
+    assert serialize_kb(copy.deepcopy(merged)) == golden
+    for obj in _model_objects(merged):
+        assert pickle.loads(pickle.dumps(obj)) == copy.deepcopy(obj) == obj
+        assert dataclasses.replace(obj) == obj
 
 
 def test_negate_wraps_without_simplifying():

@@ -421,6 +421,29 @@ def test_count_matches_brute_force_on_random_instances():
         assert {frozenset(s.items()) for s in found} == oracle
 
 
+def test_generators_are_answered_as_lists_are():
+    # each argument is read once: a generator read twice once counted 1
+    # solution of two free variables, and accepted every assignment under x = a
+    x, y = Variable("x", ("a", "b")), Variable("y", ("a", "b"))
+    x_is_a = Atom("x", AtomOp.EQ, "a")
+    assert count_solutions((v for v in (x, y)), [])[0] == CountResult(4, capped=False)
+    assert len(brute_force_solutions([x, y], (f for f in [x_is_a]))) == 2
+
+    def answers(make):
+        """Every entry point's answer, each handed a fresh pair from ``make``."""
+        ok, check = is_consistent(*make())
+        count, stats = count_solutions(*make())
+        found = enumerate_solutions(*make(), 100)
+        oracle = brute_force_solutions(*make())
+        return ok, check.nodes_explored, count, stats.nodes_explored, found, oracle
+
+    rng = random.Random(20261021)
+    cases = [((x, y), []), ((x, y), [x_is_a])] + [random_instance(rng) for _ in range(60)]
+    for variables, formulas in cases:
+        as_lists = answers(lambda: (list(variables), list(formulas)))
+        assert answers(lambda: (iter(variables), iter(formulas))) == as_lists, (variables, formulas)
+
+
 def random_shaped(rng, variables, kind, depth=3):
     """A formula over ``variables`` that the shape rules make a cube
     (``kind`` is ``_CUBE``) or a clause (``_CLAUSE``)."""
