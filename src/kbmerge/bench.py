@@ -15,7 +15,7 @@ import io
 import random
 import time
 from dataclasses import astuple, dataclass, fields
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 try:
     # the module behind hashlib.blake2b; importing hashlib would also load
@@ -26,7 +26,7 @@ except ImportError:  # an interpreter built without it
 
 from .errors import BenchError, KbError, ValidationError
 from .merge import ckb_merge, contextualize
-from .model import KnowledgeBase
+from .model import KnowledgeBase, is_int
 from .solver import count_solutions, is_consistent
 from .synth import CTX_VAR, SynthConfig, synthesize_pair
 
@@ -158,14 +158,10 @@ def _run_cell(
     return rows
 
 
-def _require_sequence(name: str, values: object, kinds, what: str) -> None:
+def _require_sequence(name: str, values: object, ok: Callable[[object], bool], what: str) -> None:
     """Raise ValidationError naming ``name`` unless ``values`` is a sequence,
-    not a string, of ``kinds``."""
-    if (
-        isinstance(values, str)
-        or not isinstance(values, Sequence)
-        or not all(isinstance(v, kinds) for v in values)
-    ):
+    not a string, of values that ``ok`` accepts."""
+    if isinstance(values, str) or not isinstance(values, Sequence) or not all(map(ok, values)):
         raise ValidationError(f"{name} must be a sequence of {what}, got {values!r}")
 
 
@@ -183,9 +179,9 @@ def run_benchmark(
     depend on constraint order). ``sizes`` must be a sequence of integers
     and ``shares`` one of numbers, neither a string.
     """
-    _require_sequence("sizes", sizes, int, "integers")
-    _require_sequence("shares", shares, (int, float), "numbers")
-    if not isinstance(trials, int):
+    _require_sequence("sizes", sizes, is_int, "integers")
+    _require_sequence("shares", shares, lambda share: isinstance(share, (int, float)), "numbers")
+    if not is_int(trials):
         raise ValidationError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValidationError("trials must be at least 1")

@@ -209,9 +209,18 @@ def _merged_ids(kb1c: KnowledgeBase, kb2c: KnowledgeBase) -> list[str]:
 
     An id that both sources hold gets a suffix on each side: its provenance,
     or else its KB name, made safe; if the two are equal, its context value,
-    made safe. A suffixed id that meets another id raises ValidationError
-    naming it, since the merged ids must be unique.
+    made safe. Each distinct name is made safe once. A suffixed id that
+    meets another id raises ValidationError naming it, since the merged ids
+    must be unique.
     """
+    safe: dict[str, str] = {}
+
+    def made_safe(name: str) -> str:
+        tag = safe.get(name)
+        if tag is None:
+            tag = safe[name] = _IDENT_SAFE.sub("_", name)
+        return tag
+
     sides = [(kb, {c.id: c for c in kb.constraints}) for kb in (kb1c, kb2c)]
     ids = []
     for k, (kb, _) in enumerate(sides):
@@ -221,9 +230,9 @@ def _merged_ids(kb1c: KnowledgeBase, kb2c: KnowledgeBase) -> list[str]:
             if twin is None:
                 ids.append(c.id)
                 continue
-            tag = _IDENT_SAFE.sub("_", c.provenance or kb.name)
-            if tag == _IDENT_SAFE.sub("_", twin.provenance or other_kb.name):
-                tag = _IDENT_SAFE.sub("_", kb.context[1])
+            tag = made_safe(c.provenance or kb.name)
+            if tag == made_safe(twin.provenance or other_kb.name):
+                tag = made_safe(kb.context[1])
             ids.append(f"{c.id}.{tag}")
     if len(set(ids)) < len(ids):
         duplicate = next(cid for k, cid in enumerate(ids) if cid in ids[:k])
@@ -334,39 +343,34 @@ def ckb_merge(
     # each source's bodies under its own pin
     sources = [reduce(or_, bare[:n1], pins[0]), reduce(or_, bare[n1:], pins[1])]
 
+    # a record is built as a plain tuple of its class: the NamedTuple's own
+    # __new__ is a Python call per check
+    record = tuple.__new__
     records: list[CheckRecord] = []
-
-    def check(phase: str, i: int, pools: list[int]) -> bool:
-        """Record the check of input i, consistent iff one of its ``pools``
-        is: a pool that holds bare[i] is settled, the others are searched in
-        turn until one is consistent."""
-        verdict, nodes, search_ms = False, 0, 0.0
-        for pool in pools:
-            if pool & bare[i] != bare[i]:
-                verdict, more, ms = inst.check(pool)
-                nodes, search_ms = nodes + more, search_ms + ms
-                if verdict:
-                    break
-        records.append(CheckRecord(phase, ids[i], verdict, nodes, search_ms))
-        return verdict
 
     # The only consistency proof of the sources: a source's singleton context
     # domain makes its guards vacuous, so it is consistent iff its bare bodies
     # are, with the context variable pinned to its value.
     for kb, pool in zip((kb1c, kb2c), sources):
         result = inst.check(pool)
-        records.append(CheckRecord("input", None, *result))
+        records.append(record(CheckRecord, ("input", None, *result)))
         if not result[0]:
             raise InconsistentInputError(f"knowledge base '{kb.name}' is inconsistent")
 
-    # per input, the context values whose pins enable its merged formula:
-    # both if it was merged bare, else its source's. Its phase-1 pool is the
-    # other source's bodies under that source's pin (see the docstring).
+    # A check of input i is consistent iff one of its pools is: a pool that
+    # holds bare[i] is settled, the others are searched in turn until one is
+    # consistent. enabled[i] holds the context values whose pins enable i's
+    # merged formula: both if it was merged bare, else its source's. Its
+    # phase-1 pool is the other source's bodies under that source's pin (see
+    # the docstring).
     t0 = time.perf_counter()
-    enabled = [
-        (int(i >= n1),) if check("1", i, [sources[i < n1] | not_bare[i]]) else (0, 1)
-        for i in range(n)
-    ]
+    enabled: list[tuple[int, ...]] = []
+    for i in range(n):
+        body = bare[i]
+        pool = sources[i < n1] | not_bare[i]
+        verdict, nodes, search_ms = (False, 0, 0.0) if pool & body == body else inst.check(pool)
+        records.append(record(CheckRecord, ("1", ids[i], verdict, nodes, search_ms)))
+        enabled.append((int(i >= n1),) if verdict else (0, 1))
     t1 = time.perf_counter()
 
     # under each pin, the bodies it enables among the merged constraints
@@ -376,7 +380,17 @@ def ckb_merge(
     kept: list[Constraint] = []
     removed: list[str] = []
     for j, c in enumerate(inputs):
-        if not check("2", j, [done[k] | later[k][j + 1] | not_bare[j] for k in enabled[j]]):
+        body = bare[j]
+        verdict, nodes, search_ms = False, 0, 0.0
+        for k in enabled[j]:
+            pool = done[k] | later[k][j + 1] | not_bare[j]
+            if pool & body != body:
+                verdict, more, ms = inst.check(pool)
+                nodes, search_ms = nodes + more, search_ms + ms
+                if verdict:
+                    break
+        records.append(record(CheckRecord, ("2", ids[j], verdict, nodes, search_ms)))
+        if not verdict:
             removed.append(ids[j])
             continue
         # an input that keeps its id and guarded formula is its output
@@ -385,14 +399,13 @@ def ckb_merge(
             c = Constraint(ids[j], formula, c.provenance)
         kept.append(c)
         for k in enabled[j]:
-            done[k] |= bare[j]
+            done[k] |= body
     t2 = time.perf_counter()
 
     # valid by construction: the aligned variables declare every atom of
     # the inputs, and _merged_ids leaves the ids unique
     out = KnowledgeBase._derived(f"{kb1c.name}+{kb2c.name}", variables, tuple(kept), None)
-    phase1 = [r for r in records if r.phase == "1"]
-    phase2 = [r for r in records if r.phase == "2"]
+    phase1, phase2 = records[2 : n + 2], records[n + 2 :]
     report = MergeReport(
         decontextualized_ids=tuple(cid for cid, ks in zip(ids, enabled) if len(ks) == 2),
         kept_contextualized_ids=tuple(cid for cid, ks in zip(ids, enabled) if len(ks) == 1),

@@ -224,6 +224,12 @@ def not_a_formula(f: object) -> ValidationError:
     return ValidationError(f"not a formula node: {f!r}")
 
 
+def is_int(value: object) -> bool:
+    """True for an int that is no bool: ``bool`` subclasses ``int``, but a
+    truth value is no size, count or seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def require_kb(kb: object) -> None:
     """Raise ValidationError unless ``kb`` is a (so valid) :class:`KnowledgeBase`."""
     if not isinstance(kb, KnowledgeBase):
@@ -271,22 +277,26 @@ def validate_variables(variables: Iterable[Variable]) -> dict[str, Variable]:
 
 def validate_formula(f: Formula, table: Mapping[str, Variable]) -> None:
     """Check that ``f`` is well formed and that every atom references a
-    declared variable and a value of its domain."""
-    if isinstance(f, Atom):
-        var = table.get(f.var) if isinstance(f.var, str) else None
-        if var is None:
-            raise ValidationError(f"undeclared variable '{f.var}'")
-        if f.value not in var.domain:
-            raise ValidationError(f"value '{f.value}' is not in the domain of '{f.var}'")
-        if not isinstance(f.op, AtomOp):
+    declared variable and a value of its domain. The nodes are visited in
+    preorder from an explicit stack: the first bad one is reported, and no
+    depth meets Python's recursion limit."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            var = table.get(f.var) if isinstance(f.var, str) else None
+            if var is None:
+                raise ValidationError(f"undeclared variable '{f.var}'")
+            if f.value not in var.domain:
+                raise ValidationError(f"value '{f.value}' is not in the domain of '{f.var}'")
+            if not isinstance(f.op, AtomOp):
+                raise not_a_formula(f)
+        elif isinstance(f, Not):
+            stack.append(f.child)
+        elif isinstance(f, (And, Or, Implies)):
+            stack += f.right, f.left
+        else:
             raise not_a_formula(f)
-    elif isinstance(f, Not):
-        validate_formula(f.child, table)
-    elif isinstance(f, (And, Or, Implies)):
-        validate_formula(f.left, table)
-        validate_formula(f.right, table)
-    else:
-        raise not_a_formula(f)
 
 
 def validate_kb(kb: KnowledgeBase) -> None:

@@ -80,6 +80,7 @@ from .model import (
     Or,
     Variable,
     evaluate,
+    is_int,
     not_a_formula,
     validate_formula,
     validate_variables,
@@ -207,8 +208,10 @@ def _compile(
         def ev(a, child=child):
             return not child(a)
     else:
-        # the first connective in the MRO: validate_formula accepts a subclass
-        kleene = next(filter(None, map(_KLEENE.get, type(f).__mro__)), None)
+        # its exact type, else the first connective in the MRO: validate_formula
+        # accepts a subclass
+        kind = type(f)
+        kleene = _KLEENE.get(kind) or next(filter(None, map(_KLEENE.get, kind.__mro__)), None)
         if kleene is None:
             raise not_a_formula(f)
         stop, give = kleene
@@ -293,12 +296,14 @@ class _Instance:
     that it forces true where its variable is not their deepest, and
     ``filters``, per depth, those that filter there, at their second-deepest
     variable: the one depth at which a constraint that no literal decided
-    is looked at. ``records`` holds per bit the constraint's closure,
-    scope, deepest variable, the rest of its scope, and its filter: the
-    constant of a clause, else None, a getter of the values of the rest of
-    its scope and the memo from those values to its filter (see
-    :func:`_allowed`), so a filter met again, in any check or count, costs
-    one dictionary lookup and no evaluation. A clause's memo stays empty.
+    is looked at. One table per field holds, per bit, the constraint's
+    ``scopes``, its deepest variable (``deeps``), the rest of its scope
+    (``rests``) and its filter: the constant of a clause in ``constants``,
+    else None there and, in ``closures``, ``getters`` and ``memos``, its
+    closure, a getter of the values of the rest of its scope and the memo
+    from those values to its filter (see :func:`_allowed`), so a filter met
+    again, in any check or count, costs one dictionary lookup and no
+    evaluation. A clause has no closure, getter or memo there.
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
@@ -317,28 +322,34 @@ class _Instance:
         # a cube is its refuted literals, and no bit
         wide = [ci for ci, c in enumerate(compiled) if not c[4] & _CUBE]
         wide.sort(key=lambda ci: compiled[ci][1])
-        self.masks = masks = [refuted << len(wide) for _, _, _, refuted, _ in compiled]
+        m = len(wide)
+        self.masks = masks = [refuted << m for _, _, _, refuted, _ in compiled]
         self.true_by = true_by = [0] * offsets[-1]
         self.filters = filters = [0] * len(domains)
-        self.records = records = []
+        self.scopes = scopes = [compiled[ci][1] for ci in wide]
+        self.deeps = deeps = [scope.bit_length() - 1 for scope in scopes]
+        self.rests = rests = [scope ^ (1 << deep) for scope, deep in zip(scopes, deeps)]
+        self.constants = constants = [None] * m
+        self.closures = closures = [None] * m
+        self.getters = getters = [None] * m
+        self.memos = memos = [None] * m
         bit = 1
-        for ci in wide:
-            ev, mask, forced, _, shape = compiled[ci]
+        for b, ci in enumerate(wide):
+            ev, _, forced, _, shape = compiled[ci]
             masks[ci] |= bit
-            scope = _depths(mask)
-            deep = scope[-1]
-            rest = mask ^ (1 << deep)
+            deep, rest = deeps[b], rests[b]
             if shape & _CLAUSE:
-                constant = forced >> offsets[deep] & full[deep]
-                records.append((ev, mask, deep, rest, constant, None, {}))
+                constants[b] = forced >> offsets[deep] & full[deep]
             else:
-                records.append((ev, mask, deep, rest, None, itemgetter(*scope[:-1]), {}))
+                closures[b] = ev
+                getters[b] = itemgetter(*_depths(rest))
+                memos[b] = {}
             true = forced & ~own[deep]
             while true:
                 low = true & -true
                 true_by[low.bit_length() - 1] |= bit
                 true ^= low
-            filters[scope[-2]] |= bit
+            filters[rest.bit_length() - 1] |= bit
             bit <<= 1
 
     def check(self, active: Optional[int] = None) -> tuple[bool, int, float]:
@@ -419,9 +430,10 @@ def _search(
     full = inst.full
     offsets = inst.offsets
     true_by, filters = inst.true_by, inst.filters
-    records = inst.records
+    deeps, rests, constants = inst.deeps, inst.rests, inst.constants
+    closures, getters, memos = inst.closures, inst.getters, inst.memos
     n = len(domains)
-    m = len(records)
+    m = len(deeps)
     if active is None:
         active = reduce(or_, inst.masks, 0)
     undecided = active & ((1 << m) - 1)
@@ -479,18 +491,21 @@ def _search(
             while todo:
                 low = todo & -todo
                 todo ^= low
-                ev, _, deep, prefix, ok, getter, memo = records[low.bit_length() - 1]
+                b = low.bit_length() - 1
+                deep = deeps[b]
+                ok = constants[b]
                 if ok is None:
-                    key = getter(assignment)
+                    key = getters[b](assignment)
+                    memo = memos[b]
                     ok = memo.get(key)
                     if ok is None:
-                        ok = memo[key] = _allowed(ev, assignment, deep, domains[deep])
+                        ok = memo[key] = _allowed(closures[b], assignment, deep, domains[deep])
                 old = live[deep]
                 new = old & ok
                 if new != old:
                     trail.append((deep, old, reasons[deep]))
                     live[deep] = new
-                    reasons[deep] |= prefix
+                    reasons[deep] |= rests[b]
                     if not new:
                         failed = reasons[deep] & ((1 << depth) - 1)
                         break
@@ -523,18 +538,17 @@ def _search(
 
 
 def _components(
-    cons: int, free: int, records: Sequence[tuple], live: Sequence[int]
+    cons: int, free: int, scopes: Sequence[int], live: Sequence[int]
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """Split the constraints ``cons`` into components linked by shared
-    variables of ``free``, reading each scope from its record in
-    ``records``. Returns the product of the live domain sizes of the
-    variables of ``free`` that no constraint of ``cons`` touches, and
-    per component its constraints, its variables in ``free`` and its scope,
-    all as bit sets."""
+    variables of ``free``, reading each scope from ``scopes``. Returns the
+    product of the live domain sizes of the variables of ``free`` that no
+    constraint of ``cons`` touches, and per component its constraints, its
+    variables in ``free`` and its scope, all as bit sets."""
     parts = []
     while cons:
         members = cons & -cons
-        scope = records[members.bit_length() - 1][1]
+        scope = scopes[members.bit_length() - 1]
         own = scope & free
         grown = True
         while grown:
@@ -543,7 +557,7 @@ def _components(
             while rest:
                 low = rest & -rest
                 rest ^= low
-                mask = records[low.bit_length() - 1][1]
+                mask = scopes[low.bit_length() - 1]
                 if mask & own:
                     members |= low
                     scope |= mask
@@ -557,7 +571,7 @@ def _components(
 
 def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     """Model counting by dynamic component decomposition (sharpSAT, Cachet)
-    on the instance's ``true_by``, ``filters`` and ``records``, with an
+    on the instance's ``true_by``, ``filters`` and per-bit tables, with an
     explicit stack.
 
     A product multiplies the counts of its components and the live domain
@@ -579,9 +593,10 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     domains = inst.domains
     offsets = inst.offsets
     true_by, filters = inst.true_by, inst.filters
-    records = inst.records
+    scopes, deeps, constants = inst.scopes, inst.deeps, inst.constants
+    closures, getters, memos = inst.closures, inst.getters, inst.memos
     live = inst.full[:]
-    if not _refute(live, offsets, reduce(or_, inst.masks, 0) >> len(records)):
+    if not _refute(live, offsets, reduce(or_, inst.masks, 0) >> len(scopes)):
         return 0, 0
     assignment: list[Optional[str]] = [None] * len(domains)
     trail: list[tuple[int, int]] = []  # (variable, live) to restore
@@ -594,7 +609,7 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     # the product under its current value: running product and parts left.
     var = untried = sub = mark = key = cons = own = base = 0
     mult = int(cap is not None)
-    total, parts = _components((1 << len(records)) - 1, (1 << len(domains)) - 1, records, live)
+    total, parts = _components((1 << len(scopes)) - 1, (1 << len(domains)) - 1, scopes, live)
     stack: list[tuple] = []  # each enclosing component, with its product
     while True:
         if total and parts:
@@ -646,12 +661,15 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
         while todo:
             low = todo & -todo
             todo ^= low
-            ev, _, deep, _, ok, getter, memo = records[low.bit_length() - 1]
+            b = low.bit_length() - 1
+            deep = deeps[b]
+            ok = constants[b]
             if ok is None:
-                values = getter(assignment)
+                values = getters[b](assignment)
+                memo = memos[b]
                 ok = memo.get(values)
                 if ok is None:
-                    ok = memo[values] = _allowed(ev, assignment, deep, domains[deep])
+                    ok = memo[values] = _allowed(closures[b], assignment, deep, domains[deep])
             old = live[deep]
             new = old & ok
             if not new:
@@ -661,7 +679,7 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
                 trail.append((deep, old))
                 live[deep] = new
         if total:
-            total, parts = _components(undecided, own ^ (1 << var), records, live)
+            total, parts = _components(undecided, own ^ (1 << var), scopes, live)
 
 
 def is_consistent(
@@ -684,7 +702,7 @@ def count_solutions(
     is only known to lie above ``cap`` and at or below the true number.
     Exceeding the cap is an outcome, not an error.
     """
-    if cap is not None and not isinstance(cap, int):
+    if cap is not None and not is_int(cap):
         raise ValidationError(f"cap must be an integer, got {cap!r}")
     inst = _Instance(variables, constraints)
     start = time.perf_counter()
@@ -700,7 +718,7 @@ def enumerate_solutions(
     limit: int,
 ) -> list[dict[str, str]]:
     """Up to ``limit`` satisfying assignments in lexicographic search order."""
-    if not isinstance(limit, int):
+    if not is_int(limit):
         raise ValidationError(f"limit must be an integer, got {limit!r}")
     inst = _Instance(variables, constraints)
     out: list[dict[str, str]] = []

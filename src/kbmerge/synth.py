@@ -23,6 +23,7 @@ from .model import (
     Implies,
     KnowledgeBase,
     Variable,
+    is_int,
 )
 from .solver import is_consistent
 
@@ -47,7 +48,7 @@ class SynthConfig:
 
     def __post_init__(self):
         for name in ("n_constraints", "seed", "n_vars", "domain_size"):
-            if not isinstance(getattr(self, name), int):
+            if not is_int(getattr(self, name)):
                 raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.context_share, (int, float)):
             raise ValidationError(f"context_share must be a number, got {self.context_share!r}")

@@ -102,20 +102,27 @@ def _name(lx: list[str], i: int, what: str) -> str:
 
 
 def _unary(lx: list[str], i: int) -> tuple[Formula, int]:
-    lexeme = lx[i]
-    if lexeme == "not":
-        f, i = _unary(lx, i + 1)
-        return Not(f), i
-    if lexeme == "(":
+    """An atom or a parenthesized formula under a run of ``not``, which is
+    counted in a loop, not read one frame per ``not``."""
+    start = i
+    while lx[i] == "not":
+        i += 1
+    nots = i - start
+    if lx[i] == "(":
         f, i = _formula(lx, i + 1)
         _expect(lx, i, ")")
-        return f, i + 1
-    var = _name(lx, i, "a variable name")
-    op = lx[i + 1]
-    if op != "=" and op != "!=":
-        raise _expected(lx, i + 1, "'=' or '!='")
-    value = _name(lx, i + 2, "a value")
-    return Atom(var, AtomOp.EQ if op == "=" else AtomOp.NEQ, value), i + 3
+        i += 1
+    else:
+        var = _name(lx, i, "a variable name")
+        op = lx[i + 1]
+        if op != "=" and op != "!=":
+            raise _expected(lx, i + 1, "'=' or '!='")
+        value = _name(lx, i + 2, "a value")
+        f = Atom(var, AtomOp.EQ if op == "=" else AtomOp.NEQ, value)
+        i += 3
+    for _ in range(nots):
+        f = Not(f)
+    return f, i
 
 
 def _formula(lx: list[str], i: int, floor: int = 1) -> tuple[Formula, int]:

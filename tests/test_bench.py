@@ -88,9 +88,12 @@ def test_rejects_bad_trial_count():
         (SIZES, "0.5", 1, "shares must be a sequence of numbers, got '0.5'"),
         (SIZES, (0.5, "0.1"), 1, "shares must be a sequence of numbers"),
         (SIZES, SHARES, "3", "trials must be an integer"),
+        ([True], SHARES, 1, "sizes must be a sequence of integers, got \\[True\\]"),
+        ((4, False), SHARES, 1, "sizes must be a sequence of integers"),
+        (SIZES, SHARES, True, "trials must be an integer, got True"),
     ],
     ids=["str-sizes", "none-sizes", "set-sizes", "float-size", "str-shares",
-         "str-share", "str-trials"],
+         "str-share", "str-trials", "bool-size", "bool-in-sizes", "bool-trials"],
 )
 def test_rejects_grid_arguments_of_the_wrong_type(sizes, shares, trials, message):
     with pytest.raises(ValidationError, match=message):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from kbmerge import (
     GenerationError,
     Atom,
     AtomOp,
+    CheckRecord,
     Constraint,
     Implies,
     InconsistentInputError,
@@ -378,6 +380,52 @@ def test_merge_suffixes_ids_with_equal_tags_by_context_value(names):
     assert [c.formula for c in merged.constraints] == [
         c.formula for c in kb1.constraints + kb2.constraints
     ]
+
+
+def per_twin_ids(kb1c, kb2c):
+    """The merged ids as a reference builds them: every suffix of every twin
+    made safe with its own ``re.sub`` calls."""
+
+    def made_safe(name):
+        return re.sub(r"[^A-Za-z0-9_.]", "_", name)
+
+    ids = []
+    for kb, other_kb in ((kb1c, kb2c), (kb2c, kb1c)):
+        other = {c.id: c for c in other_kb.constraints}
+        for c in kb.constraints:
+            twin = other.get(c.id)
+            if twin is None:
+                ids.append(c.id)
+                continue
+            tag = made_safe(c.provenance or kb.name)
+            if tag == made_safe(twin.provenance or other_kb.name):
+                tag = made_safe(kb.context[1])
+            ids.append(f"{c.id}.{tag}")
+    return ids
+
+
+def test_merged_ids_match_a_per_twin_reference():
+    # per-constraint provenances that need making safe: ckb-A and ckb A
+    # both read ckb_A, so the context values tell the c1 twins apart
+    variables = (Variable("x", ("a", "b")), Variable("y", ("a", "b")))
+    rule = Implies(Atom("x", AtomOp.EQ, "a"), Atom("y", AtomOp.NEQ, "b"))
+    sides = {
+        "left kb": ("U.S", [("c1", "ckb-A"), ("c2", "src/1"), ("c3", ""), ("c4", "ckb-A")]),
+        "right-kb": ("G R", [("c1", "ckb A"), ("c3", ""), ("c2", "src 2"), ("c5", "ckb A")]),
+    }
+    kb1c, kb2c = (
+        contextualize(
+            KnowledgeBase(name, variables, tuple(Constraint(cid, rule, p) for cid, p in rows)),
+            "ctx",
+            value,
+        )
+        for name, (value, rows) in sides.items()
+    )
+    want = ["c1.U.S", "c2.src_1", "c3.left_kb", "c4", "c1.G_R", "c3.right_kb", "c2.src_2", "c5"]
+    assert per_twin_ids(kb1c, kb2c) == want
+    assert _merged_ids(kb1c, kb2c) == want
+    for kb1c, kb2c in synthesized_pairs():
+        assert _merged_ids(kb1c, kb2c) == per_twin_ids(kb1c, kb2c)
 
 
 # --- ckb_merge preconditions ---------------------------------------------------
@@ -1104,8 +1152,8 @@ def test_a_merge_evaluates_no_constraint_and_takes_a_bit_per_body(kb_us, kb_ger,
         # variable, every negation and both pins are cubes and take none
         bodies = {c.formula.right for c in kb1c.constraints + kb2c.constraints}
         wide = [f for f in bodies if not isinstance(f, Atom)]
-        assert len(inst.records) == len(wide)
-        assert all(ok is not None for _, _, _, _, ok, _, _ in inst.records)
+        assert len(inst.scopes) == len(wide)
+        assert all(ok is not None for ok in inst.constants)
     # the electro body of c2us and c2ger, c3us and c3ger
     assert len(wide) == 3
     assert serialize_kb(merged) == (FIXTURES / "car_merged.kb").read_text(encoding="utf-8")
@@ -1117,6 +1165,20 @@ def test_merge_report_solver_work_is_deterministic(car_pair):
     assert first.nodes_phase1 == second.nodes_phase1 > 0
     assert first.nodes_phase2 == second.nodes_phase2 > 0
     assert first.build_ms >= 0
+
+
+def test_check_records_equal_records_built_by_their_constructor(car_pair):
+    fields = ("phase", "constraint_id", "consistent", "nodes", "search_ms")
+    for kb1c, kb2c in [car_pair, *synthesized_pairs()]:
+        _, report = ckb_merge(kb1c, kb2c)
+        for record in report.checks:
+            assert type(record) is CheckRecord
+            built = CheckRecord(*record)
+            assert record == built and hash(record) == hash(built)
+            assert record._asdict() == built._asdict()
+            assert tuple(record._asdict()) == fields == CheckRecord._fields
+            assert record.phase in ("input", "1", "2")
+            assert isinstance(record.nodes, int) and isinstance(record.search_ms, float)
 
 
 def test_check_records_sum_to_the_phase_totals(car_pair):

@@ -37,6 +37,7 @@ from kbmerge import (
     serialize_kb,
     validate_kb,
 )
+from kbmerge.model import validate_formula
 from kleene import free_vars
 
 FUEL = Variable("fuel", ("electro", "diesel", "gas", "hybrid"))
@@ -134,6 +135,44 @@ def test_equality_and_hash_take_formulas_of_any_depth():
     ]
     assert kbs[0] == kbs[1] and hash(kbs[0]) == hash(kbs[1])
     assert kbs[0] != kbs[2]
+
+
+def test_a_knowledge_base_validates_a_formula_of_any_depth():
+    # 3000 levels: validation once recursed per level and raised a raw
+    # RecursionError near 1000
+    chain, negated = _deep_chains(3000)
+    kb = KnowledgeBase("deep", (X,), (Constraint("c1", chain), Constraint("c2", negated)))
+    assert kb.constraints[0].formula is chain
+    bad_chain, bad_negated = _deep_chains(3000, "zz")
+    for f in (bad_chain, bad_negated):
+        with pytest.raises(
+            ValidationError, match="^value 'zz' is not in the domain of 'x' in constraint 'c1'$"
+        ):
+            KnowledgeBase("deep", (X,), (Constraint("c1", f),))
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        (
+            And(Not(Atom("y", AtomOp.EQ, "a")), Atom("x", AtomOp.EQ, "zz")),
+            "undeclared variable 'y'",
+        ),
+        (
+            Or(Atom("x", AtomOp.EQ, "zz"), Atom("y", AtomOp.EQ, "a")),
+            "value 'zz' is not in the domain",
+        ),
+        (
+            Implies(Atom("x", AtomOp.EQ, "a"), Or(Not(None), Atom("y", AtomOp.EQ, "a"))),
+            "not a formula node: None",
+        ),
+        (Not(And(Atom("x", "=", "a"), None)), "not a formula node: Atom"),
+    ],
+    ids=["left-first", "left-atom-first", "inner-left-first", "bad-op-first"],
+)
+def test_validation_reports_the_first_bad_node_in_preorder(f, message):
+    with pytest.raises(ValidationError, match=message):
+        validate_formula(f, {"x": X})
 
 
 def _dataclass_text(f) -> str:
@@ -549,6 +588,18 @@ MALFORMED_SOLVER_ARGUMENTS = {
     "count_solutions-cap-a-float": (
         lambda: count_solutions([X], [], cap=1.5),
         "cap must be an integer, got 1.5",
+    ),
+    "enumerate_solutions-limit-a-bool": (
+        lambda: enumerate_solutions([X], [], True),
+        "limit must be an integer, got True",
+    ),
+    "count_solutions-cap-a-bool": (
+        lambda: count_solutions([X], [], cap=True),
+        "cap must be an integer, got True",
+    ),
+    "count_solutions-cap-false": (
+        lambda: count_solutions([X], [], cap=False),
+        "cap must be an integer, got False",
     ),
     "brute_force_solutions-of-one-formula": (
         lambda: brute_force_solutions([X], A),

@@ -154,7 +154,7 @@ def test_no_solution_holds_a_refuted_literal():
         variables, formulas = random_instance(rng)
         inst = _Instance(variables, formulas)
         solutions = brute_force_solutions(variables, formulas)
-        m = len(inst.records)
+        m = len(inst.scopes)
         # constraints over two or more variables that are no cube carry m
         # distinct single low bits, covering (1 << m) - 1; the others,
         # cubes and constraints over one variable, carry none
@@ -477,11 +477,11 @@ def test_cubes_clauses_and_other_formulas_together_match_brute_force():
             formulas.append(f)
         rng.shuffle(formulas)
         inst = _Instance(variables, formulas)
-        low = (1 << len(inst.records)) - 1
+        low = (1 << len(inst.scopes)) - 1
         held["bitless"] += sum(
             len(free_vars(f)) > 1 and not mask & low for f, mask in zip(formulas, inst.masks)
         )
-        for _, _, _, _, ok, _, _ in inst.records:
+        for ok in inst.constants:
             held["memo" if ok is None else "constant"] += 1
         oracle = brute_force_solutions(variables, formulas)
         assert inst.check()[0] == bool(oracle), (variables, formulas)
@@ -728,7 +728,7 @@ def test_forward_checking_matches_brute_force():
         assert count_solutions(variables, formulas)[0] == CountResult(len(oracle))
         found = enumerate_solutions(variables, formulas, len(oracle) + 1)
         assert found == lexicographic(variables, oracle), (variables, formulas)
-        filtered += sum(len(memo) for *_, memo in inst.records)
+        filtered += memo_entries(inst)
     assert filtered > 300
 
 
@@ -760,10 +760,14 @@ def test_tautology_on_the_deepest_variable_filters_nothing():
     assert cube_sizes(inst) == 24
     # x = a leaves the first constraint, a clause, undecided, and its
     # constant filter keeps all of z's values
-    _, _, deep, _, ok, _, memo = inst.records[0]
-    assert deep == 2
-    assert ok == 0b1111
-    assert memo == {}
+    assert inst.deeps[0] == 2
+    assert inst.constants[0] == 0b1111
+    assert inst.memos[0] is None
+
+
+def memo_entries(inst):
+    """The number of filters that ``inst`` has memoised."""
+    return sum(len(memo) for memo in inst.memos if memo is not None)
 
 
 def test_a_warm_filter_memo_explores_the_nodes_of_a_cold_one():
@@ -777,13 +781,13 @@ def test_a_warm_filter_memo_explores_the_nodes_of_a_cold_one():
         pool = [len(formulas) + rng.randrange(len(formulas)), *range(len(formulas))]
         rng.shuffle(pool)
         cold_ok, cold_nodes, _ = inst.check(active_mask(inst, pool))
-        entries = sum(len(memo) for *_, memo in inst.records)
+        entries = memo_entries(inst)
         warm_ok, warm_nodes, _ = inst.check(active_mask(inst, pool))
         fresh_ok, fresh_nodes, _ = _Instance(variables, [pool_formulas[ci] for ci in pool]).check()
         assert cold_ok == warm_ok == fresh_ok
         assert cold_nodes == warm_nodes == fresh_nodes
         # the warm check computed no filter the cold one had not
-        assert sum(len(memo) for *_, memo in inst.records) == entries
+        assert memo_entries(inst) == entries
         reused += entries
     assert reused > 0
 
@@ -806,7 +810,7 @@ def test_a_warm_check_evaluates_no_constraint():
         )
         pairs.append(Or(And(w, x), And(y, z)))
     inst = _Instance(variables, guarded + pairs + [negate(f) for f in guarded])
-    assert max(mask.bit_count() for _, mask, *_ in inst.records) == 4
+    assert max(scope.bit_count() for scope in inst.scopes) == 4
     calls = [0]
 
     def counted(ev):
@@ -816,7 +820,7 @@ def test_a_warm_check_evaluates_no_constraint():
 
         return wrapper
 
-    inst.records = [(counted(ev), *rest) for ev, *rest in inst.records]
+    inst.closures = [None if ev is None else counted(ev) for ev in inst.closures]
     # every guarded constraint and every disjunction
     pool = range(len(guarded) + len(pairs))
     cold_ok, cold_nodes, _ = inst.check(active_mask(inst, pool))
@@ -840,11 +844,12 @@ def test_a_literal_decides_what_it_forces_true_below_the_shallowest_variable():
     inst = _Instance(variables, [guarded, Atom("g", AtomOp.EQ, "a"), Atom("y", AtomOp.EQ, "b")])
     seen = []
     rank = (inst.masks[0] & -inst.masks[0]).bit_length() - 1
-    ev, mask, deep, rest, ok, _, memo = inst.records[rank]
     # a clause: it allows y the values it forces true there, y != b
-    assert deep == 2
-    assert ok == 0b01
-    assert memo == {}
+    assert inst.deeps[rank] == 2
+    assert inst.constants[rank] == 0b01
+    assert inst.memos[rank] is None
+    index = {name: i for i, name in enumerate(inst.names)}
+    ev = _compile(guarded, index, inst.domains, inst.offsets)[0]
 
     def wrapper(a):
         seen.append(tuple(a))
@@ -852,7 +857,9 @@ def test_a_literal_decides_what_it_forces_true_below_the_shallowest_variable():
 
     # the constant swapped for the memoised closure, so that each filter the
     # search looks at is computed and recorded
-    inst.records[rank] = (wrapper, mask, deep, rest, None, itemgetter(0, 1), memo)
+    memo = {}
+    inst.constants[rank] = None
+    inst.closures[rank], inst.getters[rank], inst.memos[rank] = wrapper, itemgetter(0, 1), memo
     ok, nodes, _ = inst.check()
     # g = a; x = a empties y's domain; x = b leaves a cube
     assert ok
@@ -869,6 +876,8 @@ def test_a_constraint_is_evaluated_only_on_a_complete_scope(monkeypatch):
     early = []
 
     def watched(ev, mask):
+        if ev is None:
+            return None
         scope = [d for d in range(mask.bit_length()) if mask >> d & 1]
 
         def wrapper(a):
@@ -882,7 +891,7 @@ def test_a_constraint_is_evaluated_only_on_a_complete_scope(monkeypatch):
     class Watched(_Instance):
         def __init__(self, variables, constraints):
             super().__init__(variables, constraints)
-            self.records = [(watched(ev, mask), mask, *rest) for ev, mask, *rest in self.records]
+            self.closures = list(map(watched, self.closures, self.scopes))
 
     monkeypatch.setattr(solver, "_Instance", Watched)
     rng = random.Random(1993)
@@ -908,10 +917,15 @@ class ClosuresOnly(_Instance):
 
     def __init__(self, variables, constraints):
         super().__init__(variables, constraints)
-        self.records = [
-            (ev, mask, deep, rest, None, itemgetter(*_depths(rest)), memo)
-            for ev, mask, deep, rest, _, _, memo in self.records
-        ]
+        index = {name: i for i, name in enumerate(self.names)}
+        low = (1 << len(self.scopes)) - 1
+        for f, own in zip(constraints, self.masks):
+            b = (own & low).bit_length() - 1
+            if b >= 0 and self.constants[b] is not None:
+                self.constants[b] = None
+                self.closures[b] = _compile(f, index, self.domains, self.offsets)[0]
+                self.getters[b] = itemgetter(*_depths(self.rests[b]))
+                self.memos[b] = {}
 
 
 class ShallowestOnly(ClosuresOnly):
@@ -926,7 +940,7 @@ class ShallowestOnly(ClosuresOnly):
         offsets = self.offsets
         index = {name: i for i, name in enumerate(self.names)}
         self.true_by = [0] * offsets[-1]
-        low = (1 << len(self.records)) - 1
+        low = (1 << len(self.scopes)) - 1
         for f, own in zip(constraints, self.masks):
             # a cube, and so a constraint over one variable, has no bit
             bit = own & low
@@ -972,7 +986,7 @@ def test_deciding_below_the_shallowest_variable_changes_no_result_and_adds_no_no
                 nodes = [nodes for _, nodes, _ in checks]
                 nodes += [stats.nodes_explored, count_stats.nodes_explored]
                 seen.append((results, nodes))
-            entries[cls] += sum(len(memo) for *_, memo in inst.records)
+            entries[cls] += memo_entries(inst)
         (results, nodes), closures, (narrow_results, narrow_nodes) = seen
         # a clause's constant is the filter its closure computes
         assert (results, nodes) == closures, (variables, formulas, pools)

@@ -148,8 +148,13 @@ def test_config_rejects_bad_values():
         (dict(n_constraints=10.5), "n_constraints must be an integer"),
         (dict(n_vars="4"), "n_vars must be an integer"),
         (dict(domain_size=2.0), "domain_size must be an integer"),
+        (dict(n_constraints=True), "n_constraints must be an integer, got True"),
+        (dict(seed=False), "seed must be an integer, got False"),
+        (dict(n_vars=True), "n_vars must be an integer, got True"),
+        (dict(domain_size=True), "domain_size must be an integer, got True"),
     ],
-    ids=["str-share", "float-size", "str-vars", "float-domain"],
+    ids=["str-share", "float-size", "str-vars", "float-domain", "bool-size", "bool-seed",
+         "bool-vars", "bool-domain"],
 )
 def test_config_rejects_bad_field_types_at_construction(kw, message):
     fields = dict(n_constraints=10, context_share=0.3, seed=0) | kw

@@ -751,6 +751,20 @@ def test_deeply_parenthesized_formula_parses():
     assert parse_formula(text) == Atom("x", AtomOp.EQ, "a")
 
 
+def test_a_run_of_not_parses_in_a_loop():
+    # the parser once recursed once per ``not`` and failed near 1000
+    want = Atom("x", AtomOp.EQ, "a")
+    for _ in range(5000):
+        want = Not(want)
+    assert parse_formula("not " * 5000 + "x = a") == want
+    kb = parse_kb('kb "k" { var x : { a, b }; constraint c1: ' + "not " * 5000 + "x = a; }")
+    assert kb.constraints[0].formula == want
+    # a run of not inside parentheses, and parentheses inside a run
+    assert parse_formula("not not (not x = a and not not y = b)") == Not(
+        Not(And(Not(Atom("x", AtomOp.EQ, "a")), Not(Not(Atom("y", AtomOp.EQ, "b")))))
+    )
+
+
 # --- CSV --------------------------------------------------------------------
 
 CSV_HEADER = "kb_id,n_constraints,context_share_pct,trial,merge_ms,solve_ms,checks_phase1,checks_phase2"
