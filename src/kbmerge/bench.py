@@ -26,7 +26,7 @@ except ImportError:  # an interpreter built without it
 
 from .errors import BenchError, KbError, ValidationError
 from .merge import ckb_merge, contextualize
-from .model import KnowledgeBase, is_int
+from .model import KnowledgeBase, is_int, is_number
 from .solver import count_solutions, is_consistent
 from .synth import CTX_VAR, SynthConfig, synthesize_pair
 
@@ -180,7 +180,7 @@ def run_benchmark(
     and ``shares`` one of numbers, neither a string.
     """
     _require_sequence("sizes", sizes, is_int, "integers")
-    _require_sequence("shares", shares, lambda share: isinstance(share, (int, float)), "numbers")
+    _require_sequence("shares", shares, is_number, "numbers")
     if not is_int(trials):
         raise ValidationError(f"trials must be an integer, got {trials!r}")
     if trials < 1:

@@ -200,27 +200,28 @@ def evaluate(f: Formula, assignment: Assignment) -> bool:
 
 def _evaluate(f: Formula, assignment: Assignment) -> bool:
     """:func:`evaluate` below its one check of the assignment."""
-    if isinstance(f, Atom) and isinstance(f.op, AtomOp):
+    kind = type(f)
+    if kind is Atom and type(f.op) is AtomOp:
         try:
             value = assignment[f.var]
         except KeyError:
             raise UnassignedVariableError(f.var) from None
         return value == f.value if f.op is AtomOp.EQ else value != f.value
-    if isinstance(f, Not):
+    if kind is Not:
         return not _evaluate(f.child, assignment)
     # bitwise on bools: both operands are evaluated, the left one first
-    if isinstance(f, And):
+    if kind is And:
         return _evaluate(f.left, assignment) & _evaluate(f.right, assignment)
-    if isinstance(f, Or):
+    if kind is Or:
         return _evaluate(f.left, assignment) | _evaluate(f.right, assignment)
-    if isinstance(f, Implies):
+    if kind is Implies:
         return (not _evaluate(f.left, assignment)) | _evaluate(f.right, assignment)
     raise not_a_formula(f)
 
 
 def not_a_formula(f: object) -> ValidationError:
     """The error for ``f``, which is not a formula node: none of the five
-    node types, or an atom whose ``op`` is not an :class:`AtomOp`."""
+    node types exactly, or an atom whose ``op`` is not an :class:`AtomOp`."""
     return ValidationError(f"not a formula node: {f!r}")
 
 
@@ -228,6 +229,11 @@ def is_int(value: object) -> bool:
     """True for an int that is no bool: ``bool`` subclasses ``int``, but a
     truth value is no size, count or seed."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    """True for an int or a float that is no bool (see :func:`is_int`)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def require_kb(kb: object) -> None:
@@ -254,8 +260,8 @@ def is_contextualized(f: Formula, context: Optional[tuple[str, str]]) -> bool:
     """
     return (
         context is not None
-        and isinstance(f, Implies)
-        and isinstance(f.left, Atom)
+        and type(f) is Implies
+        and type(f.left) is Atom
         and f.left.op is AtomOp.EQ
         and f.left.var == context[0]
         and f.left.value == context[1]
@@ -276,24 +282,25 @@ def validate_variables(variables: Iterable[Variable]) -> dict[str, Variable]:
 
 
 def validate_formula(f: Formula, table: Mapping[str, Variable]) -> None:
-    """Check that ``f`` is well formed and that every atom references a
-    declared variable and a value of its domain. The nodes are visited in
-    preorder from an explicit stack: the first bad one is reported, and no
-    depth meets Python's recursion limit."""
+    """Check that every node of ``f`` is exactly one of the five node types
+    and that every atom references a declared variable and a value of its
+    domain. The nodes are visited in preorder from an explicit stack: the
+    first bad one is reported, and no depth meets Python's recursion limit."""
     stack = [f]
     while stack:
         f = stack.pop()
-        if isinstance(f, Atom):
+        kind = type(f)
+        if kind is Atom:
             var = table.get(f.var) if isinstance(f.var, str) else None
             if var is None:
                 raise ValidationError(f"undeclared variable '{f.var}'")
             if f.value not in var.domain:
                 raise ValidationError(f"value '{f.value}' is not in the domain of '{f.var}'")
-            if not isinstance(f.op, AtomOp):
+            if type(f.op) is not AtomOp:
                 raise not_a_formula(f)
-        elif isinstance(f, Not):
+        elif kind is Not:
             stack.append(f.child)
-        elif isinstance(f, (And, Or, Implies)):
+        elif kind is And or kind is Or or kind is Implies:
             stack += f.right, f.left
         else:
             raise not_a_formula(f)

@@ -81,7 +81,6 @@ from .model import (
     Variable,
     evaluate,
     is_int,
-    not_a_formula,
     validate_formula,
     validate_variables,
 )
@@ -161,11 +160,9 @@ def _compile(
     maps ``id(node)`` to all five, so a subformula shared by several
     formulas compiles once; the caller keeps every memoised node alive.
 
-    An atom over an undeclared variable or a value outside its variable's
-    domain raises :class:`ValidationError` with the message of
-    :func:`kbmerge.model.validate_formula`, and so does a malformed node:
-    one that is none of the five node types, or an atom whose ``op`` is not
-    an :class:`AtomOp` (see :func:`kbmerge.model.not_a_formula`).
+    ``f`` is assumed well formed (:func:`kbmerge.model.validate_formula`):
+    nodes are resolved by exact type and plain lookups, so a malformed one
+    raises a bare ``KeyError``, ``ValueError`` or ``TypeError``.
     """
     if memo is None:
         memo = {}
@@ -173,17 +170,11 @@ def _compile(
     done = memo.get(key)
     if done is not None:
         return done
-    if isinstance(f, Atom):
-        i = index.get(f.var) if isinstance(f.var, str) else None
-        if i is None:
-            raise ValidationError(f"undeclared variable '{f.var}'")
+    kind = type(f)
+    if kind is Atom:
+        i = index[f.var]
         v = f.value
-        try:
-            j = domains[i].index(v)
-        except ValueError:
-            raise ValidationError(
-                f"value '{v}' is not in the domain of '{f.var}'"
-            ) from None
+        j = domains[i].index(v)
         low = 1 << offsets[i]
         bit = low << j
         every = (1 << offsets[i + 1]) - low
@@ -200,21 +191,15 @@ def _compile(
             def ev(a, i=i, v=v):
                 return a[i] != v
         else:
-            raise not_a_formula(f)
-    elif isinstance(f, Not):
+            raise TypeError(f.op)
+    elif kind is Not:
         child, mask, false, true, shape = _compile(f.child, index, domains, offsets, memo)
         shape = _NEGATED[shape]
 
         def ev(a, child=child):
             return not child(a)
     else:
-        # its exact type, else the first connective in the MRO: validate_formula
-        # accepts a subclass
-        kind = type(f)
-        kleene = _KLEENE.get(kind) or next(filter(None, map(_KLEENE.get, kind.__mro__)), None)
-        if kleene is None:
-            raise not_a_formula(f)
-        stop, give = kleene
+        stop, give = _KLEENE[kind]
         left, left_mask, left_true, left_false, left_shape = _compile(
             f.left, index, domains, offsets, memo
         )
@@ -265,10 +250,10 @@ class _Instance:
     Built once, an instance can answer many consistency checks, each over
     a subset of its constraints handed as the OR of their ``masks``: the
     assumption-style incremental interface of MiniSat, without learning.
-    Compiling validates each formula; a bad atom or a malformed node raises
-    the :class:`ValidationError` of :func:`kbmerge.model.validate_formula`. A
-    check on a shared instance explores exactly the nodes of a fresh
-    instance built from its active constraints.
+    Only if compiling fails does :func:`kbmerge.model.validate_formula` run
+    over the formulas, to raise its error for the first bad node in
+    preorder. A check on a shared instance explores exactly the nodes of a
+    fresh instance built from its active constraints.
 
     A constraint is held in one of three ways, by its shape (see
     :func:`_compile`):
@@ -309,12 +294,21 @@ class _Instance:
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
         _require_collections(variables, constraints)
         table = validate_variables(variables)
+        constraints = list(constraints)
         self.names = list(table)
         self.domains = domains = [v.domain for v in table.values()]
         index = {name: i for i, name in enumerate(self.names)}
         self.offsets = offsets = _literal_offsets(domains)
         memo: dict[int, tuple[Callable, int, int, int, int]] = {}
-        compiled = [_compile(f, index, domains, offsets, memo) for f in constraints]
+        try:
+            compiled = [_compile(f, index, domains, offsets, memo) for f in constraints]
+        except (KeyError, ValueError, TypeError):
+            try:
+                for f in constraints:
+                    validate_formula(f, table)
+            except ValidationError as bad:
+                raise bad from None
+            raise
         # all values of each variable, as a bit set over its value indices
         self.full = full = [(1 << len(domain)) - 1 for domain in domains]
         # the literals of each variable, as a bit set over all literals

@@ -24,6 +24,7 @@ from .model import (
     KnowledgeBase,
     Variable,
     is_int,
+    is_number,
 )
 from .solver import is_consistent
 
@@ -50,7 +51,7 @@ class SynthConfig:
         for name in ("n_constraints", "seed", "n_vars", "domain_size"):
             if not is_int(getattr(self, name)):
                 raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not isinstance(self.context_share, (int, float)):
+        if not is_number(self.context_share):
             raise ValidationError(f"context_share must be a number, got {self.context_share!r}")
         if self.n_constraints < 1:
             raise ValidationError("n_constraints must be at least 1")

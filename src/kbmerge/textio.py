@@ -229,18 +229,17 @@ _ATOM, _NOT = 5, 4
 
 
 def _fmt(f: Formula) -> tuple[str, int]:
-    if isinstance(f, Atom) and isinstance(f.op, AtomOp):
+    kind = type(f)
+    if kind is Atom and type(f.op) is AtomOp:
         return f"{f.var} {f.op.value} {f.value}", _ATOM
-    if isinstance(f, Not):
+    if kind is Not:
         txt, p = _fmt(f.child)
         if p < _NOT:
             txt = f"({txt})"
         return f"not {txt}", _NOT
-    # a subclass prints as the first connective in its MRO, as it validates
-    op = _BINARY.get(type(f)) or next(filter(None, map(_BINARY.get, type(f).__mro__)), None)
-    if op is None:
+    if kind not in _BINARY:
         raise not_a_formula(f)
-    lexeme, prec, right = op
+    lexeme, prec, right = _BINARY[kind]
     # the operand on the associative side may bind as loosely as ``f``,
     # the other must bind tighter
     lt, lp = _fmt(f.left)

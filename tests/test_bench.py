@@ -91,9 +91,12 @@ def test_rejects_bad_trial_count():
         ([True], SHARES, 1, "sizes must be a sequence of integers, got \\[True\\]"),
         ((4, False), SHARES, 1, "sizes must be a sequence of integers"),
         (SIZES, SHARES, True, "trials must be an integer, got True"),
+        (SIZES, [True], 1, "shares must be a sequence of numbers, got \\[True\\]"),
+        (SIZES, (0.5, False), 1, "shares must be a sequence of numbers"),
     ],
     ids=["str-sizes", "none-sizes", "set-sizes", "float-size", "str-shares",
-         "str-share", "str-trials", "bool-size", "bool-in-sizes", "bool-trials"],
+         "str-share", "str-trials", "bool-size", "bool-in-sizes", "bool-trials",
+         "bool-share", "bool-in-shares"],
 )
 def test_rejects_grid_arguments_of_the_wrong_type(sizes, shares, trials, message):
     with pytest.raises(ValidationError, match=message):

@@ -1,11 +1,13 @@
 import hashlib
 import random
 import re
+import string
 from dataclasses import replace
+from math import prod
 
 import pytest
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, load_fixture, random_formula
 from kbmerge import (
     AlignmentError,
     GenerationError,
@@ -782,6 +784,62 @@ def test_merge_matches_pool_per_check_reference(car_pair):
         # the pinned pools of each check (see explicit_pools) give the
         # verdict of the pseudocode's pool
         assert want_checks == [record[:3] for record in report.checks[2:]]
+
+
+def random_formula_pairs(count: int = 40):
+    """Seeded contextualized pairs of general formulas: ``random_formula``
+    trees of one depth from 1 to 4 over 3-12 variables, up to 60 per source.
+    Each source grows one formula at a time and keeps it only if it stays
+    consistent: rejection-sampling a whole batch rarely finds one."""
+    rng = random.Random(31)
+    for _ in range(count):
+        values = tuple(string.ascii_lowercase[: rng.randint(2, 4)])
+        variables = tuple(Variable(f"x{i + 1}", values) for i in range(rng.randint(3, 12)))
+        depth = rng.randint(1, 4)
+        pair = []
+        for name in ("A", "B"):
+            formulas = []
+            for _ in range(rng.randint(1, 60)):
+                f = random_formula(rng, variables, depth)
+                if is_consistent(variables, [*formulas, f])[0]:
+                    formulas.append(f)
+            constraints = tuple(Constraint(f"c{k}", f, name) for k, f in enumerate(formulas))
+            kb = KnowledgeBase(name, variables, constraints)
+            pair.append(contextualize(kb, "ctx", f"ctx{name}"))
+        yield pair
+
+
+def test_merges_of_general_formulas_match_the_reference_and_the_oracle():
+    # bodies that are neither cubes nor clauses filter with their closures
+    # and memos, shared by every check of the merge instance
+    shapeless = oracle = 0
+    for kb1c, kb2c in random_formula_pairs():
+        merged, report = ckb_merge(kb1c, kb2c)
+        want, want_ids, want_checks = reference_merge(kb1c, kb2c)
+        assert merged == want
+        assert serialize_kb(merged) == serialize_kb(want)
+        assert (
+            report.decontextualized_ids,
+            report.kept_contextualized_ids,
+            report.removed_redundant_ids,
+        ) == want_ids
+        assert want_checks == [record[:3] for record in report.checks[2:]]
+        variables = merged.variables
+        index = {v.name: i for i, v in enumerate(variables)}
+        domains = [v.domain for v in variables]
+        offsets = solver._literal_offsets(domains)
+        shapeless += sum(
+            not solver._compile(c.formula.right, index, domains, offsets)[4]
+            for c in (*kb1c.constraints, *kb2c.constraints)
+        )
+        if prod(map(len, domains)) <= 5000:
+            oracle += 1
+            union = brute_force_solutions(
+                kb1c.variables, kb1c.formulas()
+            ) | brute_force_solutions(kb2c.variables, kb2c.formulas())
+            assert brute_force_solutions(variables, merged.formulas()) == union
+            assert count_solutions(variables, merged.formulas())[0].count == len(union)
+    assert shapeless > 100 and oracle > 20
 
 
 def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):

@@ -398,14 +398,24 @@ MALFORMED_ENTRY_POINTS = {
 }
 
 
+class SubOr(Or):
+    """A subclass of a connective: none of the five node types."""
+
+
 @pytest.mark.parametrize("entry", list(MALFORMED_ENTRY_POINTS))
 @pytest.mark.parametrize(
     "bad",
-    [None, "x = a", Atom("x", "=", "a")],
-    ids=["none", "string", "atom-with-a-str-op"],
+    [
+        None,
+        "x = a",
+        Atom("x", "=", "a"),
+        SubOr(Atom("x", AtomOp.EQ, "b"), Atom("x", AtomOp.NEQ, "a")),
+    ],
+    ids=["none", "string", "atom-with-a-str-op", "connective-subclass"],
 )
 def test_malformed_formulas_raise_validation_error(bad, entry):
-    # below a valid atom: an atom whose op is the string "=" is no x != a
+    # below a valid atom: an atom whose op is the string "=" is no x != a,
+    # and a subclass of Or no Or
     formula = And(Atom("x", AtomOp.EQ, "a"), bad)
     with pytest.raises(ValidationError, match=f"^not a formula node: {re.escape(repr(bad))}"):
         MALFORMED_ENTRY_POINTS[entry](formula)

@@ -235,55 +235,80 @@ def test_is_consistent_validates_variables():
         is_consistent((Variable("x", ("a",)),), [Atom("y", AtomOp.EQ, "a")])
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [Atom("y", AtomOp.EQ, "a"), Atom("x", AtomOp.NEQ, "q")],
-    ids=["undeclared-variable", "out-of-domain-value"],
-)
-def test_solver_entry_points_reject_bad_atoms_like_validate_formula(bad):
-    variables = (Variable("x", ("a", "b")), Variable("z", ("a",)))
-    # the bad atom sits below a valid one, in the second constraint
-    formulas = [Atom("z", AtomOp.EQ, "a"), Or(Atom("x", AtomOp.EQ, "a"), Not(bad))]
-    with pytest.raises(ValidationError) as want:
-        validate_formula(formulas[1], {v.name: v for v in variables})
-    calls = [
+class SubAnd(And):
+    """A subclass of a connective: none of the five node types, so no
+    formula node."""
+
+
+BAD_VARIABLES = (Variable("x", ("a", "b")), Variable("z", ("a",)))
+SUB_AND = SubAnd(Atom("x", AtomOp.EQ, "a"), Atom("z", AtomOp.EQ, "a"))
+
+
+def _solver_calls(variables, formulas):
+    return [
         lambda: is_consistent(variables, formulas),
         lambda: count_solutions(variables, formulas),
         lambda: enumerate_solutions(variables, formulas, 1),
     ]
-    for call in calls:
+
+
+@pytest.mark.parametrize(
+    "bad, raw",
+    [
+        (Atom("y", AtomOp.EQ, "a"), KeyError),
+        (Atom("x", AtomOp.NEQ, "q"), ValueError),
+        (Atom(["x"], AtomOp.EQ, "a"), TypeError),
+        (Atom("x", "!=", "a"), TypeError),
+        (SUB_AND, KeyError),
+    ],
+    ids=["undeclared-variable", "out-of-domain-value", "unhashable-variable", "str-op",
+         "connective-subclass"],
+)
+def test_solver_entry_points_reject_bad_atoms_like_validate_formula(bad, raw):
+    variables = BAD_VARIABLES
+    # the bad node sits below a valid one, in the second constraint
+    formulas = [Atom("z", AtomOp.EQ, "a"), Or(Atom("x", AtomOp.EQ, "a"), Not(bad))]
+    with pytest.raises(ValidationError) as want:
+        validate_formula(formulas[1], {v.name: v for v in variables})
+    # _compile meets it in a plain lookup, whose error makes the instance
+    # validate its formulas
+    domains = [v.domain for v in variables]
+    with pytest.raises(raw):
+        _compile(formulas[1], {"x": 0, "z": 1}, domains, _literal_offsets(domains))
+    for call in _solver_calls(variables, formulas):
         with pytest.raises(ValidationError) as got:
             call()
         assert str(got.value) == str(want.value)
 
 
-def test_a_subclass_of_a_connective_compiles_as_its_base():
-    # validate_formula and evaluate accept a subclass of a connective, and
-    # so does _compile, which looks the connective up along the MRO
-    variables = (Variable("x", ("a", "b")), Variable("y", ("a", "b", "c")))
-    index = {"x": 0, "y": 1}
-    domains = [v.domain for v in variables]
-    offsets = _literal_offsets(domains)
-    x, y = Atom("x", AtomOp.EQ, "a"), Atom("y", AtomOp.NEQ, "b")
-    for base in (And, Or, Implies):
-        sub = type(f"Sub{base.__name__}", (base,), {})(x, y)
-        validate_formula(sub, {v.name: v for v in variables})
-        got = _compile(sub, index, domains, offsets)
-        want = _compile(base(x, y), index, domains, offsets)
-        assert got[1:] == want[1:]
-        for slots in itertools.product((None, *domains[0]), (None, *domains[1])):
-            assert got[0](list(slots)) == want[0](list(slots))
+@pytest.mark.parametrize(
+    "formulas, message",
+    [
+        (
+            [Or(Atom("x", AtomOp.NEQ, "q"), Not(Atom("y", AtomOp.EQ, "a")))],
+            "value 'q' is not in the domain of 'x'",
+        ),
+        (
+            [Atom("z", AtomOp.EQ, "a"), Implies(SUB_AND, Atom("y", AtomOp.EQ, "a"))],
+            f"not a formula node: {SUB_AND!r}",
+        ),
+        (
+            [Not(Atom("y", AtomOp.EQ, "a")), Atom("x", "=", "a")],
+            "undeclared variable 'y'",
+        ),
+    ],
+    ids=["one-formula", "below-a-bad-connective", "two-formulas"],
+)
+def test_solver_entry_points_name_the_first_of_two_bad_nodes(formulas, message):
+    for call in _solver_calls(BAD_VARIABLES, formulas):
+        with pytest.raises(ValidationError) as got:
+            call()
+        assert str(got.value) == message
 
 
 def test_solver_entry_points_reject_a_variable_declared_twice():
     variables = (Variable("x", ("a",)), Variable("y", ("a",)), Variable("x", ("b",)))
-    formulas = [Atom("y", AtomOp.EQ, "a")]
-    calls = [
-        lambda: is_consistent(variables, formulas),
-        lambda: count_solutions(variables, formulas),
-        lambda: enumerate_solutions(variables, formulas, 1),
-    ]
-    for call in calls:
+    for call in _solver_calls(variables, [Atom("y", AtomOp.EQ, "a")]):
         with pytest.raises(ValidationError, match="^variable 'x' declared twice$"):
             call()
 

@@ -152,9 +152,11 @@ def test_config_rejects_bad_values():
         (dict(seed=False), "seed must be an integer, got False"),
         (dict(n_vars=True), "n_vars must be an integer, got True"),
         (dict(domain_size=True), "domain_size must be an integer, got True"),
+        (dict(context_share=True), "context_share must be a number, got True"),
+        (dict(context_share=False), "context_share must be a number, got False"),
     ],
     ids=["str-share", "float-size", "str-vars", "float-domain", "bool-size", "bool-seed",
-         "bool-vars", "bool-domain"],
+         "bool-vars", "bool-domain", "true-share", "false-share"],
 )
 def test_config_rejects_bad_field_types_at_construction(kw, message):
     fields = dict(n_constraints=10, context_share=0.3, seed=0) | kw

@@ -653,24 +653,6 @@ def test_format_formula_minimal_parens():
     assert format_formula(Not(Atom("x", AtomOp.NEQ, "a"))) == "not x != a"
 
 
-@pytest.mark.parametrize("base", [And, Or, Implies])
-def test_a_subclass_of_a_connective_serializes_as_its_base(base):
-    # a KnowledgeBase validates, merges and solves with such a node, so it
-    # prints too, with the text of the connective it derives from
-    sub = type(f"Sub{base.__name__}", (base,), {})
-    x, y = Atom("x", AtomOp.EQ, "a"), Atom("y", AtomOp.NEQ, "b")
-    variables = (Variable("x", ("a", "b")), Variable("y", ("a", "b")))
-
-    def kb(node):
-        inner = node(Not(x), y)
-        return KnowledgeBase("k", variables, (Constraint("c1", node(inner, inner), "k"),))
-
-    assert format_formula(sub(x, y)) == format_formula(base(x, y))
-    text = serialize_kb(kb(sub))
-    assert text == serialize_kb(kb(base))
-    assert parse_kb(text) == kb(base)
-
-
 _X, _Y, _Z = Atom("x", AtomOp.EQ, "a"), Atom("y", AtomOp.EQ, "b"), Atom("z", AtomOp.NEQ, "c")
 _INNER = {
     "atom": _Y,
