@@ -17,12 +17,10 @@ import time
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Iterable, Sequence
 
-try:
-    # the module behind hashlib.blake2b; importing hashlib would also load
-    # OpenSSL, about 3.5 MiB of resident memory that nothing here uses
-    from _blake2 import blake2b
-except ImportError:  # an interpreter built without it
-    from hashlib import blake2b
+# the module behind hashlib.blake2b, which CPython takes from nowhere else;
+# importing hashlib would also load OpenSSL, about 3.5 MiB of resident
+# memory that nothing here uses
+from _blake2 import blake2b
 
 from .errors import BenchError, KbError, ValidationError
 from .merge import ckb_merge, contextualize

@@ -63,8 +63,11 @@ def _resolve_context(
 ) -> tuple[str, str, str]:
     """Fill missing context arguments from the files' context declarations.
 
-    Explicit flags win; a mismatch against a file declaration only warns,
-    since files may predate the merge decision.
+    Explicit flags win. A context variable other than a file's declared one
+    only warns, since files may predate the merge decision. A value other
+    than the one a file declares on the same variable is passed on, and
+    ``contextualize`` rejects it: the declared value is in the variable's
+    domain, so that domain is never the singleton of the given value.
     """
     declared1 = kb1.context
     declared2 = kb2.context
@@ -97,11 +100,6 @@ def _resolve_context(
                     f"a context on '{ctx_var}' in the file"
                 )
             return declared[1]
-        if declared is not None and declared[0] == ctx_var and declared[1] != given:
-            _warn(
-                f"overriding context value '{declared[1]}' declared in "
-                f"'{kb.name}' with '{given}'"
-            )
         return given
 
     val1 = resolve_val(kb1, declared1, ctx_val1, "--ctx-val1")

@@ -6,7 +6,7 @@ orders: variables in declaration order, values in domain order. Before the
 first branch, each active constraint removes from the live domains the
 literals ``x = v`` that refute it on their own, with no other variable
 assigned (node consistency, Mackworth 1977). Formulas compile to
-two-valued closures, which only ever see a complete scope; the literal
+two-valued functions, which only ever see a complete scope; the literal
 sets that force a formula true or false come from Kleene's strong
 three-valued logic, one rule for every binary connective (``_KLEENE``),
 and the same pass gives each formula its shape. A constraint is one of
@@ -27,7 +27,9 @@ three kinds:
   forward checking needs: there it filters its deepest variable down to
   the values it allows, trying each on a scope that is otherwise
   complete. The filter depends only on the values of the rest of its
-  scope, so an instance memoises it for every check and count it answers.
+  scope, so an instance memoises it for every check and count it answers,
+  in one ``_Memo`` per constraint, which fills a miss on a scratch
+  assignment: only branching writes the assignment of a search or count.
 
 A filter that allows no value empties that domain and fails the value. A
 set of constraints is one int: the bits of the clauses and other
@@ -41,14 +43,17 @@ restarts). Once every constraint is decided, the assignment prefix and the
 live domains of the remaining variables form a cube of solutions.
 Consistency stops at the first cube; enumeration expands cubes in domain
 order until it holds as many solutions as asked, so its output stays
-lexicographic. Counting splits the undecided constraints into components
+lexicographic. A cube conflicts with every past level (Chen & van Beek,
+JAIR 2001), so one backjump rule serves both: an exhausted level jumps to
+the deepest level of its conflict set, which below a cube is the level
+above it. Counting splits the undecided constraints into components
 that share no unassigned variable, multiplies their counts, and caches each
 component's count for the rest of the call (dynamic decomposition, as in
 the model counters sharpSAT and Cachet).
 
 Both keep their frames on explicit stacks, so no number of variables meets
 Python's recursion limit. Each inlines the same assignment step on purpose:
-sharing it, as per-check closures or as a module-level function, made
+sharing it, as functions built per check or as a module-level one, made
 ``merge_n100`` and ``count_small`` 8-10% slower and won 0 of 76 timing
 rounds. ``nodes_explored`` counts variable-value bindings
 tried, with one meaning for all three: a value removed at the root or by a
@@ -71,7 +76,6 @@ from typing import Callable, Mapping, Optional, Sequence
 from .errors import SpaceTooLargeError, ValidationError
 from .model import (
     And,
-    Assignment,
     Atom,
     AtomOp,
     Formula,
@@ -244,6 +248,36 @@ def _depths(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Memo(dict):
+    """The filters of a constraint that has no shape, memoised for every
+    check and count of its instance: ``key`` reads the values of the rest of
+    its scope, at the positions ``rest``, from an assignment, and they map
+    to the bits of the values of ``domain`` that its closure ``ev`` allows
+    its deepest variable ``deep`` there. A miss writes them into ``scratch``,
+    one assignment that all memos of the instance share, and tries each
+    value of ``deep`` on it; ``ev`` reads only its scope, then complete. No
+    public call shares an instance, so no two threads fill one scratch."""
+
+    __slots__ = ("key", "ev", "rest", "deep", "domain", "scratch")
+
+    def __init__(self, ev: Callable, rest: tuple, deep: int, domain: Sequence, scratch: list):
+        self.key = itemgetter(*rest)
+        self.ev, self.rest, self.deep, self.domain, self.scratch = ev, rest, deep, domain, scratch
+
+    def __missing__(self, key) -> int:
+        scratch, deep, ev = self.scratch, self.deep, self.ev
+        # an itemgetter of one position returns its value bare
+        for d, value in zip(self.rest, (key,) if len(self.rest) == 1 else key):
+            scratch[d] = value
+        ok = 0
+        for k, value in enumerate(self.domain):
+            scratch[deep] = value
+            if ev(scratch):
+                ok |= 1 << k
+        self[key] = ok
+        return ok
+
+
 class _Instance:
     """Validated, compiled search instance.
 
@@ -266,9 +300,9 @@ class _Instance:
       a constant, its forced-true literals there. No literal of its other
       variables forced it true if it is still undecided at its
       second-deepest, so those values are exactly what it allows;
-    - any other constraint filters with its closure, evaluated on each
-      value of its deepest variable and memoised per value of the rest of
-      its scope.
+    - any other constraint filters with its compiled function, evaluated
+      on each value of its deepest variable and memoised per value of the
+      rest of its scope, in its :class:`_Memo`.
 
     The tables are int bit sets over the ``m`` constraints that take a bit.
     Such a constraint's bit is its rank in a stable sort of them by scope;
@@ -284,11 +318,10 @@ class _Instance:
     is looked at. One table per field holds, per bit, the constraint's
     ``scopes``, its deepest variable (``deeps``), the rest of its scope
     (``rests``) and its filter: the constant of a clause in ``constants``,
-    else None there and, in ``closures``, ``getters`` and ``memos``, its
-    closure, a getter of the values of the rest of its scope and the memo
-    from those values to its filter (see :func:`_allowed`), so a filter met
-    again, in any check or count, costs one dictionary lookup and no
-    evaluation. A clause has no closure, getter or memo there.
+    else None there and its memo in ``memos``, so a filter met again, in
+    any check or count, costs one dictionary lookup and no evaluation. A
+    clause has no memo. The memos of an instance share one scratch
+    assignment, on which they fill their misses.
     """
 
     def __init__(self, variables: Sequence[Variable], constraints: Sequence[Formula]):
@@ -324,9 +357,8 @@ class _Instance:
         self.deeps = deeps = [scope.bit_length() - 1 for scope in scopes]
         self.rests = rests = [scope ^ (1 << deep) for scope, deep in zip(scopes, deeps)]
         self.constants = constants = [None] * m
-        self.closures = closures = [None] * m
-        self.getters = getters = [None] * m
         self.memos = memos = [None] * m
+        scratch: list[Optional[str]] = [None] * len(domains)
         bit = 1
         for b, ci in enumerate(wide):
             ev, _, forced, _, shape = compiled[ci]
@@ -335,9 +367,7 @@ class _Instance:
             if shape & _CLAUSE:
                 constants[b] = forced >> offsets[deep] & full[deep]
             else:
-                closures[b] = ev
-                getters[b] = itemgetter(*_depths(rest))
-                memos[b] = {}
+                memos[b] = _Memo(ev, _depths(rest), deep, domains[deep], scratch)
             true = forced & ~own[deep]
             while true:
                 low = true & -true
@@ -369,22 +399,6 @@ def _refute(live: list[int], offsets: Sequence[int], refuted: int) -> bool:
     return True
 
 
-def _allowed(
-    ev: Callable, assignment: list[Optional[str]], deep: int, domain: Sequence[str]
-) -> int:
-    """A constraint's filter once every variable of its scope but the
-    deepest, ``deep``, is assigned: the bits of the values of ``domain``
-    that it allows ``deep``, found by evaluating it on each completed
-    scope: no value when it is already false, every value when true."""
-    ok = 0
-    for k, value in enumerate(domain):
-        assignment[deep] = value
-        if ev(assignment):
-            ok |= 1 << k
-    assignment[deep] = None
-    return ok
-
-
 def _search(
     inst: _Instance,
     active: Optional[int] = None,
@@ -395,8 +409,9 @@ def _search(
 
     ``active`` is an OR of the instance's ``masks``, all of them when
     omitted: its low ``m`` bits are the constraints and the rest the
-    literals the root removes. Each level saves the undecided constraints on
-    entry and restores them for each of its values. A value decides the
+    literals the root removes. Only branching writes the assignment. Each
+    level saves the undecided constraints when first reached and restores
+    them for each of its values. A value decides the
     constraints its literal forces true and filters with those whose
     second-deepest variable it binds: a clause with its constant, any other
     constraint with its memo, so no constraint is evaluated before its
@@ -414,18 +429,19 @@ def _search(
     search stops at the first cube when ``on_cube`` is omitted; otherwise it
     calls ``on_cube(assignment, live, d)`` and stops once that returns True.
     Returns the number of cubes met and the node count (values tried). A
-    level whose subtree held a cube backtracks chronologically; any other
-    exhausted level jumps to the deepest variable in its conflict set and
-    the reasons of its own domain, which keeps backjumping sound when every
-    solution is wanted (Chen & van Beek, JAIR 2001). An empty conflict set
-    proves that no solution exists.
+    cube conflicts with every past level: the level the search returns to
+    from it adds every level above it to its conflict set, which keeps
+    backjumping sound when every solution is wanted (Chen & van Beek, JAIR
+    2001). Every exhausted level jumps to the deepest variable in its
+    conflict set and the reasons of its own domain, and carries the rest
+    of both there; so below a cube, it backtracks chronologically. An empty
+    conflict set proves that no solution exists.
     """
     domains = inst.domains
     full = inst.full
     offsets = inst.offsets
     true_by, filters = inst.true_by, inst.filters
-    deeps, rests, constants = inst.deeps, inst.rests, inst.constants
-    closures, getters, memos = inst.closures, inst.getters, inst.memos
+    deeps, rests, constants, memos = inst.deeps, inst.rests, inst.constants, inst.memos
     n = len(domains)
     m = len(deeps)
     if active is None:
@@ -438,11 +454,10 @@ def _search(
     reasons = [0] * n
     trail: list[tuple[int, int, int]] = []  # (variable, live, reasons) to restore
 
-    # per level: live values not yet tried, conflict set, cubes met on
-    # entry, trail mark and undecided constraints on entry
+    # per level: live values not yet tried, conflict set, trail mark and
+    # undecided constraints when first reached
     untried = [0] * n
     conflict = [0] * n
-    entry = [0] * n
     trail_mark = [0] * n
     saved = [0] * n
     cubes = nodes = 0
@@ -454,11 +469,12 @@ def _search(
                 cubes += 1
                 if on_cube is None or on_cube(assignment, live, depth) or depth == 0:
                     break
+                # a solution conflicts with every past level
                 depth -= 1
+                conflict[depth] |= (1 << depth) - 1
             else:
                 untried[depth] = live[depth]
                 conflict[depth] = 0
-                entry[depth] = cubes
                 trail_mark[depth] = len(trail)
                 saved[depth] = undecided
         # undo what the previous value at this depth left behind
@@ -477,7 +493,7 @@ def _search(
             assignment[depth] = domains[depth][j]
             # a constraint this literal forces true is decided with no
             # evaluation; one whose second-deepest variable this is filters
-            # its deepest, the one slot of its scope left empty
+            # its deepest, the one variable of its scope left unbound
             undecided = saved[depth] & ~true_by[offsets[depth] + j]
             failed = -1
             todo = undecided & filters[depth]
@@ -489,11 +505,8 @@ def _search(
                 deep = deeps[b]
                 ok = constants[b]
                 if ok is None:
-                    key = getters[b](assignment)
                     memo = memos[b]
-                    ok = memo.get(key)
-                    if ok is None:
-                        ok = memo[key] = _allowed(closures[b], assignment, deep, domains[deep])
+                    ok = memo[memo.key(assignment)]
                 old = live[deep]
                 new = old & ok
                 if new != old:
@@ -511,22 +524,11 @@ def _search(
                 fresh = False
             continue
         # every live value of this depth is tried
-        assignment[depth] = None
-        if cubes != entry[depth]:
-            back = depth - 1
-            carried = 0
-        else:
-            why = conflict[depth] | reasons[depth]
-            if not why:
-                break
-            back = why.bit_length() - 1
-            carried = why ^ (1 << back)
-        if back < 0:
+        why = conflict[depth] | reasons[depth]
+        if not why:
             break
-        for d in range(back + 1, depth):
-            assignment[d] = None
-        depth = back
-        conflict[depth] |= carried
+        depth = why.bit_length() - 1
+        conflict[depth] |= why ^ (1 << depth)
         fresh = False
     return cubes, nodes
 
@@ -587,8 +589,7 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
     domains = inst.domains
     offsets = inst.offsets
     true_by, filters = inst.true_by, inst.filters
-    scopes, deeps, constants = inst.scopes, inst.deeps, inst.constants
-    closures, getters, memos = inst.closures, inst.getters, inst.memos
+    scopes, deeps, constants, memos = inst.scopes, inst.deeps, inst.constants, inst.memos
     live = inst.full[:]
     if not _refute(live, offsets, reduce(or_, inst.masks, 0) >> len(scopes)):
         return 0, 0
@@ -635,7 +636,6 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
             del trail[mark:]
         if not untried:
             cache[key] = count = sub
-            assignment[var] = None
             var, untried, sub, mark, key, cons, own, base, mult, parts, total = stack.pop()
             total *= count
             continue
@@ -659,11 +659,8 @@ def _count(inst: _Instance, cap: Optional[int]) -> tuple[int, int]:
             deep = deeps[b]
             ok = constants[b]
             if ok is None:
-                values = getters[b](assignment)
                 memo = memos[b]
-                ok = memo.get(values)
-                if ok is None:
-                    ok = memo[values] = _allowed(closures[b], assignment, deep, domains[deep])
+                ok = memo[memo.key(assignment)]
             old = live[deep]
             new = old & ok
             if not new:

@@ -224,7 +224,8 @@ def test_merge_output_matches_golden_file(tmp_path, capsys):
 
 
 def test_merge_ctx_value_override_warns(tmp_path, capsys):
-    # an explicit flag that disagrees with the file declaration wins but warns
+    # a value that contradicts the file's declared one cannot re-pin its
+    # singleton US domain to GER: contextualize's error is the one message
     out_path = tmp_path / "merged.kb"
     code, _, err = run(
         capsys,
@@ -232,10 +233,10 @@ def test_merge_ctx_value_override_warns(tmp_path, capsys):
         "--ctx-val1", "GER",
         "--out", str(out_path),
     )
-    # the override wins but cannot re-pin the singleton US domain to GER
     assert code == 1
-    assert "warning:" in err
+    assert "singleton domain {GER}" in err
     assert "error:" in err
+    assert "warning:" not in err
 
 
 # exit codes and error reporting

@@ -6,8 +6,10 @@ from dataclasses import replace
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES, load_fixture, random_formula
+from conftest import FIXTURES, STRATEGY_VARS, formula_strategy, load_fixture, random_formula
 from kbmerge import (
     AlignmentError,
     GenerationError,
@@ -768,45 +770,72 @@ def synthesized_pairs():
         )
 
 
+def merge_as_the_reference(kb1c: KnowledgeBase, kb2c: KnowledgeBase):
+    """``ckb_merge`` of a pair, asserted equal to ``reference_merge`` in the
+    merged KB and its text, the three report id tuples and the verdict of
+    every phase-1 and phase-2 check; returns the merged KB and report."""
+    merged, report = ckb_merge(kb1c, kb2c)
+    want, want_ids, want_checks = reference_merge(kb1c, kb2c)
+    assert merged == want
+    assert serialize_kb(merged) == serialize_kb(want)
+    assert (
+        report.decontextualized_ids,
+        report.kept_contextualized_ids,
+        report.removed_redundant_ids,
+    ) == want_ids
+    # the pinned pools of each check (see explicit_pools) give the verdict
+    # of the pseudocode's pool
+    assert want_checks == [record[:3] for record in report.checks[2:]]
+    return merged, report
+
+
 def test_merge_matches_pool_per_check_reference(car_pair):
     pairs = [car_pair, *random_desk_pairs(), *synthesized_pairs()]
     for kb1c, kb2c in pairs:
-        merged, report = ckb_merge(kb1c, kb2c)
-        want, want_ids, want_checks = reference_merge(kb1c, kb2c)
-        assert merged == want
-        assert serialize_kb(merged) == serialize_kb(want)
-        assert (
-            report.decontextualized_ids,
-            report.kept_contextualized_ids,
-            report.removed_redundant_ids,
-        ) == want_ids
+        _, report = merge_as_the_reference(kb1c, kb2c)
         assert settled_checks(report) == predicted_settled(kb1c, kb2c, report)
-        # the pinned pools of each check (see explicit_pools) give the
-        # verdict of the pseudocode's pool
-        assert want_checks == [record[:3] for record in report.checks[2:]]
+
+
+def grown_source(name: str, variables, formulas) -> KnowledgeBase:
+    """A source named ``name`` over ``variables``, grown from ``formulas``
+    one at a time, keeping each only if the source stays consistent with it,
+    and contextualized to ``ctx<name>``: rejection-sampling a whole batch
+    rarely finds a consistent one."""
+    kept = []
+    for f in formulas:
+        if is_consistent(variables, [*kept, f])[0]:
+            kept.append(f)
+    constraints = tuple(Constraint(f"c{k}", f, name) for k, f in enumerate(kept))
+    return contextualize(KnowledgeBase(name, variables, constraints), "ctx", f"ctx{name}")
+
+
+def keeps_the_union(kb1c: KnowledgeBase, kb2c: KnowledgeBase, merged: KnowledgeBase) -> None:
+    """Assert by brute force that ``merged`` has exactly the solutions of
+    the two sources, and that it counts them."""
+    union = brute_force_solutions(kb1c.variables, kb1c.formulas()) | brute_force_solutions(
+        kb2c.variables, kb2c.formulas()
+    )
+    assert brute_force_solutions(merged.variables, merged.formulas()) == union
+    assert count_solutions(merged.variables, merged.formulas())[0].count == len(union)
 
 
 def random_formula_pairs(count: int = 40):
     """Seeded contextualized pairs of general formulas: ``random_formula``
     trees of one depth from 1 to 4 over 3-12 variables, up to 60 per source.
-    Each source grows one formula at a time and keeps it only if it stays
-    consistent: rejection-sampling a whole batch rarely finds one."""
+    Each source is grown by ``grown_source``."""
     rng = random.Random(31)
     for _ in range(count):
         values = tuple(string.ascii_lowercase[: rng.randint(2, 4)])
         variables = tuple(Variable(f"x{i + 1}", values) for i in range(rng.randint(3, 12)))
         depth = rng.randint(1, 4)
-        pair = []
-        for name in ("A", "B"):
-            formulas = []
-            for _ in range(rng.randint(1, 60)):
-                f = random_formula(rng, variables, depth)
-                if is_consistent(variables, [*formulas, f])[0]:
-                    formulas.append(f)
-            constraints = tuple(Constraint(f"c{k}", f, name) for k, f in enumerate(formulas))
-            kb = KnowledgeBase(name, variables, constraints)
-            pair.append(contextualize(kb, "ctx", f"ctx{name}"))
-        yield pair
+        yield [
+            grown_source(
+                name,
+                variables,
+                [random_formula(rng, variables, depth) for _ in range(rng.randint(1, 60))],
+            )
+            for name in ("A", "B")
+        ]
 
 
 def test_merges_of_general_formulas_match_the_reference_and_the_oracle():
@@ -814,16 +843,7 @@ def test_merges_of_general_formulas_match_the_reference_and_the_oracle():
     # and memos, shared by every check of the merge instance
     shapeless = oracle = 0
     for kb1c, kb2c in random_formula_pairs():
-        merged, report = ckb_merge(kb1c, kb2c)
-        want, want_ids, want_checks = reference_merge(kb1c, kb2c)
-        assert merged == want
-        assert serialize_kb(merged) == serialize_kb(want)
-        assert (
-            report.decontextualized_ids,
-            report.kept_contextualized_ids,
-            report.removed_redundant_ids,
-        ) == want_ids
-        assert want_checks == [record[:3] for record in report.checks[2:]]
+        merged, _ = merge_as_the_reference(kb1c, kb2c)
         variables = merged.variables
         index = {v.name: i for i, v in enumerate(variables)}
         domains = [v.domain for v in variables]
@@ -834,12 +854,22 @@ def test_merges_of_general_formulas_match_the_reference_and_the_oracle():
         )
         if prod(map(len, domains)) <= 5000:
             oracle += 1
-            union = brute_force_solutions(
-                kb1c.variables, kb1c.formulas()
-            ) | brute_force_solutions(kb2c.variables, kb2c.formulas())
-            assert brute_force_solutions(variables, merged.formulas()) == union
-            assert count_solutions(variables, merged.formulas())[0].count == len(union)
+            keeps_the_union(kb1c, kb2c, merged)
     assert shapeless > 100 and oracle > 20
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    first=st.lists(formula_strategy, max_size=8),
+    second=st.lists(formula_strategy, max_size=8),
+)
+def test_merges_of_drawn_formulas_match_the_reference_and_the_oracle(first, second):
+    # the shrinking half of the test above: most drawn bodies have no shape,
+    # so their memos serve every check of the merge instance
+    kb1c = grown_source("A", STRATEGY_VARS, first)
+    kb2c = grown_source("B", STRATEGY_VARS, second)
+    merged, _ = merge_as_the_reference(kb1c, kb2c)
+    keeps_the_union(kb1c, kb2c, merged)
 
 
 def explicit_pools(kb1c: KnowledgeBase, kb2c: KnowledgeBase, report):
@@ -1190,14 +1220,14 @@ def test_a_merge_evaluates_no_constraint_and_takes_a_bit_per_body(kb_us, kb_ger,
         original(self, variables, constraints)
 
     calls = []
-    allowed = solver._allowed
+    missing = solver._Memo.__missing__
 
-    def counted(*args):
-        calls.append(args)
-        return allowed(*args)
+    def counted(memo, key):
+        calls.append(key)
+        return missing(memo, key)
 
     monkeypatch.setattr(solver._Instance, "__init__", keeping_init)
-    monkeypatch.setattr(solver, "_allowed", counted)
+    monkeypatch.setattr(solver._Memo, "__missing__", counted)
     raw = synthesize_pair(SynthConfig(n_constraints=100, context_share=0.3, seed=1))
     for kb1, kb2 in [raw, (kb_us, kb_ger)]:
         built.clear()

@@ -3,7 +3,6 @@ import random
 import string
 import sys
 from math import prod
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +39,15 @@ from kbmerge import (
 )
 from kbmerge import solver
 from kbmerge.model import validate_formula
-from kbmerge.solver import _compile, _depths, _Instance, _literal_offsets, _refute, _search
+from kbmerge.solver import (
+    _compile,
+    _depths,
+    _Instance,
+    _literal_offsets,
+    _Memo,
+    _refute,
+    _search,
+)
 from kbmerge.synth import CTX_VALUES, CTX_VAR
 from kleene import Tri, free_vars, partial_eval
 
@@ -795,6 +802,22 @@ def memo_entries(inst):
     return sum(len(memo) for memo in inst.memos if memo is not None)
 
 
+def test_full_searches_and_their_memos_are_pinned():
+    # every cube of every search, so each level below a cube backtracks
+    # chronologically, and the filters those searches memoise
+    rng = random.Random(2001)
+    cubes = nodes = entries = 0
+    for make in (fc_instance, random_instance):
+        for _ in range(300):
+            variables, formulas = make(rng)
+            inst = _Instance(variables, formulas)
+            found, tried = _search(inst, on_cube=lambda *_: False)
+            cubes += found
+            nodes += tried
+            entries += memo_entries(inst)
+    assert (cubes, nodes, entries) == (3997, 9788, 6620)
+
+
 def test_a_warm_filter_memo_explores_the_nodes_of_a_cold_one():
     rng = random.Random(5)
     reused = 0
@@ -845,7 +868,9 @@ def test_a_warm_check_evaluates_no_constraint():
 
         return wrapper
 
-    inst.closures = [None if ev is None else counted(ev) for ev in inst.closures]
+    for memo in inst.memos:
+        if memo is not None:
+            memo.ev = counted(memo.ev)
     # every guarded constraint and every disjunction
     pool = range(len(guarded) + len(pairs))
     cold_ok, cold_nodes, _ = inst.check(active_mask(inst, pool))
@@ -880,11 +905,11 @@ def test_a_literal_decides_what_it_forces_true_below_the_shallowest_variable():
         seen.append(tuple(a))
         return ev(a)
 
-    # the constant swapped for the memoised closure, so that each filter the
-    # search looks at is computed and recorded
-    memo = {}
+    # the constant swapped for a memo of the closure, so that each filter
+    # the search looks at is computed and recorded
+    memo = _Memo(wrapper, (0, 1), 2, inst.domains[2], [None] * 3)
     inst.constants[rank] = None
-    inst.closures[rank], inst.getters[rank], inst.memos[rank] = wrapper, itemgetter(0, 1), memo
+    inst.memos[rank] = memo
     ok, nodes, _ = inst.check()
     # g = a; x = a empties y's domain; x = b leaves a cube
     assert ok
@@ -901,8 +926,6 @@ def test_a_constraint_is_evaluated_only_on_a_complete_scope(monkeypatch):
     early = []
 
     def watched(ev, mask):
-        if ev is None:
-            return None
         scope = [d for d in range(mask.bit_length()) if mask >> d & 1]
 
         def wrapper(a):
@@ -916,7 +939,9 @@ def test_a_constraint_is_evaluated_only_on_a_complete_scope(monkeypatch):
     class Watched(_Instance):
         def __init__(self, variables, constraints):
             super().__init__(variables, constraints)
-            self.closures = list(map(watched, self.closures, self.scopes))
+            for memo, scope in zip(self.memos, self.scopes):
+                if memo is not None:
+                    memo.ev = watched(memo.ev, scope)
 
     monkeypatch.setattr(solver, "_Instance", Watched)
     rng = random.Random(1993)
@@ -944,13 +969,15 @@ class ClosuresOnly(_Instance):
         super().__init__(variables, constraints)
         index = {name: i for i, name in enumerate(self.names)}
         low = (1 << len(self.scopes)) - 1
+        scratch = [None] * len(self.domains)
         for f, own in zip(constraints, self.masks):
             b = (own & low).bit_length() - 1
             if b >= 0 and self.constants[b] is not None:
                 self.constants[b] = None
-                self.closures[b] = _compile(f, index, self.domains, self.offsets)[0]
-                self.getters[b] = itemgetter(*_depths(self.rests[b]))
-                self.memos[b] = {}
+                ev = _compile(f, index, self.domains, self.offsets)[0]
+                deep = self.deeps[b]
+                rest = _depths(self.rests[b])
+                self.memos[b] = _Memo(ev, rest, deep, self.domains[deep], scratch)
 
 
 class ShallowestOnly(ClosuresOnly):
